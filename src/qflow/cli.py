@@ -12,7 +12,9 @@ Usage:
   qflow check <config-file>
 
 Exit codes: 0 success (including certified blow-up), 1 precondition or
-config violation, 2 numerical failure outside a blow-up experiment.
+config violation, 2 numerical failure: non-finite values outside the blowup
+experiment, or a threshold-search run that aborted instead of reaching T or
+the threshold.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class ConfigError(Exception):
 
 
 class NumericalFailure(Exception):
-    """Non-finite values outside a blow-up experiment (exit code 2)."""
+    """A run aborted on non-finite values or backward diffusion where the
+    experiment needs a finite run for its verdict (exit code 2)."""
 
 
 # key name -> (python type, default); None default means "required when the
@@ -495,7 +498,13 @@ def _exp_blowup_threshold_search(cfg):
 
     def blows(amp):
         profile = RadialProfile.sine_bump(cfg.R0, cfg.R1, cfg.nr, amp)
-        return radial.run_radial(profile, params, cfg.T, cfg.dt).blown_up
+        flag = radial.run_radial_flag(profile, params, cfg.T, cfg.dt)
+        if flag.nonfinite:
+            # an aborted run says nothing about the threshold, so no bracket
+            raise NumericalFailure(
+                f"the run at amplitude {amp!r} stopped on {flag.stop} at t = {flag.t!r}"
+            )
+        return flag.blown_up
 
     lo, hi = cfg.amp_lo, cfg.amp_hi
     lo_blows, hi_blows = blows(lo), blows(hi)
@@ -776,7 +785,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, emit_svg: bool = True) -
         "results": _jsonable(results),
         "checks": checks,
         "artifacts": {"trace_csv": csv_path, "svg": svg_paths},
-        "qflow_threads": os.environ.get("QFLOW_THREADS"),
     }
     json_path = os.path.join(out_dir, "summary.json")
     with open(json_path, "w", encoding="utf-8") as fh:
@@ -786,23 +794,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, emit_svg: bool = True) -
         experiment=cfg.experiment, passed=passed, summary=summary,
         csv_path=csv_path, json_path=json_path, svg_paths=svg_paths,
     )
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("QFLOW_THREADS")
-    if not cap:
-        return
-    try:
-        limit = int(cap)
-    except ValueError:
-        raise ConfigError(f"QFLOW_THREADS must be an integer (got '{cap}')") from None
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(limit)
 
 
 def main(argv=None) -> int:
@@ -828,7 +819,6 @@ def main(argv=None) -> int:
         if args.command == "check":
             print(f"config OK: experiment '{cfg.experiment}'")
             return 0
-        _apply_thread_cap()
         if args.seed is not None:
             cfg.values["seed"] = args.seed
         report = run_experiment(cfg, args.out)

@@ -172,13 +172,10 @@ def blowup_certificate(profile: RadialProfile, params: LdGParams) -> BlowupCerti
     phi = _signed_part(profile.theta, params.L4)
     y0 = float(np.trapezoid(phi * phi * r, r))
     F0 = blowup_functional(profile, params)
-
-    def G(y):
-        return M0 * max(y, 0.0) ** 1.5 - abs(params.a) * y + 4.0 * F0
-
     provable = M0 > 0.0 and y0 > 0.0 and (
         F0 >= 0.0
-        or (G(y0) > 0.0 and 1.5 * M0 * math.sqrt(y0) - abs(params.a) >= 0.0)
+        or (comparison_rhs(y0, M0, params.a, F0) > 0.0
+            and 1.5 * M0 * math.sqrt(y0) - abs(params.a) >= 0.0)
     )
     predicted = None
     reason = "inconclusive"
@@ -196,6 +193,11 @@ def blowup_certificate(profile: RadialProfile, params: LdGParams) -> BlowupCerti
     )
 
 
+def comparison_rhs(y: float, M0: float, a: float, F0: float) -> float:
+    """G(y) = M0 max(y, 0)^{3/2} - |a| y + 4 F0; the comparison ODE is y' = 2 G(y)."""
+    return M0 * max(y, 0.0) ** 1.5 - abs(a) * y + 4.0 * F0
+
+
 def comparison_lower_bound(M0: float, a: float, F0: float, y0: float, t):
     """Integrate y' = 2 (M0 y^{3/2} - |a| y + 4 F0) from y0; evaluate at t.
 
@@ -210,7 +212,7 @@ def comparison_lower_bound(M0: float, a: float, F0: float, y0: float, t):
     t_end = float(t_eval.max())
 
     def g(y):
-        return 2.0 * (M0 * max(y, 0.0) ** 1.5 - abs(a) * y + 4.0 * F0)
+        return 2.0 * comparison_rhs(y, M0, a, F0)
 
     knots_t = [0.0]
     knots_y = [float(y0)]
@@ -290,15 +292,47 @@ class RadialTrace:
     final_profile: "RadialProfile | None" = dc_field(default=None, repr=False)
 
 
-def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
-               y_threshold: float = BLOWUP_Y_THRESHOLD) -> RadialTrace:
-    """March the radial flow to time T with an adaptive semi-implicit stepper.
+# Why a radial run stopped (RadialFlag.stop).
+STOP_REACHED_T = "reached T"
+STOP_THRESHOLD = "y crossed the blow-up threshold"
+STOP_NONFINITE = "non-finite values"
+STOP_BACKWARD_DIFFUSION = "locally backward diffusion (zeta + L4 theta <= 0)"
 
-    dt is the largest step taken; steps shrink so no update moves theta by
-    more than 2% of its current amplitude.  The run stops with the blow-up
-    flag once y = int theta^2 r dr exceeds y_threshold, and with the
-    non-finite flag on numerical failure (including a sign change of the
-    quasilinear diffusivity zeta + L4 theta).
+
+@dataclass(frozen=True)
+class RadialFlag:
+    """How a radial run ended: the stop reason and the time it stopped at.
+
+    blown_up, nonfinite and blowup_time mean what the RadialTrace fields of
+    the same name mean: an abort on non-finite values or backward diffusion
+    also raises blown_up, so callers that need a genuine threshold crossing
+    test nonfinite first.
+    """
+
+    stop: str
+    t: float
+
+    @property
+    def nonfinite(self) -> bool:
+        return self.stop in (STOP_NONFINITE, STOP_BACKWARD_DIFFUSION)
+
+    @property
+    def blown_up(self) -> bool:
+        return self.stop != STOP_REACHED_T
+
+    @property
+    def blowup_time(self) -> float | None:
+        return self.t if self.blown_up else None
+
+
+def _march(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
+           y_threshold: float, record=None):
+    """The adaptive semi-implicit stepper shared by run_radial and run_radial_flag.
+
+    y = int theta^2 r dr is computed at t = 0 and after every accepted step,
+    and record(t, theta, y), if given, is called with it; record must not
+    keep theta, which the stepper updates in place.  Returns the RadialFlag
+    and the final theta.
     """
     if params.zeta <= 0.0:
         raise ValueError("radial flow needs zeta > 0")
@@ -310,14 +344,82 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
     r = profile0.r
     ri = r[1:-1]
     zeta, L4, a, c = params.zeta, params.L4, params.a, params.c
+    # Loop invariants.  Each keeps the operation order of the expression it
+    # stands for, so every step is bit-for-bit the same as the inline form;
+    # dr * dr and dr**2 stay apart because libm pow may round differently.
+    ri2 = ri**2
+    zeta_ri = zeta / ri
+    react = 4.0 * zeta / ri2
+    two_dr = 2.0 * dr
+    dr_mul = dr * dr
+    dr_pow = dr**2
+    ab = np.zeros((3, nr))
     th = profile0.theta.copy()
 
+    t = 0.0
+    y = float(np.trapezoid(th * th * r, r))
+    if record is not None:
+        record(t, th, y)
+    if y > y_threshold:
+        return RadialFlag(STOP_THRESHOLD, t), th
+    while t < T:
+        thi = th[1:-1]
+        d1 = (th[2:] - th[:-2]) / two_dr
+        d2 = (th[2:] - 2.0 * thi + th[:-2]) / dr_mul
+        D = zeta + L4 * thi
+        if (D <= 0.0).any():
+            return RadialFlag(STOP_BACKWARD_DIFFUSION, t), th
+        adv = zeta_ri + L4 * thi / ri
+        expl = L4 * (0.5 * d1 * d1 + 6.0 * thi * thi / ri2) - a * thi - 0.5 * c * thi**3
+        full = expl + D * d2 + adv * d1 - 4.0 * zeta * thi / ri2
+        scale = max(float(np.abs(th).max()), 1e-12)
+        h = min(dt, STEP_FRACTION * scale / max(float(np.abs(full).max()), 1e-15), T - t)
+        co_d2 = D / dr_pow
+        co_d1 = adv / two_dr
+        ab[0, 1:] = (-h * (co_d2 + co_d1))[:-1]
+        ab[1, :] = 1.0 - h * (-2.0 * co_d2 - react)
+        ab[2, :-1] = (-h * (co_d2 - co_d1))[1:]
+        b = thi + h * expl
+        # boundary contributions from the fixed ring values
+        b[0] += h * (co_d2[0] - co_d1[0]) * th[0]
+        b[-1] += h * (co_d2[-1] + co_d1[-1]) * th[-1]
+        # ab is refilled and b rebuilt on every step, so LAPACK may reuse both
+        th[1:-1] = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True)
+        t += h
+        if not np.isfinite(th).all():
+            return RadialFlag(STOP_NONFINITE, t), th
+        y = float(np.trapezoid(th * th * r, r))
+        if record is not None:
+            record(t, th, y)
+        if not math.isfinite(y) or y > y_threshold:
+            return RadialFlag(STOP_THRESHOLD, t), th
+    return RadialFlag(STOP_REACHED_T, t), th
+
+
+def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
+               y_threshold: float = BLOWUP_Y_THRESHOLD) -> RadialTrace:
+    """March the radial flow to time T and record every monitor on every step.
+
+    The stepper is adaptive and semi-implicit: dt is the largest step taken,
+    and steps shrink so no update moves theta by more than 2% of its current
+    amplitude.  The run stops before T in these cases:
+
+    - y = int theta^2 r dr exceeds y_threshold (or is not finite):
+      blown_up is set and blowup_time is the time of that record, 0.0 when
+      the initial profile is already above the threshold;
+    - theta turns non-finite, or the quasilinear diffusivity zeta + L4 theta
+      is <= 0 somewhere (locally backward diffusion): nonfinite is set, and
+      blown_up too, with blowup_time the time of the abort.
+
+    Callers that only need the flag use run_radial_flag, which takes the
+    same steps without the per-step monitors.
+    """
+    r = profile0.r
     ts, ys, yms, yps, mxs, Fs, rates = [], [], [], [], [], [], []
 
-    def record(t):
-        prof = RadialProfile(profile0.R0, profile0.R1, nr, th.copy())
+    def record(t, th, y):
+        prof = RadialProfile(profile0.R0, profile0.R1, profile0.nr, th.copy())
         rhs_full = theta_rhs(prof, params)
-        y = float(np.trapezoid(th * th * r, r))
         tm = np.maximum(-th, 0.0)
         tp = np.maximum(th, 0.0)
         ts.append(t)
@@ -329,54 +431,24 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
         # boundary values are pinned, so dtheta/dt vanishes at the endpoints
         full = np.concatenate(([0.0], rhs_full, [0.0]))
         rates.append(math.sqrt(max(float(np.trapezoid(full * full * r, r)), 0.0)))
-        return y
 
-    t = 0.0
-    y = record(0.0)
-    blown = bool(y > y_threshold)
-    nonfinite = False
-    blowup_time = 0.0 if blown else None
-    while t < T and not blown and not nonfinite:
-        thi = th[1:-1]
-        d1 = (th[2:] - th[:-2]) / (2.0 * dr)
-        d2 = (th[2:] - 2.0 * thi + th[:-2]) / (dr * dr)
-        D = zeta + L4 * thi
-        if np.any(D <= 0.0):
-            nonfinite = True
-            break
-        expl = L4 * (0.5 * d1 * d1 + 6.0 * thi * thi / ri**2) - a * thi - 0.5 * c * thi**3
-        full = expl + D * d2 + (zeta / ri + L4 * thi / ri) * d1 - 4.0 * zeta * thi / ri**2
-        scale = max(float(np.abs(th).max()), 1e-12)
-        h = min(dt, STEP_FRACTION * scale / max(float(np.abs(full).max()), 1e-15), T - t)
-        co_d2 = D / dr**2
-        co_d1 = (zeta / ri + L4 * thi / ri) / (2.0 * dr)
-        ab = np.zeros((3, nr))
-        ab[0, 1:] = (-h * (co_d2 + co_d1))[:-1]
-        ab[1, :] = 1.0 - h * (-2.0 * co_d2 - 4.0 * zeta / ri**2)
-        ab[2, :-1] = (-h * (co_d2 - co_d1))[1:]
-        b = thi + h * expl
-        # boundary contributions from the fixed ring values
-        b[0] += h * (co_d2[0] - co_d1[0]) * th[0]
-        b[-1] += h * (co_d2[-1] + co_d1[-1]) * th[-1]
-        th_new = solve_banded((1, 1), ab, b)
-        th = np.concatenate(([th[0]], th_new, [th[-1]]))
-        t += h
-        if not np.all(np.isfinite(th)):
-            nonfinite = True
-            break
-        y = record(t)
-        if not math.isfinite(y) or y > y_threshold:
-            blown = True
-            blowup_time = t
-    if nonfinite:
-        blown = True
-        blowup_time = t if blowup_time is None else blowup_time
+    flag, th = _march(profile0, params, T, dt, y_threshold, record)
     return RadialTrace(
         t=np.array(ts), y=np.array(ys), y_minus=np.array(yms), y_plus=np.array(yps),
         max_abs_theta=np.array(mxs), F=np.array(Fs), rate=np.array(rates),
-        blown_up=blown, nonfinite=nonfinite, blowup_time=blowup_time,
-        final_profile=RadialProfile(profile0.R0, profile0.R1, nr, th.copy()),
+        blown_up=flag.blown_up, nonfinite=flag.nonfinite, blowup_time=flag.blowup_time,
+        final_profile=RadialProfile(profile0.R0, profile0.R1, profile0.nr, th),
     )
+
+
+def run_radial_flag(profile0: RadialProfile, params: LdGParams, T: float,
+                    dt: float) -> RadialFlag:
+    """Take the steps of run_radial but compute only y on each of them.
+
+    The returned blown_up, nonfinite and blowup_time equal those of
+    run_radial(profile0, params, T, dt); its stop says why the run ended.
+    """
+    return _march(profile0, params, T, dt, BLOWUP_Y_THRESHOLD)[0]
 
 
 def dominates_comparison(trace: RadialTrace, params: LdGParams,

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -20,6 +22,8 @@ L1 = 1
 L2 = 2
 L3 = 3
 """
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 BLOWUP_CFG = """
 # pinned annulus geometry; deep quench drives the threshold crossing
@@ -161,6 +165,29 @@ class TestRunExperiment:
         assert res["interval_lo"] < res["interval_hi"]
 
 
+class TestShippedConfigs:
+    """Outputs of the shipped radial configs, pinned bit for bit."""
+
+    def test_blowup_trace_csv_pinned(self, tmp_path):
+        cfg = parse_config((CONFIGS / "blowup.cfg").read_text())
+        run_experiment(cfg, str(tmp_path), emit_svg=False)
+        data = (tmp_path / "trace.csv").read_bytes()
+        assert len(data.splitlines()) == 136
+        assert hashlib.sha256(data).hexdigest() == (
+            "edbc8d98ef39fcaefebe9abba248540df362fd07e87274fd44e01649defeb019"
+        )
+
+    def test_threshold_search_bracket_pinned(self, tmp_path):
+        cfg = parse_config((CONFIGS / "blowup-threshold-search.cfg").read_text())
+        report = run_experiment(cfg, str(tmp_path), emit_svg=False)
+        assert report.passed
+        res = report.summary["results"]
+        assert len(res["iterations"]) == 16
+        assert (res["interval_lo"], res["interval_hi"]) == (
+            -3.6710571289062504, -3.670144653320313
+        )
+
+
 class TestMainEntry:
     def _write(self, tmp_path, text):
         path = tmp_path / "cfg.txt"
@@ -207,6 +234,16 @@ class TestMainEntry:
         rc = main(["run", self._write(tmp_path, cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_threshold_search_aborted_run_exit_2(self, tmp_path, capsys):
+        # shipped geometry with amp_hi = +50: zeta + L4 theta = 1 - theta is
+        # negative at the first step, which must not count as a blow-up
+        cfg = (CONFIGS / "blowup-threshold-search.cfg").read_text()
+        cfg = cfg.replace("amp_hi = -60", "amp_hi = 50")
+        rc = main(["run", self._write(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "backward diffusion" in err
 
     def test_console_script_installed(self):
         out = subprocess.run(

@@ -5,6 +5,9 @@ import pytest
 
 from qflow.energy import LdGParams
 from qflow.radial import (
+    STOP_BACKWARD_DIFFUSION,
+    STOP_REACHED_T,
+    STOP_THRESHOLD,
     RadialProfile,
     blowup_certificate,
     comparison_lower_bound,
@@ -12,6 +15,7 @@ from qflow.radial import (
     dominates_comparison,
     hedgehog_consistency_check,
     run_radial,
+    run_radial_flag,
     theta_rhs,
 )
 
@@ -187,6 +191,41 @@ class TestRunRadial:
         prof = RadialProfile.sine_bump(3.0, 4.0, 40, 5.0)
         trace = run_radial(prof, params(L4=-1.0), 0.1, 1e-3)
         assert trace.nonfinite
+
+
+class TestRunRadialFlag:
+    # (R0, R1, nr, amplitude, params, T, dt, expected stop)
+    CASES = {
+        # the thin inner annulus of the threshold search, on both sides of
+        # its threshold
+        "below_threshold": (0.3, 1.3, 20, -2.0, params(c=1e-6), 0.05, 1e-3, STOP_REACHED_T),
+        "above_threshold": (0.3, 1.3, 20, -10.0, params(c=1e-6), 0.05, 1e-3, STOP_THRESHOLD),
+        # y0 ~ 1.6e7 exceeds the 1e6 threshold before the first step
+        "above_threshold_at_t0": (3.0, 4.0, 40, -3e3, params(), 0.1, 1e-3, STOP_THRESHOLD),
+        "backward_diffusion": (3.0, 4.0, 40, 5.0, params(L4=-1.0), 0.1, 1e-3,
+                               STOP_BACKWARD_DIFFUSION),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_run_radial(self, name):
+        R0, R1, nr, amp, p, T, dt, stop = self.CASES[name]
+        prof = RadialProfile.sine_bump(R0, R1, nr, amp)
+        trace = run_radial(prof, p, T, dt)
+        flag = run_radial_flag(prof, p, T, dt)
+        assert flag.stop == stop
+        assert flag.blown_up == trace.blown_up
+        assert flag.nonfinite == trace.nonfinite
+        assert flag.blowup_time == trace.blowup_time
+        # both runs stop at the time of the last record
+        assert flag.t == trace.t[-1]
+        if name in ("above_threshold_at_t0", "backward_diffusion"):
+            assert flag.t == 0.0  # stopped before the first step
+
+    def test_leaves_the_initial_profile_alone(self):
+        prof = RadialProfile.sine_bump(0.3, 1.3, 20, -10.0)
+        theta0 = prof.theta.copy()
+        run_radial_flag(prof, params(c=1e-6), 0.05, 1e-3)
+        assert np.array_equal(prof.theta, theta0)
 
 
 class TestPoincareStep:
