@@ -459,6 +459,11 @@ def _exp_blowup(cfg):
     profile = RadialProfile.sine_bump(cfg.R0, cfg.R1, cfg.nr, cfg.amplitude)
     cert = blowup_certificate(profile, params)
     trace = radial.run_radial(profile, params, cfg.T, cfg.dt)
+    if trace.nonfinite:
+        # an aborted run is not a blow-up, whatever its flag says
+        raise NumericalFailure(
+            f"the blowup run stopped on {trace.stop} at t = {trace.blowup_time!r}"
+        )
     dominated = radial.dominates_comparison(trace, params, cert, rtol=0.01)
     rec = trace.y_minus if params.L4 < 0 else trace.y_plus
     comp, comp_div = comparison_lower_bound(cert.M0, params.a, cert.F0, cert.y0, trace.t)

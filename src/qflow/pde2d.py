@@ -19,6 +19,7 @@ satisfies the dissipation identity exactly up to the O(dt^2) Euler defect.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -37,9 +38,6 @@ BLOWUP_L2_THRESHOLD = 1e6
 
 # Relative slack on the recorded smallness flag (max h^2 vs eta1).
 SMALLNESS_REL_TOL = 1e-3
-
-# Residual target for the IMEX relaxation solve.
-IMEX_RESIDUAL_TOL = 1e-10
 
 SCHEMES = ("explicit-euler", "imex")
 
@@ -222,81 +220,58 @@ def stability_dt(grid: Grid2D, params: LdGParams) -> float:
     return CFL_FRACTION * min(grid.hx, grid.hy) ** 2 / zeta
 
 
-def _sor_helmholtz(U: np.ndarray, b: np.ndarray, mu_x: float, mu_y: float,
-                   nx: int, ny: int, tol: float, max_iter: int = 20000) -> np.ndarray:
-    """Red-black SOR for (1 + 2mu_x + 2mu_y) u - mu_x (E+W) - mu_y (N+S) = b.
+@functools.lru_cache(maxsize=None)
+def _sine_basis(n: int):
+    """Orthonormal DST-I matrix S (symmetric, S @ S = I) on n interior nodes
+    and the eigenvalues 2 (1 - cos(pi k/(n+1))) of the 1D second-difference
+    matrix tridiag(-1, 2, -1), which S diagonalizes."""
+    k = np.arange(1, n + 1)
+    S = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
+    return S, 2.0 * (1.0 - np.cos(np.pi * k / (n + 1)))
 
-    U carries the Dirichlet ring; only the interior is updated.  Iterates
-    until the max-norm residual is below tol.
-    """
-    diag = 1.0 + 2.0 * mu_x + 2.0 * mu_y
-    # optimal omega from the Jacobi spectral radius of the 5-point operator
-    rho_j = (
-        2.0 * mu_x * math.cos(math.pi / (nx + 1))
-        + 2.0 * mu_y * math.cos(math.pi / (ny + 1))
-    ) / diag
-    omega = 2.0 / (1.0 + math.sqrt(max(1.0 - rho_j * rho_j, 0.0)))
-    ii = np.arange(1, nx + 1)[:, None]
-    jj = np.arange(1, ny + 1)[None, :]
-    red = (ii + jj) % 2 == 0
-    black = ~red
-    for it in range(max_iter):
-        for mask in (red, black):
-            nb = mu_x * (U[2:, 1:-1] + U[:-2, 1:-1]) + mu_y * (U[1:-1, 2:] + U[1:-1, :-2])
-            ui = U[1:-1, 1:-1]
-            upd = (1.0 - omega) * ui + (omega / diag) * (b + nb)
-            U[1:-1, 1:-1] = np.where(mask, upd, ui)
-        if it % 4 == 3 or it == max_iter - 1:
-            nb = mu_x * (U[2:, 1:-1] + U[:-2, 1:-1]) + mu_y * (U[1:-1, 2:] + U[1:-1, :-2])
-            resid = b + nb - diag * U[1:-1, 1:-1]
-            if float(np.abs(resid).max()) <= tol:
-                return U
-    raise RuntimeError("IMEX relaxation did not reach the residual target")
+
+def _advance(field: Field2D, dp: np.ndarray, dq: np.ndarray, dt: float,
+             params: LdGParams, scheme: str) -> Field2D:
+    """One step of `step` from the RHS (dp, dq) = rhs_pq(field, params)."""
+    out = field.copy()
+    if scheme == "imex":
+        zeta = params.zeta
+        if zeta <= 0.0:
+            raise ValueError("imex scheme needs zeta > 0")
+        # (I - dt zeta L_h) delta = rhs with delta = 0 on the ring, solved
+        # exactly in the sine basis that diagonalizes the 5-point operator
+        grid = field.grid
+        Sx, ex = _sine_basis(grid.nx)
+        Sy, ey = _sine_basis(grid.ny)
+        lam = 1.0 + (dt * zeta / grid.hx**2) * ex[:, None] + (dt * zeta / grid.hy**2) * ey[None, :]
+        dp, dq = Sx @ ((Sx @ np.stack((dp, dq)) @ Sy) / lam) @ Sy
+    out.p[1:-1, 1:-1] += dt * dp
+    out.q[1:-1, 1:-1] += dt * dq
+    if not (np.all(np.isfinite(out.p)) and np.all(np.isfinite(out.q))):
+        raise UnstableStepError("non-finite values after step")
+    return out
+
+
+def _check_step_args(dt: float, scheme: str) -> None:
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
 def step(field: Field2D, dt: float, params: LdGParams, scheme: str = "imex") -> Field2D:
     """Advance one time step; the boundary ring is untouched.
 
     explicit-euler: forward Euler on the whole RHS, caller keeps dt within
-    stability_dt.  imex: the zeta-Laplacian is implicit (red-black SOR
-    relaxation to a 1e-10 residual), all L4 and bulk terms explicit.
+    stability_dt.  imex: the zeta-Laplacian is implicit, all L4 and bulk
+    terms explicit.  The increment delta = (u_new - u)/dt then solves
+    (I - dt zeta L_h) delta = rhs(u) with delta = 0 on the ring, and is
+    computed exactly (to roundoff) in the sine basis that diagonalizes the
+    5-point Laplacian L_h.
     Raises UnstableStepError if the step produces non-finite values.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    out = field.copy()
-    if scheme == "explicit-euler":
-        dp, dq = rhs_pq(field, params)
-        out.p[1:-1, 1:-1] += dt * dp
-        out.q[1:-1, 1:-1] += dt * dq
-    else:
-        hx, hy = field.grid.hx, field.grid.hy
-        zeta = params.zeta
-        if zeta <= 0.0:
-            raise ValueError("imex scheme needs zeta > 0")
-        # explicit part = full RHS minus the implicit zeta-Laplacian
-        dp, dq = rhs_pq(field, params)
-        lap_p = (
-            (field.p[2:, 1:-1] - 2 * field.p[1:-1, 1:-1] + field.p[:-2, 1:-1]) / hx**2
-            + (field.p[1:-1, 2:] - 2 * field.p[1:-1, 1:-1] + field.p[1:-1, :-2]) / hy**2
-        )
-        lap_q = (
-            (field.q[2:, 1:-1] - 2 * field.q[1:-1, 1:-1] + field.q[:-2, 1:-1]) / hx**2
-            + (field.q[1:-1, 2:] - 2 * field.q[1:-1, 1:-1] + field.q[1:-1, :-2]) / hy**2
-        )
-        expl_p = dp - zeta * lap_p
-        expl_q = dq - zeta * lap_q
-        mu_x = dt * zeta / hx**2
-        mu_y = dt * zeta / hy**2
-        for comp, expl in ((out.p, expl_p), (out.q, expl_q)):
-            b = comp[1:-1, 1:-1] + dt * expl
-            tol = IMEX_RESIDUAL_TOL * (1.0 + float(np.abs(b).max()))
-            _sor_helmholtz(comp, b, mu_x, mu_y, field.grid.nx, field.grid.ny, tol)
-    if not (np.all(np.isfinite(out.p)) and np.all(np.isfinite(out.q))):
-        raise UnstableStepError("non-finite values after step")
-    return out
+    _check_step_args(dt, scheme)
+    return _advance(field, *rhs_pq(field, params), dt, params, scheme)
 
 
 @dataclass
@@ -340,6 +315,7 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
     max h^2 <= eta1 (1 + 1e-3)^2.
     """
     params.validate(strict=True)
+    _check_step_args(dt, scheme)
     consts = derived_constants(params)
     eta1 = consts.eta1
     small_cap = eta1 * (1.0 + SMALLNESS_REL_TOL) ** 2 if math.isfinite(eta1) else math.inf
@@ -349,8 +325,7 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
     fld = field0.copy()
     ts, es, mh2s, l2s, rates, defects, smalls = [], [], [], [], [], [], []
 
-    def record(t, energy, defect):
-        dp, dq = rhs_pq(fld, params)
+    def record(t, energy, defect, dp, dq):
         ts.append(t)
         es.append(energy)
         mh2 = fld.max_h2()
@@ -361,7 +336,9 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
         smalls.append(mh2 <= small_cap)
 
     energy = discrete_energy(fld, params)
-    record(0.0, energy, 0.0)
+    # the RHS of the field last recorded is the one the next step needs
+    rhs = rhs_pq(fld, params)
+    record(0.0, energy, 0.0, *rhs)
     blown = False
     nonfinite = False
     blowup_time = None
@@ -371,20 +348,24 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
         for n in range(1, nsteps + 1):
             prev_p = fld.p[1:-1, 1:-1].copy()
             prev_q = fld.q[1:-1, 1:-1].copy()
+            if rhs is None:
+                rhs = rhs_pq(fld, params)
             try:
-                fld = step(fld, dt, params, scheme)
+                fld = _advance(fld, *rhs, dt, params, scheme)
             except UnstableStepError:
                 nonfinite = True
                 blown = True
                 blowup_time = n * dt
                 break
+            rhs = None
             ddp = (fld.p[1:-1, 1:-1] - prev_p) / dt
             ddq = (fld.q[1:-1, 1:-1] - prev_q) / dt
             acc_dissipation += dt * _dqdt_norm2(ddp, ddq, w)
             if n % record_every == 0 or n == nsteps:
                 new_energy = discrete_energy(fld, params)
                 defect = abs(new_energy - energy + acc_dissipation)
-                record(n * dt, new_energy, defect)
+                rhs = rhs_pq(fld, params)
+                record(n * dt, new_energy, defect, *rhs)
                 energy = new_energy
                 acc_dissipation = 0.0
                 if l2s[-1] > BLOWUP_L2_THRESHOLD:

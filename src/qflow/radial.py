@@ -271,12 +271,20 @@ def comparison_lower_bound(M0: float, a: float, F0: float, y0: float, t):
     return vals, divergence_time
 
 
+# Why a radial run stopped (RadialFlag.stop, RadialTrace.stop).
+STOP_REACHED_T = "reached T"
+STOP_THRESHOLD = "y crossed the blow-up threshold"
+STOP_NONFINITE = "non-finite values"
+STOP_BACKWARD_DIFFUSION = "locally backward diffusion (zeta + L4 theta <= 0)"
+
+
 @dataclass
 class RadialTrace:
     """Time series of the radial monitors.
 
     y = int theta^2 r dr with the sign-split parts y_minus, y_plus; F is the
-    comparison functional; rate is the L2(r dr) norm of dtheta/dt.
+    comparison functional; rate is the L2(r dr) norm of dtheta/dt; stop
+    says why the run ended.
     """
 
     t: np.ndarray
@@ -290,13 +298,7 @@ class RadialTrace:
     nonfinite: bool = False
     blowup_time: float | None = None
     final_profile: "RadialProfile | None" = dc_field(default=None, repr=False)
-
-
-# Why a radial run stopped (RadialFlag.stop).
-STOP_REACHED_T = "reached T"
-STOP_THRESHOLD = "y crossed the blow-up threshold"
-STOP_NONFINITE = "non-finite values"
-STOP_BACKWARD_DIFFUSION = "locally backward diffusion (zeta + L4 theta <= 0)"
+    stop: str = STOP_REACHED_T
 
 
 @dataclass(frozen=True)
@@ -384,7 +386,11 @@ def _march(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
         b[0] += h * (co_d2[0] - co_d1[0]) * th[0]
         b[-1] += h * (co_d2[-1] + co_d1[-1]) * th[-1]
         # ab is refilled and b rebuilt on every step, so LAPACK may reuse both
-        th[1:-1] = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True)
+        try:
+            th[1:-1] = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True)
+        except ValueError:
+            # check_finite rejected the system: the explicit term overflowed
+            return RadialFlag(STOP_NONFINITE, t), th
         t += h
         if not np.isfinite(th).all():
             return RadialFlag(STOP_NONFINITE, t), th
@@ -407,9 +413,12 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
     - y = int theta^2 r dr exceeds y_threshold (or is not finite):
       blown_up is set and blowup_time is the time of that record, 0.0 when
       the initial profile is already above the threshold;
-    - theta turns non-finite, or the quasilinear diffusivity zeta + L4 theta
-      is <= 0 somewhere (locally backward diffusion): nonfinite is set, and
-      blown_up too, with blowup_time the time of the abort.
+    - theta or the linear system of a step turns non-finite, or the
+      quasilinear diffusivity zeta + L4 theta is <= 0 somewhere (locally
+      backward diffusion): nonfinite is set, and blown_up too, with
+      blowup_time the time of the abort.
+
+    stop names the reason (one of the STOP_* strings).
 
     Callers that only need the flag use run_radial_flag, which takes the
     same steps without the per-step monitors.
@@ -438,6 +447,7 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
         max_abs_theta=np.array(mxs), F=np.array(Fs), rate=np.array(rates),
         blown_up=flag.blown_up, nonfinite=flag.nonfinite, blowup_time=flag.blowup_time,
         final_profile=RadialProfile(profile0.R0, profile0.R1, profile0.nr, th),
+        stop=flag.stop,
     )
 
 

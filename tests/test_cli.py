@@ -188,6 +188,17 @@ class TestShippedConfigs:
         )
 
 
+class TestContinuousDependenceSeeds:
+    def test_seed_7_ratio_holds(self, tmp_path):
+        # the perturbation problem is linear to first order, so the distance
+        # ratio stays at eps1/eps2 while the distances decay to ~1e-24
+        cfg = parse_config((CONFIGS / "continuous-dependence.cfg").read_text())
+        cfg.values["seed"] = 7
+        report = run_experiment(cfg, str(tmp_path), emit_svg=False)
+        assert report.passed
+        assert report.summary["results"]["ratio_max_deviation"] < 1e-6
+
+
 class TestMainEntry:
     def _write(self, tmp_path, text):
         path = tmp_path / "cfg.txt"
@@ -240,6 +251,16 @@ class TestMainEntry:
         # negative at the first step, which must not count as a blow-up
         cfg = (CONFIGS / "blowup-threshold-search.cfg").read_text()
         cfg = cfg.replace("amp_hi = -60", "amp_hi = 50")
+        rc = main(["run", self._write(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "backward diffusion" in err
+
+    def test_blowup_aborted_run_exit_2(self, tmp_path, capsys):
+        # shipped blowup with amplitude = +50: zeta + L4 theta <= 0 at the
+        # first step, which must not read as a blow-up
+        cfg = (CONFIGS / "blowup.cfg").read_text()
+        cfg = cfg.replace("amplitude = -50", "amplitude = 50")
         rc = main(["run", self._write(tmp_path, cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err

@@ -174,6 +174,39 @@ class TestStep:
         assert g4 < g1
         assert g1 / g4 == pytest.approx(4.0, rel=0.5)
 
+    def test_imex_matches_dense_implicit_solve(self):
+        # non-square grid, hx != hy, non-zero Dirichlet ring: the old form
+        # (I - dt zeta L_h) u_new = u + dt (rhs(u) - zeta L_h u), with the
+        # ring inside L_h, assembled and solved densely
+        grid = Grid2D(nx=7, ny=5, hx=0.13, hy=0.21)
+        rng = np.random.default_rng(11)
+        fld = Field2D(grid, 0.3 * rng.normal(size=(9, 7)), 0.3 * rng.normal(size=(9, 7)))
+        params = coercive_params(a=0.2, L2=0.1, L3=0.3, L4=0.4)
+        dt = 1e-2
+        out = step(fld, dt, params, "imex")
+        nx, ny, hx, hy, zeta = grid.nx, grid.ny, grid.hx, grid.hy, params.zeta
+        mx, my = dt * zeta / hx**2, dt * zeta / hy**2
+        A = np.zeros((nx, ny, nx, ny))
+        for i in range(nx):
+            for j in range(ny):
+                A[i, j, i, j] = 1.0 + 2.0 * mx + 2.0 * my
+                for ii, jj, m in ((i + 1, j, mx), (i - 1, j, mx), (i, j + 1, my), (i, j - 1, my)):
+                    if 0 <= ii < nx and 0 <= jj < ny:
+                        A[i, j, ii, jj] = -m
+        A = A.reshape(nx * ny, nx * ny)
+        for F, rhs, new in zip((fld.p, fld.q), rhs_pq(fld, params), (out.p, out.q)):
+            lap = (
+                (F[2:, 1:-1] - 2 * F[1:-1, 1:-1] + F[:-2, 1:-1]) / hx**2
+                + (F[1:-1, 2:] - 2 * F[1:-1, 1:-1] + F[1:-1, :-2]) / hy**2
+            )
+            b = F[1:-1, 1:-1] + dt * (rhs - zeta * lap)
+            b[0, :] += mx * F[0, 1:-1]
+            b[-1, :] += mx * F[-1, 1:-1]
+            b[:, 0] += my * F[1:-1, 0]
+            b[:, -1] += my * F[1:-1, -1]
+            u = np.linalg.solve(A, b.ravel()).reshape(nx, ny)
+            assert np.abs(new[1:-1, 1:-1] - u).max() <= 1e-12 * np.abs(u).max()
+
     def test_rejects_bad_scheme(self):
         grid = Grid2D.from_extent(8, 8, 1.0, 1.0)
         with pytest.raises(ValueError):
@@ -251,6 +284,21 @@ class TestRun:
         trace = run(smooth_random_field(grid, 0.3, seed=8), params, 50 * dt, dt,
                     scheme="explicit-euler")
         assert trace.blown_up
+
+    @pytest.mark.parametrize("scheme", ["explicit-euler", "imex"])
+    @pytest.mark.parametrize("record_every", [1, 3])
+    def test_final_field_equals_step_loop(self, scheme, record_every):
+        # run reuses the RHS of each recorded field for the next step
+        grid = Grid2D.from_extent(12, 9, 1.0, 0.8)
+        params = coercive_params(a=0.3, L4=0.5)
+        f0 = smooth_random_field(grid, 0.2, seed=9)
+        dt = stability_dt(grid, params) / 2
+        trace = run(f0, params, 7 * dt, dt, scheme=scheme, record_every=record_every)
+        fld = f0
+        for _ in range(7):
+            fld = step(fld, dt, params, scheme)
+        assert np.array_equal(trace.final_field.p, fld.p)
+        assert np.array_equal(trace.final_field.q, fld.q)
 
     def test_step_raises_on_overflow(self):
         grid = Grid2D.from_extent(8, 8, 1.0, 1.0)

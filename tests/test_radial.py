@@ -6,6 +6,7 @@ import pytest
 from qflow.energy import LdGParams
 from qflow.radial import (
     STOP_BACKWARD_DIFFUSION,
+    STOP_NONFINITE,
     STOP_REACHED_T,
     STOP_THRESHOLD,
     RadialProfile,
@@ -220,6 +221,17 @@ class TestRunRadialFlag:
         assert flag.t == trace.t[-1]
         if name in ("above_threshold_at_t0", "backward_diffusion"):
             assert flag.t == 0.0  # stopped before the first step
+
+    def test_overflowing_system_stops_nonfinite(self):
+        # -c theta^3 overflows to inf in the explicit term, so the step's
+        # banded system is rejected by solve_banded's finiteness check
+        prof = RadialProfile.sine_bump(3.0, 4.0, 40, 10.0)
+        p = params(c=-1e308, L4=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            flag = run_radial_flag(prof, p, 0.1, 1e-3)
+            trace = run_radial(prof, p, 0.1, 1e-3)
+        assert flag.stop == STOP_NONFINITE and flag.t == 0.0
+        assert trace.stop == STOP_NONFINITE and trace.nonfinite
 
     def test_leaves_the_initial_profile_alone(self):
         prof = RadialProfile.sine_bump(0.3, 1.3, 20, -10.0)
