@@ -460,9 +460,8 @@ def _exp_blowup(cfg):
     cert = blowup_certificate(profile, params)
     trace = radial.run_radial(profile, params, cfg.T, cfg.dt)
     if trace.nonfinite:
-        # an aborted run is not a blow-up, whatever its flag says
         raise NumericalFailure(
-            f"the blowup run stopped on {trace.stop} at t = {trace.blowup_time!r}"
+            f"the blowup run stopped on {trace.stop} at t = {trace.stop_time!r}"
         )
     dominated = radial.dominates_comparison(trace, params, cert, rtol=0.01)
     rec = trace.y_minus if params.L4 < 0 else trace.y_plus

@@ -150,11 +150,17 @@ def smooth_random_field(grid: Grid2D, amplitude: float, seed: int = 0, kmax: int
     return Field2D(grid, p, q)
 
 
-def _derivs(F: np.ndarray, hx: float, hy: float):
-    """Central first/second derivatives on interior nodes."""
+def _first_derivs(F: np.ndarray, hx: float, hy: float):
+    """Interior values and central first derivatives."""
     fi = F[1:-1, 1:-1]
     d1 = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * hx)
     d2 = (F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * hy)
+    return fi, d1, d2
+
+
+def _derivs(F: np.ndarray, hx: float, hy: float):
+    """Central first/second derivatives on interior nodes."""
+    fi, d1, d2 = _first_derivs(F, hx, hy)
     d11 = (F[2:, 1:-1] - 2.0 * fi + F[:-2, 1:-1]) / (hx * hx)
     d22 = (F[1:-1, 2:] - 2.0 * fi + F[1:-1, :-2]) / (hy * hy)
     d12 = (F[2:, 2:] - F[2:, :-2] - F[:-2, 2:] + F[:-2, :-2]) / (4.0 * hx * hy)
@@ -202,8 +208,8 @@ def discrete_energy(field: Field2D, params: LdGParams) -> float:
     h2 = field.p * field.p + field.q * field.q
     e += w * float(np.sum(params.a * h2 + params.c * h2 * h2))
     if params.L4 != 0.0:
-        p, dp1, dp2, _, _, _ = _derivs(field.p, hx, hy)
-        q, dq1, dq2, _, _, _ = _derivs(field.q, hx, hy)
+        p, dp1, dp2 = _first_derivs(field.p, hx, hy)
+        q, dq1, dq2 = _first_derivs(field.q, hx, hy)
         cubic = 2.0 * (
             p * (dp1 * dp1 + dq1 * dq1 - dp2 * dp2 - dq2 * dq2)
             + 2.0 * q * (dp1 * dp2 + dq1 * dq2)

@@ -115,26 +115,36 @@ def eigvals_traceless_sym3(m: np.ndarray) -> np.ndarray:
     involves no iteration.  Near a double root the closed form loses half
     the digits (sqrt(eps) spread of the clustered pair), so those rare
     entries are recomputed with the LAPACK symmetric solver to keep hull
-    certificates valid at 1e-8 tolerances.
+    certificates valid at 1e-8 tolerances, and so are nonzero matrices
+    whose scale puts u**3 or det(m) outside the normal float range.
     """
     m = np.asarray(m, dtype=float)
-    j2 = 0.5 * np.einsum("...ij,...ji->...", m, m)
-    j3 = np.linalg.det(m)
-    u = np.sqrt(np.maximum(j2, 0.0) / 3.0)
-    # cos(3 theta) = J3 / (2 u^3); clip guards roundoff at the extremal cases
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # overflow only hits matrices outside the scale range recomputed below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        j2 = 0.5 * np.einsum("...ij,...ji->...", m, m)
+        j3 = np.linalg.det(m)
+        u = np.sqrt(np.maximum(j2, 0.0) / 3.0)
+        # cos(3 theta) = J3 / (2 u^3); clip guards roundoff at the extremal cases
         arg = np.where(u > 0.0, j3 / np.maximum(2.0 * u**3, 1e-300), 0.0)
-    theta = np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0
-    k = np.arange(3.0)
-    lam = 2.0 * u[..., None] * np.cos(theta[..., None] - 2.0 * np.pi * k / 3.0)
-    lam = np.where(u[..., None] > 0.0, lam, 0.0)
-    lam = np.sort(lam, axis=-1)
-    gap = np.minimum(lam[..., 1] - lam[..., 0], lam[..., 2] - lam[..., 1])
+        theta = np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0
+        k = np.arange(3.0)
+        lam = 2.0 * u[..., None] * np.cos(theta[..., None] - 2.0 * np.pi * k / 3.0)
+        lam = np.where(u[..., None] > 0.0, lam, 0.0)
+        lam = np.sort(lam, axis=-1)
+        gap = np.minimum(lam[..., 1] - lam[..., 0], lam[..., 2] - lam[..., 1])
     near_double = (gap < 1e-4 * u) & (u > 0.0)
-    if np.any(near_double):
+    # u**3 and det(m) leave the normal float range unless 1e-90 <= u <= 1e90
+    # (u even underflows to 0 for a nonzero m below ~1e-154), so finite
+    # nonzero matrices of such a scale are recomputed too
+    off_scale = ~((u >= 1e-90) & (u <= 1e90))
+    if np.any(off_scale):
+        amax = np.abs(m).max(axis=(-2, -1))
+        off_scale &= (amax > 0.0) & (amax < np.inf)
+    redo = near_double | off_scale
+    if np.any(redo):
         if lam.ndim == 1:
             return np.linalg.eigvalsh(m)
-        lam[near_double] = np.linalg.eigvalsh(m[near_double])
+        lam[redo] = np.linalg.eigvalsh(m[redo])
     return lam
 
 

@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .energy import LdGParams
 from .pde2d import Field2D, Grid2D, rhs_pq
@@ -284,7 +285,8 @@ class RadialTrace:
 
     y = int theta^2 r dr with the sign-split parts y_minus, y_plus; F is the
     comparison functional; rate is the L2(r dr) norm of dtheta/dt; stop
-    says why the run ended.
+    says why the run ended and stop_time when.  blown_up and blowup_time
+    are set only when y crossed the threshold; an abort sets nonfinite.
     """
 
     t: np.ndarray
@@ -299,6 +301,7 @@ class RadialTrace:
     blowup_time: float | None = None
     final_profile: "RadialProfile | None" = dc_field(default=None, repr=False)
     stop: str = STOP_REACHED_T
+    stop_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -306,9 +309,8 @@ class RadialFlag:
     """How a radial run ended: the stop reason and the time it stopped at.
 
     blown_up, nonfinite and blowup_time mean what the RadialTrace fields of
-    the same name mean: an abort on non-finite values or backward diffusion
-    also raises blown_up, so callers that need a genuine threshold crossing
-    test nonfinite first.
+    the same name mean: blown_up only when y crossed the threshold, and
+    nonfinite on an abort on non-finite values or backward diffusion.
     """
 
     stop: str
@@ -320,11 +322,39 @@ class RadialFlag:
 
     @property
     def blown_up(self) -> bool:
-        return self.stop != STOP_REACHED_T
+        return self.stop == STOP_THRESHOLD
 
     @property
     def blowup_time(self) -> float | None:
         return self.t if self.blown_up else None
+
+
+def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system held in scipy's (1, 1) band layout.
+
+    ab[0, 1:] is the superdiagonal, ab[1] the diagonal and ab[2, :-1] the
+    subdiagonal, as for scipy.linalg.solve_banded((1, 1), ab, b), which
+    calls the same LAPACK gtsv and returns the same bits; this skips its
+    batching and copying layers.  ab and b are overwritten: for float64
+    arrays with contiguous rows, the solution is returned in b's memory.
+    Raises ValueError if ab or b holds an inf or NaN, as scipy's
+    check_finite does, and LinAlgError if the matrix is singular.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1, 1)[3:]
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
+
+
+def _moment(f: np.ndarray, dx: np.ndarray) -> float:
+    """Trapezoid sum of f over a grid with spacings dx = np.diff(r).
+
+    The same expression np.trapezoid(f, r) evaluates, without its
+    argument handling.
+    """
+    return float(np.add.reduce(dx * (f[1:] + f[:-1]) / 2.0))
 
 
 def _march(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
@@ -344,6 +374,7 @@ def _march(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
     nr = profile0.nr
     dr = profile0.dr
     r = profile0.r
+    dx = np.diff(r)
     ri = r[1:-1]
     zeta, L4, a, c = params.zeta, params.L4, params.a, params.c
     # Loop invariants.  Each keeps the operation order of the expression it
@@ -352,20 +383,26 @@ def _march(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
     ri2 = ri**2
     zeta_ri = zeta / ri
     react = 4.0 * zeta / ri2
+    four_zeta = 4.0 * zeta
     two_dr = 2.0 * dr
     dr_mul = dr * dr
     dr_pow = dr**2
-    ab = np.zeros((3, nr))
+    # One buffer for the step's linear system, refilled on every step: the
+    # band rows in scipy's (1, 1) layout (the corners ab[0, 0] and
+    # ab[2, -1] stay 0), then the right-hand side, which gtsv overwrites
+    # with the solution.
+    system = np.zeros((4, nr))
+    ab, b = system[:3], system[3]
     th = profile0.theta.copy()
+    thi = th[1:-1]
 
     t = 0.0
-    y = float(np.trapezoid(th * th * r, r))
+    y = _moment(th * th * r, dx)
     if record is not None:
         record(t, th, y)
     if y > y_threshold:
         return RadialFlag(STOP_THRESHOLD, t), th
     while t < T:
-        thi = th[1:-1]
         d1 = (th[2:] - th[:-2]) / two_dr
         d2 = (th[2:] - 2.0 * thi + th[:-2]) / dr_mul
         D = zeta + L4 * thi
@@ -373,28 +410,29 @@ def _march(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
             return RadialFlag(STOP_BACKWARD_DIFFUSION, t), th
         adv = zeta_ri + L4 * thi / ri
         expl = L4 * (0.5 * d1 * d1 + 6.0 * thi * thi / ri2) - a * thi - 0.5 * c * thi**3
-        full = expl + D * d2 + adv * d1 - 4.0 * zeta * thi / ri2
+        full = expl + D * d2 + adv * d1 - four_zeta * thi / ri2
         scale = max(float(np.abs(th).max()), 1e-12)
         h = min(dt, STEP_FRACTION * scale / max(float(np.abs(full).max()), 1e-15), T - t)
         co_d2 = D / dr_pow
         co_d1 = adv / two_dr
-        ab[0, 1:] = (-h * (co_d2 + co_d1))[:-1]
-        ab[1, :] = 1.0 - h * (-2.0 * co_d2 - react)
-        ab[2, :-1] = (-h * (co_d2 - co_d1))[1:]
-        b = thi + h * expl
+        np.multiply(-h, co_d2[:-1] + co_d1[:-1], out=ab[0, 1:])
+        np.subtract(1.0, h * (-2.0 * co_d2 - react), out=ab[1])
+        np.multiply(-h, co_d2[1:] - co_d1[1:], out=ab[2, :-1])
+        np.add(thi, h * expl, out=b)
         # boundary contributions from the fixed ring values
         b[0] += h * (co_d2[0] - co_d1[0]) * th[0]
         b[-1] += h * (co_d2[-1] + co_d1[-1]) * th[-1]
-        # ab is refilled and b rebuilt on every step, so LAPACK may reuse both
         try:
-            th[1:-1] = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True)
+            thi[:] = solve_banded(ab, b)
         except ValueError:
-            # check_finite rejected the system: the explicit term overflowed
+            # the explicit term overflowed and the system is not finite
             return RadialFlag(STOP_NONFINITE, t), th
         t += h
-        if not np.isfinite(th).all():
+        y = _moment(th * th * r, dx)
+        # an inf or NaN in theta makes y inf or NaN (every term is >= 0),
+        # so theta needs its own check only when y is not finite
+        if not math.isfinite(y) and not np.isfinite(th).all():
             return RadialFlag(STOP_NONFINITE, t), th
-        y = float(np.trapezoid(th * th * r, r))
         if record is not None:
             record(t, th, y)
         if not math.isfinite(y) or y > y_threshold:
@@ -415,15 +453,17 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
       the initial profile is already above the threshold;
     - theta or the linear system of a step turns non-finite, or the
       quasilinear diffusivity zeta + L4 theta is <= 0 somewhere (locally
-      backward diffusion): nonfinite is set, and blown_up too, with
-      blowup_time the time of the abort.
+      backward diffusion): nonfinite is set; blown_up stays False and
+      blowup_time None, because the threshold was not crossed.
 
-    stop names the reason (one of the STOP_* strings).
+    stop names the reason (one of the STOP_* strings) and stop_time the
+    time the run stopped at.
 
     Callers that only need the flag use run_radial_flag, which takes the
     same steps without the per-step monitors.
     """
     r = profile0.r
+    dx = np.diff(r)
     ts, ys, yms, yps, mxs, Fs, rates = [], [], [], [], [], [], []
 
     def record(t, th, y):
@@ -433,13 +473,13 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
         tp = np.maximum(th, 0.0)
         ts.append(t)
         ys.append(y)
-        yms.append(float(np.trapezoid(tm * tm * r, r)))
-        yps.append(float(np.trapezoid(tp * tp * r, r)))
+        yms.append(_moment(tm * tm * r, dx))
+        yps.append(_moment(tp * tp * r, dx))
         mxs.append(float(np.abs(th).max()))
         Fs.append(blowup_functional(prof, params))
         # boundary values are pinned, so dtheta/dt vanishes at the endpoints
         full = np.concatenate(([0.0], rhs_full, [0.0]))
-        rates.append(math.sqrt(max(float(np.trapezoid(full * full * r, r)), 0.0)))
+        rates.append(math.sqrt(max(_moment(full * full * r, dx), 0.0)))
 
     flag, th = _march(profile0, params, T, dt, y_threshold, record)
     return RadialTrace(
@@ -447,7 +487,7 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
         max_abs_theta=np.array(mxs), F=np.array(Fs), rate=np.array(rates),
         blown_up=flag.blown_up, nonfinite=flag.nonfinite, blowup_time=flag.blowup_time,
         final_profile=RadialProfile(profile0.R0, profile0.R1, profile0.nr, th),
-        stop=flag.stop,
+        stop=flag.stop, stop_time=flag.t,
     )
 
 

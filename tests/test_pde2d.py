@@ -9,6 +9,7 @@ from qflow.pde2d import (
     Grid2D,
     UnstableStepError,
     continuous_dependence_experiment,
+    discrete_energy,
     field_distance,
     rhs_pq,
     run,
@@ -211,6 +212,35 @@ class TestStep:
         grid = Grid2D.from_extent(8, 8, 1.0, 1.0)
         with pytest.raises(ValueError):
             step(Field2D.zeros(grid), 1e-3, coercive_params(), "leapfrog")
+
+
+class TestDiscreteEnergy:
+    def test_equals_the_derivs_based_formula(self):
+        # the cubic term reads only first derivatives; the energy must be the
+        # same bits as when it took them, with the same expressions, from
+        # the full set of derivatives that rhs_pq uses
+        grid = Grid2D(nx=11, ny=8, hx=0.13, hy=0.07)
+        rng = np.random.default_rng(21)
+        fld = Field2D(grid, rng.standard_normal((13, 10)), rng.standard_normal((13, 10)))
+        params = coercive_params(a=-0.4, L2=0.1, L3=0.3, L4=0.7)
+        hx, hy, w = grid.hx, grid.hy, grid.hx * grid.hy
+        ref = 0.0
+        for F in (fld.p, fld.q):
+            dx = (F[1:, :] - F[:-1, :]) / hx
+            dy = (F[:, 1:] - F[:, :-1]) / hy
+            ref += params.zeta * w * (float(np.sum(dx * dx)) + float(np.sum(dy * dy)))
+        h2 = fld.p * fld.p + fld.q * fld.q
+        ref += w * float(np.sum(params.a * h2 + params.c * h2 * h2))
+        p, q = fld.p[1:-1, 1:-1], fld.q[1:-1, 1:-1]
+        dp1, dq1 = ((F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * hx) for F in (fld.p, fld.q))
+        dp2, dq2 = ((F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * hy) for F in (fld.p, fld.q))
+        cubic = 2.0 * (
+            p * (dp1 * dp1 + dq1 * dq1 - dp2 * dp2 - dq2 * dq2)
+            + 2.0 * q * (dp1 * dp2 + dq1 * dq2)
+        )
+        ref += params.L4 * w * float(np.sum(cubic))
+        assert params.L4 * float(np.sum(cubic)) != 0.0
+        assert discrete_energy(fld, params) == ref
 
 
 class TestRun:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow.energy import LdGParams
 from qflow.radial import (
@@ -17,6 +20,7 @@ from qflow.radial import (
     hedgehog_consistency_check,
     run_radial,
     run_radial_flag,
+    solve_banded,
     theta_rhs,
 )
 
@@ -233,11 +237,96 @@ class TestRunRadialFlag:
         assert flag.stop == STOP_NONFINITE and flag.t == 0.0
         assert trace.stop == STOP_NONFINITE and trace.nonfinite
 
+    @pytest.mark.parametrize("amp, p, stop", [
+        (5.0, params(L4=-1.0), STOP_BACKWARD_DIFFUSION),
+        # -c theta^3 overflows, so the step's system is not finite
+        (10.0, params(c=-1e308, L4=0.0), STOP_NONFINITE),
+    ], ids=["backward_diffusion", "overflow"])
+    def test_abort_is_not_a_blowup(self, amp, p, stop):
+        prof = RadialProfile.sine_bump(3.0, 4.0, 40, amp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            flag = run_radial_flag(prof, p, 0.1, 1e-3)
+            trace = run_radial(prof, p, 0.1, 1e-3)
+        for run in (flag, trace):
+            assert run.stop == stop and run.nonfinite
+            assert not run.blown_up and run.blowup_time is None
+        assert trace.stop_time == flag.t == 0.0
+
+    def test_stop_time_of_a_threshold_crossing(self):
+        R0, R1, nr, amp, p, T, dt, _ = self.CASES["above_threshold"]
+        trace = run_radial(RadialProfile.sine_bump(R0, R1, nr, amp), p, T, dt)
+        assert trace.blown_up and trace.stop_time == trace.blowup_time == trace.t[-1]
+
     def test_leaves_the_initial_profile_alone(self):
         prof = RadialProfile.sine_bump(0.3, 1.3, 20, -10.0)
         theta0 = prof.theta.copy()
         run_radial_flag(prof, params(c=1e-6), 0.05, 1e-3)
         assert np.array_equal(prof.theta, theta0)
+
+
+# Derandomized and without an example database, so tier-1 runs the same
+# examples every time.
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def tridiagonal_systems(draw):
+    """(ab, b) in scipy's (1, 1) band layout, n in 3..300, entries O(1)..O(1e6)."""
+    n = draw(st.integers(3, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(0, 6))
+    ab = scale * rng.standard_normal((3, n))
+    # heavier diagonals pivot less often in gtsv
+    ab[1] += draw(st.sampled_from([0.0, 1.0, 4.0])) * scale
+    return ab, scale * rng.standard_normal(n)
+
+
+class TestSolveBanded:
+    @PROPERTY
+    @given(tridiagonal_systems())
+    def test_bit_identical_to_scipy(self, system):
+        ab, b = system
+        ref = scipy.linalg.solve_banded((1, 1), ab.copy(), b.copy())
+        assert solve_banded(ab.copy(), b.copy()).tobytes() == ref.tobytes()
+
+    @PROPERTY
+    @given(tridiagonal_systems(), st.data())
+    def test_non_finite_entry_raises(self, system, data):
+        ab, b = system
+        bad = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        n = b.size
+        where = data.draw(st.integers(0, 4 * n - 1))  # any band entry or b
+        if where < 3 * n:
+            ab[where // n, where % n] = bad
+        else:
+            b[where - 3 * n] = bad
+        with pytest.raises(ValueError):
+            scipy.linalg.solve_banded((1, 1), ab.copy(), b.copy())
+        with pytest.raises(ValueError):
+            solve_banded(ab, b)
+
+    @PROPERTY
+    @given(tridiagonal_systems(), st.data())
+    def test_singular_raises(self, system, data):
+        # a zero column leaves gtsv an exact zero pivot
+        ab, b = system
+        j = data.draw(st.integers(0, b.size - 1))
+        ab[1, j] = 0.0
+        if j > 0:
+            ab[0, j] = 0.0
+        if j < b.size - 1:
+            ab[2, j] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.solve_banded((1, 1), ab.copy(), b.copy())
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_banded(ab, b)
+
+    def test_solution_is_returned_in_b(self):
+        ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])
+        b = np.array([5.0, 6.0, 5.0])
+        x = solve_banded(ab, b)
+        assert np.shares_memory(x, b)
+        assert np.allclose(x, [1.0, 1.0, 1.0])
 
 
 class TestPoincareStep:
