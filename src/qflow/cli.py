@@ -33,7 +33,7 @@ from .energy import LdGParams, derived_constants, elastic_matrix, elastic_matrix
 from .qtensor import physical_interval
 from .pde2d import UnstableStepError
 from .radial import RadialProfile, blowup_certificate, comparison_lower_bound
-from .splitting import bulk_ode_step, eigen_ode_integrate, hull_bounds
+from .splitting import EigenPair, bulk_ode_step, eigen_ode_integrate, eigen_ode_rhs, hull_bounds
 
 CSV_HEADER = "t,energy,max_h2,l2_norm,l2_dQdt,flag"
 
@@ -571,9 +571,7 @@ def _exp_physicality(cfg):
         bulk = 0.5 * params.a * q2 + 0.25 * params.c * q2**2
         t3 = cur1**3 + cur2**3 + lam3**3
         bulk -= params.b / 3.0 * t3
-        common = 2.0 * params.c * (cur1**2 + cur2**2 + cur1 * cur2) + params.a
-        r1 = -cur1 * common + params.b * (cur1**2 - 2 * cur2**2 - 2 * cur1 * cur2) / 3.0
-        r2 = -cur2 * common + params.b * (cur2**2 - 2 * cur1**2 - 2 * cur1 * cur2) / 3.0
+        r1, r2 = eigen_ode_rhs(EigenPair(cur1, cur2), params)
         rate2 = 2.0 * (r1**2 + r2**2 + r1 * r2)  # |dQ/dt|_F^2 of the diagonal state
         rows.append(
             (t, float(np.mean(bulk)), float(np.max(q2) / 2.0),

@@ -109,28 +109,38 @@ def frobenius_norm(Q: QTensor) -> float:
 def eigvals_traceless_sym3(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of traceless symmetric 3x3 matrices, ascending.
 
-    Works on a single matrix or an array of shape (..., 3, 3).  Uses the
-    trigonometric solution of lambda^3 - J2 lambda - J3 = 0 with
-    J2 = tr(m^2)/2 and J3 = det(m), which is exact for tr(m) = 0 and
-    involves no iteration.  Near a double root the closed form loses half
-    the digits (sqrt(eps) spread of the clustered pair), so those rare
-    entries are recomputed with the LAPACK symmetric solver to keep hull
-    certificates valid at 1e-8 tolerances, and so are nonzero matrices
-    whose scale puts u**3 or det(m) outside the normal float range.
+    Works on a single matrix or an array of shape (..., 3, 3), reading the
+    lower triangle as LAPACK's eigvalsh does.  Uses the trigonometric
+    solution of lambda^3 - J2 lambda - J3 = 0 with J2 = tr(m^2)/2 and
+    J3 = det(m) by cofactor expansion, which is exact for tr(m) = 0, involves
+    no iteration and scales exactly with m by a power of two.  With theta in
+    [0, pi/3], the roots 2u cos(theta - 2 pi k / 3) ascend for k = 2, 1, 0.
+    Near a double root the closed form loses half the digits (sqrt(eps)
+    spread of the clustered pair), so those rare entries, including a pair
+    that rounding put out of order, are recomputed with the LAPACK symmetric
+    solver to keep hull certificates valid at 1e-8 tolerances, and so are
+    nonzero matrices whose scale puts u**3 or det(m) outside the normal
+    float range.
     """
     m = np.asarray(m, dtype=float)
+    # the entries as planes of m.T, contiguous when m is in Fortran order
+    mt = m.T
+    a, b, c = mt[0, 0], mt[1, 1], mt[2, 2]
+    d, e, f = mt[0, 1], mt[0, 2], mt[1, 2]
     # overflow only hits matrices outside the scale range recomputed below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        j2 = 0.5 * np.einsum("...ij,...ji->...", m, m)
-        j3 = np.linalg.det(m)
+        j2 = 0.5 * (a * a + b * b + c * c) + (d * d + e * e + f * f)
+        j3 = a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e)
         u = np.sqrt(np.maximum(j2, 0.0) / 3.0)
         # cos(3 theta) = J3 / (2 u^3); clip guards roundoff at the extremal cases
         arg = np.where(u > 0.0, j3 / np.maximum(2.0 * u**3, 1e-300), 0.0)
         theta = np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0
-        k = np.arange(3.0)
-        lam = 2.0 * u[..., None] * np.cos(theta[..., None] - 2.0 * np.pi * k / 3.0)
-        lam = np.where(u[..., None] > 0.0, lam, 0.0)
-        lam = np.sort(lam, axis=-1)
+        two_u = np.where(u > 0.0, 2.0 * u, 0.0)
+        lam = np.empty((3,) + np.shape(u))
+        for i, k in enumerate((2, 1, 0)):
+            # + 0.0 turns the -0.0 of a zero matrix into 0.0
+            lam[i] = two_u * np.cos(theta - 2.0 * np.pi * k / 3.0) + 0.0
+        lam, u = lam.T, u.T
         gap = np.minimum(lam[..., 1] - lam[..., 0], lam[..., 2] - lam[..., 1])
     near_double = (gap < 1e-4 * u) & (u > 0.0)
     # u**3 and det(m) leave the normal float range unless 1e-90 <= u <= 1e90

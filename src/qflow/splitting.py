@@ -102,9 +102,12 @@ class EigenPair:
 
 def hull_bounds(field: PeriodicField) -> HullBounds:
     lam = field.eigenvalues()
-    per_index = np.stack([lam.min(axis=(0, 1)), lam.max(axis=(0, 1))], axis=-1)
+    # one reduction per eigenvalue plane: numpy reduces an (n, n, d) block
+    # over its first two axes in inner loops of length d, ~25x slower
+    per_index = np.array([[lam[..., k].min(), lam[..., k].max()] for k in range(field.dim)])
     return HullBounds(
-        lambda_min=float(lam.min()), lambda_max=float(lam.max()), per_index=per_index
+        lambda_min=float(per_index[:, 0].min()), lambda_max=float(per_index[:, 1].max()),
+        per_index=per_index,
     )
 
 
@@ -128,11 +131,30 @@ def heat_kernel_weights(dt: float, L1: float, h: float, n: int) -> np.ndarray:
     return w / w.sum()
 
 
+# Index pairs (i, j), i <= j, of the entries of a symmetric d x d tensor,
+# diagonal first; _FREE leaves out the last diagonal entry, which is minus
+# the sum of the others in a traceless tensor.
+_PAIRS = {2: ((0, 0), (1, 1), (0, 1)), 3: ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))}
+_FREE = {2: ((0, 0), (0, 1)), 3: ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))}
+
+
 def heat_step(field: PeriodicField, dt: float, L1: float) -> PeriodicField:
-    """Componentwise periodic convolution with the Gaussian kernel."""
+    """Componentwise periodic convolution with the Gaussian kernel.
+
+    Only the independent components are convolved; the result is rebuilt
+    exactly symmetric and traceless."""
     w = heat_kernel_weights(dt, L1, field.h, field.n)
-    out = convolve1d(field.data, w, axis=0, mode="wrap")
-    out = convolve1d(out, w, axis=1, mode="wrap")
+    d = field.dim
+    free = _FREE[d]
+    # planes[c, y, x] = data[x, y, j, i]: convolve along x, then along y
+    planes = np.stack([field.data.T[i, j] for i, j in free])
+    planes = convolve1d(planes, w, axis=2, mode="wrap")
+    planes = convolve1d(planes, w, axis=1, mode="wrap")
+    out = np.empty(field.data.shape, order="F")
+    o = out.T
+    for (i, j), plane in zip(free, planes):
+        o[i, j] = o[j, i] = plane
+    o[d - 1, d - 1] = -planes[: d - 1].sum(axis=0)
     return PeriodicField(out, field.h)
 
 
@@ -147,12 +169,41 @@ def _as_matrix_batch(Q, d):
 
 def bulk_ode_rhs(Q: np.ndarray, params: LdGParams, d: int) -> np.ndarray:
     """-a Q + b (Q^2 - tr(Q^2)/d I) - c Q tr(Q^2); b dropped for d = 2 where
-    the matrix combination vanishes structurally (tr(Q^3) = 0)."""
-    t2 = np.einsum("...ij,...ij->...", Q, Q)[..., None, None]
-    rhs = -params.a * Q - params.c * t2 * Q
+    the matrix combination vanishes structurally (tr(Q^3) = 0).
+
+    One formula on the entries q[i][j] = Q[..., j, i], i <= j: Python floats
+    for a single matrix, planes over the leading axes for a batch.  The
+    result is exactly symmetric and in Fortran order (contiguous planes)."""
+    Q = np.asarray(Q, dtype=float)
+    q = Q.T.tolist() if Q.ndim == 2 else Q.T
+    pairs = _PAIRS[d]
+    x = [q[i][j] for i, j in pairs]
+    # diagonal of Q^2, whose sum is tr(Q^2)
+    if d == 2:
+        q11, q22, q12 = x
+        s12 = q12 * q12
+        diag = [q11 * q11 + s12, s12 + q22 * q22]
+    else:
+        q11, q22, q33, q12, q13, q23 = x
+        s12, s13, s23 = q12 * q12, q13 * q13, q23 * q23
+        diag = [q11 * q11 + s12 + s13, s12 + q22 * q22 + s23, s13 + s23 + q33 * q33]
+    t2 = sum(diag[1:], diag[0])
+    s = -params.a - params.c * t2
+    rhs = [s * v for v in x]
     if d == 3 and params.b != 0.0:
-        rhs = rhs + params.b * (Q @ Q - t2 / 3.0 * np.eye(3))
-    return rhs
+        t3 = t2 / 3.0
+        # Q^2 - tr(Q^2)/3 I on the same entries
+        dev = [p - t3 for p in diag] + [
+            q12 * (q11 + q22) + q13 * q23,
+            q13 * (q11 + q33) + q12 * q23,
+            q23 * (q22 + q33) + q12 * q13,
+        ]
+        rhs = [v + params.b * w for v, w in zip(rhs, dev)]
+    out = np.empty(Q.shape, order="F")
+    o = out.T
+    for (i, j), v in zip(pairs, rhs):
+        o[i, j] = o[j, i] = v
+    return out
 
 
 def bulk_ode_step(Q, dt: float, params: LdGParams, d: int) -> "QTensor2 | QTensor3 | np.ndarray":
@@ -165,7 +216,8 @@ def bulk_ode_step(Q, dt: float, params: LdGParams, d: int) -> "QTensor2 | QTenso
     rate = abs(params.a) + params.b * nrm + params.c * nrm * nrm
     nsub = max(1, int(math.ceil(dt * rate / BULK_RATE_CAP)))
     hsub = dt / nsub
-    out = arr
+    # every stage then keeps the Fortran order of bulk_ode_rhs
+    out = np.asfortranarray(arr)
     for _ in range(nsub):
         k1 = bulk_ode_rhs(out, params, d)
         k2 = bulk_ode_rhs(out + 0.5 * hsub * k1, params, d)
@@ -179,12 +231,14 @@ def bulk_ode_step(Q, dt: float, params: LdGParams, d: int) -> "QTensor2 | QTenso
     return out
 
 
-def eigen_ode_rhs(pair: EigenPair, params: LdGParams) -> tuple[float, float]:
-    """RHS of the two-eigenvalue system of the diagonal 3D bulk ODE."""
-    l1, l2 = pair.lambda1, pair.lambda2
-    common = 2.0 * params.c * (l1 * l1 + l2 * l2 + l1 * l2) + params.a
-    d1 = -l1 * common + params.b * (l1 * l1 / 3.0 - 2.0 * l2 * l2 / 3.0 - 2.0 * l1 * l2 / 3.0)
-    d2 = -l2 * common + params.b * (l2 * l2 / 3.0 - 2.0 * l1 * l1 / 3.0 - 2.0 * l1 * l2 / 3.0)
+def eigen_ode_rhs(pair: EigenPair, params: LdGParams):
+    """RHS of the two-eigenvalue system of the diagonal 3D bulk ODE; the pair
+    may hold floats or arrays of one shape."""
+    u1, u2 = pair.lambda1, pair.lambda2
+    s11, s22, s12 = u1 * u1, u2 * u2, u1 * u2
+    common = 2.0 * params.c * (s11 + s22 + s12) + params.a
+    d1 = -u1 * common + params.b * (s11 - 2.0 * s22 - 2.0 * s12) / 3.0
+    d2 = -u2 * common + params.b * (s22 - 2.0 * s11 - 2.0 * s12) / 3.0
     return d1, d2
 
 
@@ -194,21 +248,15 @@ def eigen_ode_integrate(lambda1, lambda2, params: LdGParams, T: float,
     l1 = np.asarray(lambda1, dtype=float).copy()
     l2 = np.asarray(lambda2, dtype=float).copy()
 
-    def rhs(u1, u2):
-        common = 2.0 * params.c * (u1 * u1 + u2 * u2 + u1 * u2) + params.a
-        d1 = -u1 * common + params.b * (u1 * u1 - 2.0 * u2 * u2 - 2.0 * u1 * u2) / 3.0
-        d2 = -u2 * common + params.b * (u2 * u2 - 2.0 * u1 * u1 - 2.0 * u1 * u2) / 3.0
-        return d1, d2
-
     nrm = float(max(np.abs(l1).max(), np.abs(l2).max(), 1e-12)) * math.sqrt(6.0)
     rate = abs(params.a) + params.b * nrm + params.c * nrm * nrm
     nsub = max(1, int(math.ceil(T * rate / rate_cap)))
     h = T / nsub
     for _ in range(nsub):
-        a1, a2 = rhs(l1, l2)
-        b1, b2 = rhs(l1 + 0.5 * h * a1, l2 + 0.5 * h * a2)
-        c1, c2 = rhs(l1 + 0.5 * h * b1, l2 + 0.5 * h * b2)
-        d1, d2 = rhs(l1 + h * c1, l2 + h * c2)
+        a1, a2 = eigen_ode_rhs(EigenPair(l1, l2), params)
+        b1, b2 = eigen_ode_rhs(EigenPair(l1 + 0.5 * h * a1, l2 + 0.5 * h * a2), params)
+        c1, c2 = eigen_ode_rhs(EigenPair(l1 + 0.5 * h * b1, l2 + 0.5 * h * b2), params)
+        d1, d2 = eigen_ode_rhs(EigenPair(l1 + h * c1, l2 + h * c2), params)
         l1 = l1 + h / 6.0 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
         l2 = l2 + h / 6.0 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
     return l1, l2

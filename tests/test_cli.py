@@ -166,7 +166,7 @@ class TestRunExperiment:
 
 
 class TestShippedConfigs:
-    """Outputs of the shipped radial configs, pinned bit for bit."""
+    """Outputs of shipped configs, pinned bit for bit."""
 
     def test_blowup_trace_csv_pinned(self, tmp_path):
         cfg = parse_config((CONFIGS / "blowup.cfg").read_text())
@@ -175,6 +175,15 @@ class TestShippedConfigs:
         assert len(data.splitlines()) == 136
         assert hashlib.sha256(data).hexdigest() == (
             "edbc8d98ef39fcaefebe9abba248540df362fd07e87274fd44e01649defeb019"
+        )
+
+    def test_physicality_trace_csv_pinned(self, tmp_path):
+        cfg = parse_config((CONFIGS / "physicality.cfg").read_text())
+        run_experiment(cfg, str(tmp_path), emit_svg=False)
+        data = (tmp_path / "trace.csv").read_bytes()
+        assert len(data.splitlines()) == 52
+        assert hashlib.sha256(data).hexdigest() == (
+            "c4644b60d20b7429a68ec22f5fe555308cda26981f046442dbdc8e8511c698d4"
         )
 
     def test_threshold_search_bracket_pinned(self, tmp_path):

@@ -62,11 +62,11 @@ class TestEigenvalues:
             ref = np.linalg.eigvalsh(m)
             assert np.abs(ours - ref).max() < 1e-10 * max(1.0, np.abs(ref).max())
 
-    # Worst error measured on 3e5 such matrices: 2.8e-10 of the spectral
-    # radius, at a relative eigenvalue gap near 1e-4 where the closed form
-    # still applies (below it LAPACK takes over) and a scale of 1e79.  At
-    # unit scale it is 2.1e-11: the rounding of np.linalg.det, which gives
-    # J3, grows with the matrix's distance in scale from 1.
+    # Worst error measured on 2e5 such matrices at scales 1e-89..1e89: 1.9e-12
+    # of the spectral radius, at relative eigenvalue gaps of 1e-3..1e-5 near
+    # the 1e-4 below which LAPACK takes over.  J2 and the cofactor J3 scale
+    # exactly with the matrix, so the error does not grow with its distance
+    # in scale from 1.
     EIG_RTOL = 1e-9
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -90,6 +90,58 @@ class TestEigenvalues:
         ref = np.linalg.eigvalsh(m)
         ours = eigvals_traceless_sym3(m)
         assert np.abs(ours - ref).max() <= self.EIG_RTOL * np.abs(ref).max()
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        lam1=st.floats(-1.0, 1.0),
+        lam2=st.floats(-1.0, 1.0),
+        gap_exp=st.one_of(st.none(), st.integers(0, 16)),
+        scale_exp=st.integers(-84, 84),
+        target_exp=st.integers(-84, 84),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_3d_scale_equivariant(self, lam1, lam2, gap_exp, scale_exp, target_exp, seed):
+        # eigvals(2**k m) / 2**k = eigvals(m) for m at 10**scale_exp and
+        # 2**k m near 10**target_exp, both inside the closed form's range
+        if gap_exp is not None:
+            lam2 = lam1 + (0.0 if gap_exp == 16 else 10.0**-gap_exp * lam2)
+        lam = np.array([lam1, lam2, -(lam1 + lam2)])
+        if np.abs(lam).max() == 0.0:
+            return
+        lam = lam / np.abs(lam).max() * 10.0**scale_exp
+        rot, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+        m = rot @ np.diag(lam) @ rot.T
+        m = 0.5 * (m + m.T)
+        m[2, 2] = -(m[0, 0] + m[1, 1])
+        k = round((target_exp - scale_exp) * math.log2(10.0))
+        ours = eigvals_traceless_sym3(m)
+        scaled = eigvals_traceless_sym3(2.0**k * m) / 2.0**k
+        assert np.abs(scaled - ours).max() <= 1e-13 * np.abs(ours).max()
+
+    def test_3d_ascending_without_a_sort(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called")
+
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(32, 3, 3))
+        m = 0.5 * (m + np.swapaxes(m, -1, -2))
+        m[:, 2, 2] = -(m[:, 0, 0] + m[:, 1, 1])
+        monkeypatch.setattr(np, "sort", forbidden)
+        # well-separated roots: the closed form alone, already in order
+        with monkeypatch.context() as mp:
+            mp.setattr(np.linalg, "eigvalsh", forbidden)
+            lam = eigvals_traceless_sym3(m)
+        assert np.all(np.diff(lam, axis=-1) > 0.0)
+        assert np.abs(lam - np.linalg.eigvalsh(m)).max() < 1e-12
+        # double roots of either sign, rotated, among the separated ones
+        rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        for diag in ([-1.0, -1.0, 2.0], [1.0, 1.0, -2.0], [0.0, 0.0, 0.0]):
+            m[-1] = rot @ np.diag(diag) @ rot.T
+            m[-1, 2, 2] = -(m[-1, 0, 0] + m[-1, 1, 1])
+            lam = eigvals_traceless_sym3(m)
+            assert np.all(np.diff(lam, axis=-1) >= 0.0)
+            assert lam[-1] == pytest.approx(sorted(diag), abs=1e-12)
+            assert eigvals_traceless_sym3(m[-1]) == pytest.approx(sorted(diag), abs=1e-12)
 
     def test_sum_to_zero(self):
         rng = np.random.default_rng(4)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import convolve1d
 
 from qflow.energy import LdGParams
 from qflow.qtensor import QTensor2, QTensor3, physical_interval
@@ -142,6 +143,61 @@ class TestBulkOde:
             assert abs(rhs[0, 0] - d1) < 1e-12
             assert abs(rhs[1, 1] - d2) < 1e-12
             assert abs(rhs[2, 2] + d1 + d2) < 1e-12
+
+
+def matrix_form_bulk_rhs(Q, params, d):
+    """-a Q + b (Q @ Q - tr(Q^2)/3 I) - c tr(Q^2) Q, b only for d = 3."""
+    t2 = np.einsum("...ij,...ij->...", Q, Q)[..., None, None]
+    rhs = -params.a * Q - params.c * t2 * Q
+    if d == 3 and params.b != 0.0:
+        rhs = rhs + params.b * (Q @ Q - t2 / 3.0 * np.eye(3))
+    return rhs
+
+
+class TestEntrywiseKernels:
+    """The entrywise bulk RHS and heat step against their matrix forms."""
+
+    P3_NO_B = LdGParams(a=0.7, b=0.0, c=2.0, L1=1.0, L2=0.0, L3=0.0, L4=0.0)
+
+    @pytest.mark.parametrize("d, params", [(3, P3), (3, P3_NO_B), (2, P2), (2, P3)])
+    def test_bulk_rhs_matches_matrix_form(self, d, params):
+        fld = random_field(n=16, d=d, seed=11)
+        for Q in (fld.data, fld.data[3, 5]):
+            rhs = bulk_ode_rhs(Q, params, d)
+            ref = matrix_form_bulk_rhs(Q, params, d)
+            assert rhs.shape == Q.shape
+            assert np.abs(rhs - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.array_equal(rhs, np.swapaxes(rhs, -1, -2))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_heat_step_exactly_symmetric_traceless(self, d):
+        fld = random_field(n=32, d=d, seed=12)
+        dt, L1 = 2e-4, 1.0
+        out = heat_step(fld, dt, L1).data
+        assert np.array_equal(out, np.swapaxes(out, -1, -2))
+        assert np.all(sum(out[..., i, i] for i in range(d)) == 0.0)
+        # every component of the field convolved, as a d*d-component field
+        w = heat_kernel_weights(dt, L1, fld.h, fld.n)
+        ref = convolve1d(convolve1d(fld.data, w, axis=0, mode="wrap"), w, axis=1, mode="wrap")
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_same_bits_in_either_memory_order(self):
+        # the kernels store entry planes contiguously; a C-ordered input
+        # must give the same numbers
+        fld = random_field(n=16, d=3, seed=13)
+        c_data = np.ascontiguousarray(fld.data)
+        f_data = np.asfortranarray(fld.data)
+        for fn in (lambda Q: bulk_ode_step(Q, 0.05, P3, 3),
+                   lambda Q: heat_step(PeriodicField(Q, fld.h), 1e-3, 1.0).data,
+                   lambda Q: PeriodicField(Q, fld.h).eigenvalues()):
+            assert np.array_equal(fn(c_data), fn(f_data))
+
+    def test_eigen_rhs_on_arrays_equals_rhs_on_floats(self):
+        rng = np.random.default_rng(14)
+        l1, l2 = rng.uniform(-1.0, 1.0, size=(2, 50))
+        d1, d2 = eigen_ode_rhs(EigenPair(l1, l2), P3)
+        for i in range(50):
+            assert (d1[i], d2[i]) == eigen_ode_rhs(EigenPair(float(l1[i]), float(l2[i])), P3)
 
 
 class TestTraceOdeClosedForm:
