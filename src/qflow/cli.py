@@ -37,6 +37,10 @@ from .splitting import EigenPair, bulk_ode_step, eigen_ode_integrate, eigen_ode_
 
 CSV_HEADER = "t,energy,max_h2,l2_norm,l2_dQdt,flag"
 
+# Largest T/dt a config may ask for, so that a slip in T or dt is rejected
+# instead of running without bound.
+MAX_STEPS = 1_000_000
+
 EXPERIMENTS = (
     "smallness",
     "energy-decay",
@@ -160,12 +164,15 @@ def parse_config(text: str) -> ExperimentConfig:
             raw[key] = value
         else:
             try:
-                raw[key] = typ(value)
+                number = typ(value)
             except ValueError:
-                kind = "an integer" if typ is int else "a number"
+                number = math.nan
+            if not math.isfinite(number):
+                kind = "an integer" if typ is int else "a finite number"
                 raise ConfigError(
                     f"line {lineno}: expected {kind} for key '{key}' (got '{value}')"
-                ) from None
+                )
+            raw[key] = number
 
     if "experiment" not in raw:
         raise ConfigError("missing mandatory keys: experiment")
@@ -207,8 +214,11 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{key} must be at least 3")
     try:
         cfg.params().validate(strict=False)
+        dt = _energy_decay_dt(cfg) if cfg.experiment == "energy-decay" else v.get("dt")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if dt is not None and "T" in v and v["T"] / dt > MAX_STEPS:
+        raise ConfigError(f"T/dt = {v['T'] / dt:.3g} exceeds the cap of {MAX_STEPS} steps")
     if cfg.experiment == "smallness":
         params = cfg.params()
         try:
@@ -416,10 +426,18 @@ def _exp_smallness(cfg):
     return results, checks, _trace_rows_from_run(trace), _series_from_run(trace)
 
 
+def _energy_decay_dt(cfg) -> float:
+    """The config's dt, else half the explicit stability bound of its grid."""
+    if "dt" in cfg.values:
+        return cfg.values["dt"]
+    grid = pde2d.Grid2D.from_extent(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
+    return 0.5 * pde2d.stability_dt(grid, cfg.params())
+
+
 def _exp_energy_decay(cfg):
     params = cfg.params()
     grid = pde2d.Grid2D.from_extent(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    dt = cfg.values.get("dt") or 0.5 * pde2d.stability_dt(grid, params)
+    dt = _energy_decay_dt(cfg)
     cfg.values["dt"] = dt
     amplitude = cfg.values.get("amplitude", 0.05)
     field = pde2d.smooth_random_field(grid, amplitude, seed=cfg.seed, kmax=cfg.kmax)
@@ -527,12 +545,24 @@ def _exp_blowup_threshold_search(cfg):
         else:
             lo = mid
     interval = sorted((lo, hi))
-    checks = [_check("bisection bracketed to 16 iterations",
-                     True, interval, abs(cfg.amp_hi - cfg.amp_lo) / 2 ** 16)]
+    width = interval[1] - interval[0]
+    # each rounded midpoint may move the bracket by half an ulp of the
+    # amplitudes; the halvings keep the sum of those below one ulp
+    amp_ulp = math.ulp(max(abs(cfg.amp_lo), abs(cfg.amp_hi)))
+    max_width = abs(cfg.amp_hi - cfg.amp_lo) / 2 ** 16 + 2.0 * amp_ulp
+    flags = {cfg.amp_lo: lo_blows, cfg.amp_hi: hi_blows}
+    flags.update((h["amplitude"], h["blown_up"]) for h in history)
+    end_flags = [flags[lo], flags[hi]]
+    checks = [
+        _check("bracket width <= |amp_hi - amp_lo| / 2^16 (+2 ulp)",
+               width <= max_width, width, max_width),
+        _check("flags at the final lo and hi differ", end_flags[0] != end_flags[1],
+               end_flags, None),
+    ]
     results = {
         "interval_lo": interval[0],
         "interval_hi": interval[1],
-        "width": interval[1] - interval[0],
+        "width": width,
         "iterations": history,
         "blow_up_side": "hi" if hi_blows else "lo",
     }

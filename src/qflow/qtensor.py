@@ -120,7 +120,7 @@ def eigvals_traceless_sym3(m: np.ndarray) -> np.ndarray:
     that rounding put out of order, are recomputed with the LAPACK symmetric
     solver to keep hull certificates valid at 1e-8 tolerances, and so are
     nonzero matrices whose scale puts u**3 or det(m) outside the normal
-    float range.
+    float range.  A matrix with an inf or NaN entry gets NaN eigenvalues.
     """
     m = np.asarray(m, dtype=float)
     # the entries as planes of m.T, contiguous when m is in Fortran order
@@ -145,11 +145,14 @@ def eigvals_traceless_sym3(m: np.ndarray) -> np.ndarray:
     near_double = (gap < 1e-4 * u) & (u > 0.0)
     # u**3 and det(m) leave the normal float range unless 1e-90 <= u <= 1e90
     # (u even underflows to 0 for a nonzero m below ~1e-154), so finite
-    # nonzero matrices of such a scale are recomputed too
+    # nonzero matrices of such a scale are recomputed too; an inf or NaN
+    # entry makes u inf or NaN, and its eigenvalues NaN
     off_scale = ~((u >= 1e-90) & (u <= 1e90))
     if np.any(off_scale):
         amax = np.abs(m).max(axis=(-2, -1))
-        off_scale &= (amax > 0.0) & (amax < np.inf)
+        finite = amax < np.inf
+        off_scale &= (amax > 0.0) & finite
+        lam = np.where(finite[..., None], lam, np.nan)
     redo = near_double | off_scale
     if np.any(redo):
         if lam.ndim == 1:

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
-from .energy import LdGParams
+from .energy import LdGParams, derived_constants
 from .pde2d import Field2D, Grid2D, rhs_pq
 
 # Blow-up threshold on y = int theta^2 r dr.
@@ -277,6 +277,7 @@ STOP_REACHED_T = "reached T"
 STOP_THRESHOLD = "y crossed the blow-up threshold"
 STOP_NONFINITE = "non-finite values"
 STOP_BACKWARD_DIFFUSION = "locally backward diffusion (zeta + L4 theta <= 0)"
+STOP_SMALL = "entered the smallness regime"  # run_radial_flag only
 
 
 @dataclass
@@ -358,13 +359,15 @@ def _moment(f: np.ndarray, dx: np.ndarray) -> float:
 
 
 def _march(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
-           y_threshold: float, record=None):
+           y_threshold: float, record=None, theta_small: float = -math.inf):
     """The adaptive semi-implicit stepper shared by run_radial and run_radial_flag.
 
     y = int theta^2 r dr is computed at t = 0 and after every accepted step,
     and record(t, theta, y), if given, is called with it; record must not
-    keep theta, which the stepper updates in place.  Returns the RadialFlag
-    and the final theta.
+    keep theta, which the stepper updates in place.  Without record, y is
+    computed only where y <= max theta^2 (R1^2 - R0^2)/2 does not keep it
+    below y_threshold.  A step that leaves max|theta| <= theta_small stops
+    the run with STOP_SMALL.  Returns the RadialFlag and the final theta.
     """
     if params.zeta <= 0.0:
         raise ValueError("radial flow needs zeta > 0")
@@ -384,9 +387,12 @@ def _march(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
     zeta_ri = zeta / ri
     react = 4.0 * zeta / ri2
     four_zeta = 4.0 * zeta
+    half_c = 0.5 * c
     two_dr = 2.0 * dr
     dr_mul = dr * dr
     dr_pow = dr**2
+    # y <= amax^2 * int r dr, with a margin for the rounding of both sums
+    amax2_cap = y_threshold / (_moment(r, dx) * (1.0 + 1e-9))
     # One buffer for the step's linear system, refilled on every step: the
     # band rows in scipy's (1, 1) layout (the corners ab[0, 0] and
     # ab[2, -1] stay 0), then the right-hand side, which gtsv overwrites
@@ -394,7 +400,7 @@ def _march(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
     system = np.zeros((4, nr))
     ab, b = system[:3], system[3]
     th = profile0.theta.copy()
-    thi = th[1:-1]
+    thi, th_up, th_down = th[1:-1], th[2:], th[:-2]
 
     t = 0.0
     y = _moment(th * th * r, dx)
@@ -402,41 +408,49 @@ def _march(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
         record(t, th, y)
     if y > y_threshold:
         return RadialFlag(STOP_THRESHOLD, t), th
+    amax = float(np.abs(th).max())
     while t < T:
-        d1 = (th[2:] - th[:-2]) / two_dr
-        d2 = (th[2:] - 2.0 * thi + th[:-2]) / dr_mul
-        D = zeta + L4 * thi
+        d1 = (th_up - th_down) / two_dr
+        d2 = (th_up - 2.0 * thi + th_down) / dr_mul
+        L4_thi = L4 * thi
+        D = zeta + L4_thi
         if (D <= 0.0).any():
             return RadialFlag(STOP_BACKWARD_DIFFUSION, t), th
-        adv = zeta_ri + L4 * thi / ri
-        expl = L4 * (0.5 * d1 * d1 + 6.0 * thi * thi / ri2) - a * thi - 0.5 * c * thi**3
+        adv = zeta_ri + L4_thi / ri
+        expl = L4 * (0.5 * d1 * d1 + 6.0 * thi * thi / ri2) - a * thi - half_c * (thi * thi * thi)
         full = expl + D * d2 + adv * d1 - four_zeta * thi / ri2
-        scale = max(float(np.abs(th).max()), 1e-12)
+        scale = max(amax, 1e-12)
         h = min(dt, STEP_FRACTION * scale / max(float(np.abs(full).max()), 1e-15), T - t)
         co_d2 = D / dr_pow
         co_d1 = adv / two_dr
-        np.multiply(-h, co_d2[:-1] + co_d1[:-1], out=ab[0, 1:])
+        # coefficients of theta_{i+1} and theta_{i-1} in row i
+        co_up = co_d2 + co_d1
+        co_down = co_d2 - co_d1
+        np.multiply(-h, co_up[:-1], out=ab[0, 1:])
         np.subtract(1.0, h * (-2.0 * co_d2 - react), out=ab[1])
-        np.multiply(-h, co_d2[1:] - co_d1[1:], out=ab[2, :-1])
+        np.multiply(-h, co_down[1:], out=ab[2, :-1])
         np.add(thi, h * expl, out=b)
         # boundary contributions from the fixed ring values
-        b[0] += h * (co_d2[0] - co_d1[0]) * th[0]
-        b[-1] += h * (co_d2[-1] + co_d1[-1]) * th[-1]
+        b[0] += h * co_down[0] * th[0]
+        b[-1] += h * co_up[-1] * th[-1]
         try:
             thi[:] = solve_banded(ab, b)
         except ValueError:
             # the explicit term overflowed and the system is not finite
             return RadialFlag(STOP_NONFINITE, t), th
         t += h
-        y = _moment(th * th * r, dx)
-        # an inf or NaN in theta makes y inf or NaN (every term is >= 0),
-        # so theta needs its own check only when y is not finite
-        if not math.isfinite(y) and not np.isfinite(th).all():
+        # max|theta| is inf or NaN exactly when theta holds an inf or NaN
+        amax = float(np.abs(th).max())
+        if not math.isfinite(amax):
             return RadialFlag(STOP_NONFINITE, t), th
-        if record is not None:
-            record(t, th, y)
-        if not math.isfinite(y) or y > y_threshold:
-            return RadialFlag(STOP_THRESHOLD, t), th
+        if record is not None or amax * amax > amax2_cap:
+            y = _moment(th * th * r, dx)
+            if record is not None:
+                record(t, th, y)
+            if not math.isfinite(y) or y > y_threshold:
+                return RadialFlag(STOP_THRESHOLD, t), th
+        if amax <= theta_small:
+            return RadialFlag(STOP_SMALL, t), th
     return RadialFlag(STOP_REACHED_T, t), th
 
 
@@ -460,7 +474,7 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
     time the run stopped at.
 
     Callers that only need the flag use run_radial_flag, which takes the
-    same steps without the per-step monitors.
+    same steps without the per-step monitors and may stop sooner.
     """
     r = profile0.r
     dx = np.diff(r)
@@ -493,12 +507,25 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
 
 def run_radial_flag(profile0: RadialProfile, params: LdGParams, T: float,
                     dt: float) -> RadialFlag:
-    """Take the steps of run_radial but compute only y on each of them.
+    """Take the steps of run_radial but compute only what the flag needs.
 
     The returned blown_up, nonfinite and blowup_time equal those of
     run_radial(profile0, params, T, dt); its stop says why the run ended.
+    Under the smallness experiment's hypotheses (L4 != 0, the strict bulk
+    and coercivity assumptions, |a| <= 2 c eta1), max|theta| <= 2 sqrt(eta1),
+    boundary values included, holds at all later times once it holds.  A
+    run that gets there can then neither abort nor, if 4 eta1 (R1^2 - R0^2)/2
+    lies below the threshold, cross it, so it stops with STOP_SMALL.
     """
-    return _march(profile0, params, T, dt, BLOWUP_Y_THRESHOLD)[0]
+    try:
+        eta1 = derived_constants(params, strict=True).eta1
+    except ValueError:
+        eta1 = math.inf
+    # the bound on y of a run in the regime, with a rounding margin
+    y_small = 2.0 * eta1 * (profile0.R1**2 - profile0.R0**2) * (1.0 + 1e-9)
+    decided = abs(params.a) <= 2.0 * params.c * eta1 and y_small <= BLOWUP_Y_THRESHOLD
+    return _march(profile0, params, T, dt, BLOWUP_Y_THRESHOLD,
+                  theta_small=2.0 * math.sqrt(eta1) if decided else -math.inf)[0]
 
 
 def dominates_comparison(trace: RadialTrace, params: LdGParams,

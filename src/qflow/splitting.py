@@ -22,6 +22,7 @@ import numpy as np
 from scipy.ndimage import convolve1d
 
 from .energy import LdGParams
+from .pde2d import UnstableStepError
 from .qtensor import QTensor2, QTensor3, eigvals_traceless_sym3
 
 # Kernel truncation radius in standard deviations.
@@ -270,7 +271,7 @@ class TrotterResult:
 
 def trotter_solve(field0: PeriodicField, T: float, n: int, params: LdGParams) -> TrotterResult:
     """(heat(T/n) o bulk_ode(T/n))^n with hull bounds recorded after every
-    half-substep.
+    half-substep.  Raises UnstableStepError when a hull is not finite.
 
     Requires the simplified flow: L4 = 0 always, and L2+L3 = 0 for 3x3
     tensors; for 2x2 tensors zeta/2 stands in for L1 so the heat step
@@ -290,13 +291,22 @@ def trotter_solve(field0: PeriodicField, T: float, n: int, params: LdGParams) ->
     if L1_eff <= 0.0:
         raise ValueError("heat coefficient must be positive")
     dt = T / n
+    hulls = []
+
+    def certify(fld, after):
+        hb = hull_bounds(fld)
+        # a NaN or inf entry gives NaN or inf eigenvalues, never a hull
+        if not (math.isfinite(hb.lambda_min) and math.isfinite(hb.lambda_max)):
+            raise UnstableStepError(f"non-finite eigenvalues {after}")
+        hulls.append(hb)
+
     fld = field0.copy()
-    hulls = [hull_bounds(fld)]
-    for _ in range(n):
+    certify(fld, "in the initial field")
+    for i in range(1, n + 1):
         fld = PeriodicField(bulk_ode_step(fld.data, dt, params, d), fld.h)
-        hulls.append(hull_bounds(fld))
+        certify(fld, f"after bulk-ODE substep {i}")
         fld = heat_step(fld, dt, L1_eff)
-        hulls.append(hull_bounds(fld))
+        certify(fld, f"after heat substep {i}")
     return TrotterResult(field=fld, hulls=hulls)
 
 

@@ -4,10 +4,12 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from qflow import splitting
 from qflow.cli import (
     CSV_HEADER,
     ConfigError,
@@ -15,6 +17,7 @@ from qflow.cli import (
     parse_config,
     run_experiment,
 )
+from qflow.splitting import bulk_ode_step
 
 COERCIVITY_CFG = """
 experiment = coercivity-report
@@ -195,6 +198,18 @@ class TestShippedConfigs:
         assert (res["interval_lo"], res["interval_hi"]) == (
             -3.6710571289062504, -3.670144653320313
         )
+        # every midpoint and its flag, as full runs to T give them: a run
+        # that stops on entering the smallness regime must flag the same
+        assert [(it["amplitude"], it["blown_up"]) for it in res["iterations"]] == [
+            (-30.1, True), (-15.15, True), (-7.675, True), (-3.9375, True),
+            (-2.06875, False), (-3.003125, False), (-3.4703125, False),
+            (-3.70390625, True), (-3.587109375, False), (-3.6455078125, False),
+            (-3.67470703125, True), (-3.660107421875, False),
+            (-3.6674072265625, False), (-3.6710571289062504, True),
+            (-3.6692321777343753, False), (-3.670144653320313, False),
+        ]
+        width, end_flags = (c["measured"] for c in report.summary["checks"])
+        assert width == res["width"] and end_flags == [False, True]
 
 
 class TestContinuousDependenceSeeds:
@@ -274,6 +289,41 @@ class TestMainEntry:
         assert rc == 2
         err = capsys.readouterr().err
         assert "numerical failure" in err and "backward diffusion" in err
+
+    @pytest.mark.parametrize("name, old, new, message", [
+        # T = inf used to fail inside the run ("cannot convert float NaN to
+        # integer"), and T = 1e300 used to run without bound
+        ("physicality", "T = 10", "T = inf", "expected a finite number for key 'T'"),
+        ("smallness", "T = 5", "T = 1e300", "exceeds the cap of 1000000 steps"),
+        ("smallness", "dt = 5e-3", "dt = nan", "expected a finite number for key 'dt'"),
+        # dt defaults to half the explicit stability bound
+        ("energy-decay", "T = 0.015", "T = 1e300", "exceeds the cap of 1000000 steps"),
+    ], ids=["physicality_T_inf", "smallness_T_1e300", "smallness_dt_nan", "energy_decay_T_1e300"])
+    def test_unusable_time_exit_1(self, tmp_path, capsys, name, old, new, message):
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        assert old in text
+        path = self._write(tmp_path, text.replace(old, new))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in (["check", path], ["run", path, "--out", str(tmp_path / "out")]):
+                assert main(command) == 1
+                err = capsys.readouterr().err
+                assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_hull_exit_2(self, tmp_path, capsys, monkeypatch):
+        def nan_at_one_cell(data, dt, params, d):
+            out = bulk_ode_step(data, dt, params, d)
+            out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(splitting, "bulk_ode_step", nan_at_one_cell)
+        text = (CONFIGS / "trotter-convergence.cfg").read_text()
+        text = text.replace("n_cells = 64", "n_cells = 16").replace("n_hi = 64", "n_hi = 16")
+        rc = main(["run", self._write(tmp_path, text), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite eigenvalues after bulk-ODE substep 1" in err
 
     def test_console_script_installed(self):
         out = subprocess.run(

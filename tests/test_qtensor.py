@@ -143,6 +143,22 @@ class TestEigenvalues:
             assert lam[-1] == pytest.approx(sorted(diag), abs=1e-12)
             assert eigvals_traceless_sym3(m[-1]) == pytest.approx(sorted(diag), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_3d_non_finite_block_gives_nan(self, bad):
+        assert np.isnan(eigvals_traceless_sym3(np.full((3, 3), bad))).all()
+        # one bad entry in a field of zero and ordinary blocks: only its own
+        # block turns NaN, whatever the other blocks take
+        m = np.zeros((4, 4, 3, 3))
+        m[0, 0] = np.diag([1.0, 2.0, -3.0])
+        m[0, 1] = np.diag([1e-95, 0.0, -1e-95])  # off-scale, redone by LAPACK
+        m[1, 2, 0, 1] = m[1, 2, 1, 0] = bad
+        lam = eigvals_traceless_sym3(m)
+        assert np.isnan(lam[1, 2]).all()
+        assert not np.isnan(np.delete(lam.reshape(16, 3), 6, axis=0)).any()
+        assert lam[0, 0] == pytest.approx([-3.0, 1.0, 2.0], abs=1e-14)
+        assert lam[0, 1] == pytest.approx([-1e-95, 0.0, 1e-95], abs=1e-109)
+        assert (lam[3, 3] == 0.0).all()
+
     def test_sum_to_zero(self):
         rng = np.random.default_rng(4)
         for _ in range(100):

@@ -6,12 +6,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflow.energy import LdGParams
+from qflow.energy import LdGParams, derived_constants
 from qflow.radial import (
     STOP_BACKWARD_DIFFUSION,
     STOP_NONFINITE,
     STOP_REACHED_T,
+    STOP_SMALL,
     STOP_THRESHOLD,
+    STEP_FRACTION,
     RadialProfile,
     blowup_certificate,
     comparison_lower_bound,
@@ -327,6 +329,97 @@ class TestSolveBanded:
         x = solve_banded(ab, b)
         assert np.shares_memory(x, b)
         assert np.allclose(x, [1.0, 1.0, 1.0])
+
+
+@st.composite
+def small_regime_runs(draw, a_sign):
+    """(profile, params, 2 sqrt(eta1)) under the smallness hypotheses, sign(a) = a_sign."""
+    L4 = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, 2.0))
+    c = 10.0 ** draw(st.floats(-6.0, 1.0))
+    L1 = draw(st.floats(0.3, 1.0))
+    eta1 = derived_constants(params(c=c, L1=L1, L4=L4)).eta1
+    # admissible bulk coefficient: |a| <= 2 c eta1
+    a = a_sign * draw(st.floats(0.0, 1.0)) * 2.0 * c * eta1
+    if draw(st.booleans()):
+        # the threshold search's thin inner annulus, where data of the sign
+        # of L4 run away once they are large enough
+        R0, R1 = 0.3, 1.3
+        amp = math.copysign(10.0 ** draw(st.floats(-1.0, 1.5)), L4)
+    else:
+        R0 = 10.0 ** draw(st.floats(-0.7, 0.5))
+        R1 = R0 + draw(st.floats(0.3, 3.0))
+        amp = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-1.5, 2.0))
+    prof = RadialProfile.sine_bump(R0, R1, draw(st.integers(5, 40)), amp)
+    return prof, params(a=a, c=c, L1=L1, L4=L4), 2.0 * math.sqrt(eta1)
+
+
+class TestStopSmall:
+    """run_radial_flag stops a run that enters the smallness regime.
+
+    Each example runs run_radial and run_radial_flag on the same data: the
+    flags must agree, and the full trace shows what the early stop skips.
+    """
+
+    SWEEP = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+    def _both(self, prof, p):
+        with np.errstate(all="ignore"):
+            return run_radial(prof, p, 0.1, 1e-3), run_radial_flag(prof, p, 0.1, 1e-3)
+
+    def _entry(self, trace, cap):
+        """Index of the first record after a step with max|theta| <= cap."""
+        small = np.nonzero(trace.max_abs_theta[1:] <= cap)[0]
+        return small[0] + 1 if small.size else None
+
+    def _check_flags(self, trace, flag, cap):
+        assert flag.blown_up == trace.blown_up
+        assert flag.nonfinite == trace.nonfinite
+        assert flag.blowup_time == trace.blowup_time
+        k = self._entry(trace, cap)
+        if k is None:
+            assert flag.stop == trace.stop and flag.t == trace.stop_time
+        else:
+            assert trace.stop == STOP_REACHED_T
+            assert flag.stop == STOP_SMALL and flag.t == trace.t[k]
+        return k
+
+    @SWEEP
+    @given(small_regime_runs(1.0))
+    def test_flags_equal_and_no_growth_after_entry(self, run):
+        prof, p, cap = run
+        trace, flag = self._both(prof, p)
+        k = self._check_flags(trace, flag, cap)
+        if k is not None:
+            assert np.all(np.diff(trace.max_abs_theta[k:]) <= 0.0)
+
+    @SWEEP
+    @given(small_regime_runs(-1.0))
+    def test_flags_equal_under_a_quench(self, run):
+        # with a < 0, small data grow towards theta^2 = 2|a|/c <= 4 eta1; the
+        # explicit reaction term may overshoot that by one step's 2%
+        prof, p, cap = run
+        trace, flag = self._both(prof, p)
+        k = self._check_flags(trace, flag, cap)
+        if k is not None:
+            assert trace.max_abs_theta[k:].max() <= cap * (1.0 + STEP_FRACTION)
+
+    @pytest.mark.parametrize("R1, p", [
+        (4.0, params(a=-0.05, c=1.0)),  # |a| > 2 c eta1 = 0.045
+        (4.0, params(c=1.0, L4=0.0)),   # eta1 infinite
+        # the regime only bounds y by 4 eta1 (R1^2 - R0^2)/2 ~ 3.6e6 here
+        (9e3, params(c=1.0)),
+    ], ids=["a_inadmissible", "L4_zero", "annulus_too_wide"])
+    def test_not_taken_outside_the_hypotheses(self, R1, p):
+        prof = RadialProfile.sine_bump(3.0, R1, 20, 0.01)
+        trace, flag = self._both(prof, p)
+        assert flag.stop == trace.stop == STOP_REACHED_T
+        assert flag.t == trace.t[-1]
+
+    def test_run_radial_never_stops_small(self):
+        prof = RadialProfile.sine_bump(3.0, 4.0, 20, 0.01)
+        trace, flag = self._both(prof, params(c=1.0))
+        assert flag.stop == STOP_SMALL and flag.t == trace.t[1]
+        assert trace.stop == STOP_REACHED_T and trace.t[-1] == 0.1
 
 
 class TestPoincareStep:

@@ -5,6 +5,8 @@ import pytest
 from scipy.ndimage import convolve1d
 
 from qflow.energy import LdGParams
+from qflow import splitting
+from qflow.pde2d import UnstableStepError
 from qflow.qtensor import QTensor2, QTensor3, physical_interval
 from qflow.splitting import (
     EigenPair,
@@ -366,6 +368,30 @@ class TestTrotter:
 
 
 class TestHullBounds:
+    def test_nan_block_is_not_certified(self):
+        m = np.zeros((4, 4, 3, 3))
+        m[2, 1] = np.nan
+        hb = hull_bounds(PeriodicField(m, 0.25))
+        assert math.isnan(hb.lambda_min) and math.isnan(hb.lambda_max)
+        assert not hb.within(hull_bounds(PeriodicField(np.zeros_like(m), 0.25)), 1e-8)
+
+    def test_trotter_stops_on_a_nan_initial_block(self):
+        fld = make_hull_spanning_field(16, 2 * math.pi / 16, P3, seed=0)
+        fld.data[3, 5] = np.nan
+        with pytest.raises(UnstableStepError, match="initial field"):
+            trotter_solve(fld, 0.25, 4, P3)
+
+    def test_trotter_stops_on_a_nan_after_a_substep(self, monkeypatch):
+        def nan_at_one_cell(data, dt, params, d):
+            out = bulk_ode_step(data, dt, params, d)
+            out[3, 5] = np.nan
+            return out
+
+        monkeypatch.setattr(splitting, "bulk_ode_step", nan_at_one_cell)
+        fld = make_hull_spanning_field(16, 2 * math.pi / 16, P3, seed=0)
+        with pytest.raises(UnstableStepError, match="bulk-ODE substep 1"):
+            trotter_solve(fld, 0.25, 4, P3)
+
     def test_zero_field(self):
         fld = PeriodicField(np.zeros((8, 8, 2, 2)), 1.0)
         hb = hull_bounds(fld)
