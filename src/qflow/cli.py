@@ -198,6 +198,17 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+def _bulk_substeps(cfg: ExperimentConfig) -> float:
+    """T rate / BULK_RATE_CAP: a bound on the RK4 substeps of one bulk-ODE
+    integration to T, with the rate the integrators compute at the largest
+    |Q| <= sqrt(6) max|lambda| of a tensor whose eigenvalues lie in the
+    physical interval."""
+    params = cfg.params()
+    interval = physical_interval(params, 3 if cfg.experiment == "physicality" else cfg.d)
+    nrm = math.sqrt(6.0) * max(-interval.lo, interval.hi)
+    return cfg.T * splitting.bulk_rate_bound(params, nrm) / splitting.BULK_RATE_CAP
+
+
 def _validate(cfg: ExperimentConfig) -> None:
     v = cfg.values
     if v.get("scheme") not in pde2d.SCHEMES:
@@ -212,13 +223,26 @@ def _validate(cfg: ExperimentConfig) -> None:
     for key in ("nx", "ny", "nr", "n_grid", "n_cells", "n_samples"):
         if key in v and v[key] < 3:
             raise ConfigError(f"{key} must be at least 3")
+    if cfg.experiment == "trotter-convergence":
+        if not 1 <= v["n_lo"] <= v["n_hi"]:
+            raise ConfigError("1 <= n_lo <= n_hi required")
+        if 2 * v["n_hi"] > MAX_STEPS:
+            raise ConfigError(f"2 n_hi = {2 * v['n_hi']} exceeds the cap of {MAX_STEPS} steps")
+    # these two integrate the bulk ODE to T with no dt of their own
+    bulk = cfg.experiment in ("physicality", "trotter-convergence")
     try:
         cfg.params().validate(strict=False)
         dt = _energy_decay_dt(cfg) if cfg.experiment == "energy-decay" else v.get("dt")
+        substeps = _bulk_substeps(cfg) if bulk else 0.0
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if dt is not None and "T" in v and v["T"] / dt > MAX_STEPS:
         raise ConfigError(f"T/dt = {v['T'] / dt:.3g} exceeds the cap of {MAX_STEPS} steps")
+    if not substeps <= MAX_STEPS:
+        raise ConfigError(
+            f"bulk-ODE substep count T rate / {splitting.BULK_RATE_CAP} = {substeps:.3g} "
+            f"exceeds the cap of {MAX_STEPS} steps"
+        )
     if cfg.experiment == "smallness":
         params = cfg.params()
         try:

@@ -117,10 +117,15 @@ class Field2D:
         return float(np.max(self.p * self.p + self.q * self.q))
 
     def l2_norm(self) -> float:
-        """||Q||_L2 by trapezoidal quadrature of tr(Q^2) = 2(p^2+q^2)."""
-        h2 = 2.0 * (self.p * self.p + self.q * self.q)
-        val = np.trapezoid(np.trapezoid(h2, dx=self.grid.hy, axis=1), dx=self.grid.hx, axis=0)
-        return math.sqrt(max(float(val), 0.0))
+        """||Q||_L2 over the rectangle."""
+        return _l2_norm(self.grid, self.p, self.q)
+
+
+def _l2_norm(grid: Grid2D, p: np.ndarray, q: np.ndarray) -> float:
+    """||Q||_L2 by trapezoidal quadrature of tr(Q^2) = 2(p^2+q^2)."""
+    h2 = 2.0 * (p * p + q * q)
+    val = np.trapezoid(np.trapezoid(h2, dx=grid.hy, axis=1), dx=grid.hx, axis=0)
+    return math.sqrt(max(float(val), 0.0))
 
 
 def smooth_random_field(grid: Grid2D, amplitude: float, seed: int = 0, kmax: int = 2) -> Field2D:
@@ -413,11 +418,7 @@ class ContinuousDependenceResult:
 
 def field_distance(f1: Field2D, f2: Field2D) -> float:
     """||Q1 - Q2||_L2 over the rectangle."""
-    dp = f1.p - f2.p
-    dq = f1.q - f2.q
-    h2 = 2.0 * (dp * dp + dq * dq)
-    val = np.trapezoid(np.trapezoid(h2, dx=f1.grid.hy, axis=1), dx=f1.grid.hx, axis=0)
-    return math.sqrt(max(float(val), 0.0))
+    return _l2_norm(f1.grid, f1.p - f2.p, f1.q - f2.q)
 
 
 def continuous_dependence_experiment(field0: Field2D, perturbation: Field2D,

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
 
 from .energy import LdGParams, derived_constants
 from .pde2d import Field2D, Grid2D, rhs_pq
@@ -330,6 +329,19 @@ class RadialFlag:
         return self.t if self.blown_up else None
 
 
+# LAPACK gtsv from scipy, bound by the first solve so that importing qflow
+# loads no scipy module
+_dgtsv = None
+
+
+def _load_dgtsv():
+    global _dgtsv
+    from scipy.linalg.lapack import dgtsv
+
+    _dgtsv = dgtsv
+    return dgtsv
+
+
 def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a tridiagonal system held in scipy's (1, 1) band layout.
 
@@ -343,7 +355,8 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1, 1)[3:]
+    gtsv = _dgtsv if _dgtsv is not None else _load_dgtsv()
+    x, info = gtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1, 1)[3:]
     if info > 0:
         raise LinAlgError("singular matrix")
     return x

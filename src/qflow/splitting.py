@@ -10,16 +10,18 @@ Whole space is modeled by a periodic torus; the heat step is a convolution
 with a sampled Gaussian truncated at six standard deviations and
 renormalized, so its weights are nonnegative and sum to one exactly.  That
 makes every heat step a convex combination of grid values, which is the
-certificate behind hull preservation.
+certificate behind hull preservation.  The convolution runs as two matrix
+products by the periodic circulant of the weights, each of whose rows holds
+every weight exactly once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .energy import LdGParams
 from .pde2d import UnstableStepError
@@ -139,18 +141,35 @@ _PAIRS = {2: ((0, 0), (1, 1), (0, 1)), 3: ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2
 _FREE = {2: ((0, 0), (0, 1)), 3: ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))}
 
 
+# one entry per step size and grid; a trotter-convergence run uses five
+@functools.lru_cache(maxsize=32)
+def _heat_circulant(dt: float, L1: float, h: float, n: int) -> np.ndarray:
+    """n x n periodic circulant C of heat_kernel_weights(dt, L1, h, n):
+    C @ v is the periodic convolution of v with the weights.
+
+    C[i, (i + k) mod n] is the weight at offset k, so each row is a cyclic
+    shift of the weights padded with zeros; they never overlap because the
+    support is at most n.  Read-only, as it is shared by every call."""
+    w = heat_kernel_weights(dt, L1, h, n)
+    half = len(w) // 2
+    row = np.zeros(n)
+    row[np.arange(-half, half + 1) % n] = w
+    C = row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    C.flags.writeable = False
+    return C
+
+
 def heat_step(field: PeriodicField, dt: float, L1: float) -> PeriodicField:
     """Componentwise periodic convolution with the Gaussian kernel.
 
     Only the independent components are convolved; the result is rebuilt
     exactly symmetric and traceless."""
-    w = heat_kernel_weights(dt, L1, field.h, field.n)
+    C = _heat_circulant(dt, L1, field.h, field.n)
     d = field.dim
     free = _FREE[d]
-    # planes[c, y, x] = data[x, y, j, i]: convolve along x, then along y
+    # planes[c, y, x] = data[x, y, j, i]: C.T convolves along x, C along y
     planes = np.stack([field.data.T[i, j] for i, j in free])
-    planes = convolve1d(planes, w, axis=2, mode="wrap")
-    planes = convolve1d(planes, w, axis=1, mode="wrap")
+    planes = C @ planes @ C.T
     out = np.empty(field.data.shape, order="F")
     o = out.T
     for (i, j), plane in zip(free, planes):
@@ -207,15 +226,28 @@ def bulk_ode_rhs(Q: np.ndarray, params: LdGParams, d: int) -> np.ndarray:
     return out
 
 
+def bulk_rate_bound(params: LdGParams, nrm: float) -> float:
+    """|a| + b |Q| + c |Q|^2: a bound on the bulk ODE's rate at |Q| <= nrm."""
+    return abs(params.a) + params.b * nrm + params.c * nrm * nrm
+
+
+def _substeps(T: float, rate: float) -> int:
+    """RK4 substeps over time T that keep substep * rate <= BULK_RATE_CAP.
+    Raises UnstableStepError when the rate is not finite."""
+    if not math.isfinite(rate):
+        raise UnstableStepError(f"non-finite bulk-ODE rate bound {rate}")
+    return max(1, int(math.ceil(T * rate / BULK_RATE_CAP)))
+
+
 def bulk_ode_step(Q, dt: float, params: LdGParams, d: int) -> "QTensor2 | QTensor3 | np.ndarray":
     """RK4 step of the bulk ODE; symmetry and tracelessness are preserved
-    structurally.  Substeps keep dt (|a| + b|Q| + c|Q|^2) <= 0.1."""
+    structurally.  Substeps keep dt (|a| + b|Q| + c|Q|^2) <= 0.1; a rate
+    that overflows raises UnstableStepError."""
     if d not in (2, 3):
         raise ValueError("d must be 2 or 3")
     arr, kind = _as_matrix_batch(Q, d)
     nrm = float(np.sqrt(np.einsum("...ij,...ij->...", arr, arr).max())) if arr.size else 0.0
-    rate = abs(params.a) + params.b * nrm + params.c * nrm * nrm
-    nsub = max(1, int(math.ceil(dt * rate / BULK_RATE_CAP)))
+    nsub = _substeps(dt, bulk_rate_bound(params, nrm))
     hsub = dt / nsub
     # every stage then keeps the Fortran order of bulk_ode_rhs
     out = np.asfortranarray(arr)
@@ -243,15 +275,13 @@ def eigen_ode_rhs(pair: EigenPair, params: LdGParams):
     return d1, d2
 
 
-def eigen_ode_integrate(lambda1, lambda2, params: LdGParams, T: float,
-                        rate_cap: float = BULK_RATE_CAP):
+def eigen_ode_integrate(lambda1, lambda2, params: LdGParams, T: float):
     """Vectorized RK4 integration of the eigenvalue system to time T."""
     l1 = np.asarray(lambda1, dtype=float).copy()
     l2 = np.asarray(lambda2, dtype=float).copy()
 
     nrm = float(max(np.abs(l1).max(), np.abs(l2).max(), 1e-12)) * math.sqrt(6.0)
-    rate = abs(params.a) + params.b * nrm + params.c * nrm * nrm
-    nsub = max(1, int(math.ceil(T * rate / rate_cap)))
+    nsub = _substeps(T, bulk_rate_bound(params, nrm))
     h = T / nsub
     for _ in range(nsub):
         a1, a2 = eigen_ode_rhs(EigenPair(l1, l2), params)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -75,6 +76,20 @@ class TestParseConfig:
         bad = BLOWUP_CFG.replace("R0 = 3", "R0 = 4").replace("R1 = 4", "R1 = 3")
         with pytest.raises(ConfigError, match="R0 < R1"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("old, new, message", [
+        # n_lo = 0 never leaves the doubling loop over n; n_lo > n_hi
+        # leaves it with no n at all
+        ("n_lo = 8", "n_lo = 0", "1 <= n_lo <= n_hi"),
+        ("n_lo = 8", "n_lo = 128", "1 <= n_lo <= n_hi"),
+        ("n_hi = 64", "n_hi = 500001", "2 n_hi = 1000002 exceeds the cap"),
+        ("d = 3", "d = 4", "d must be 2 or 3"),
+    ])
+    def test_trotter_substep_counts_validated(self, old, new, message):
+        text = (CONFIGS / "trotter-convergence.cfg").read_text()
+        assert old in text
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text.replace(old, new))
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
@@ -298,7 +313,11 @@ class TestMainEntry:
         ("smallness", "dt = 5e-3", "dt = nan", "expected a finite number for key 'dt'"),
         # dt defaults to half the explicit stability bound
         ("energy-decay", "T = 0.015", "T = 1e300", "exceeds the cap of 1000000 steps"),
-    ], ids=["physicality_T_inf", "smallness_T_1e300", "smallness_dt_nan", "energy_decay_T_1e300"])
+        # no dt: the bulk-ODE substep count T rate / 0.1 is capped instead
+        ("physicality", "T = 10", "T = 1e300", "exceeds the cap of 1000000 steps"),
+        ("trotter-convergence", "T = 0.25", "T = 1e300", "exceeds the cap of 1000000 steps"),
+    ], ids=["physicality_T_inf", "smallness_T_1e300", "smallness_dt_nan", "energy_decay_T_1e300",
+            "physicality_T_1e300", "trotter_convergence_T_1e300"])
     def test_unusable_time_exit_1(self, tmp_path, capsys, name, old, new, message):
         text = (CONFIGS / f"{name}.cfg").read_text()
         assert old in text
@@ -324,6 +343,14 @@ class TestMainEntry:
         assert rc == 2
         err = capsys.readouterr().err
         assert "numerical failure: non-finite eigenvalues after bulk-ODE substep 1" in err
+
+    def test_import_loads_no_scipy(self):
+        # only the radial solve needs scipy, and it loads it on first use
+        code = "import sys, qflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        src = str(pathlib.Path(splitting.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
     def test_console_script_installed(self):
         out = subprocess.run(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import convolve1d
 
 from qflow.energy import LdGParams
@@ -28,6 +30,7 @@ from qflow.splitting import (
 
 P3 = LdGParams(a=-1.0, b=3.0, c=1.0, L1=1.0, L2=0.0, L3=0.0, L4=0.0)
 P2 = LdGParams(a=1.0, b=0.0, c=1.0, L1=1.0, L2=0.0, L3=0.0, L4=0.0)
+KERNEL_SIGMAS = splitting.KERNEL_TRUNCATION_SIGMAS
 
 
 def random_field(n=16, d=3, seed=0, scale=0.5):
@@ -90,6 +93,42 @@ class TestHeatKernel:
             out = heat_step(PeriodicField(data, h), dt, L1)
             measured = out.data[..., 0, 0].max() / wave.max()
             assert measured == pytest.approx(math.exp(-2 * L1 * k * k * dt), abs=1e-3)
+
+
+class TestHeatCirculant:
+    """The heat step as two matrix products by a cached circulant."""
+
+    @pytest.mark.parametrize("dt, n", [(1e-4, 8), (2e-4, 32), (0.25 / 8, 64), (0.25 / 128, 64)])
+    def test_rows_are_cyclic_shifts_of_the_weights(self, dt, n):
+        h = 2 * math.pi / n if n == 64 else 1.0 / n
+        w = heat_kernel_weights(dt, 1.0, h, n)
+        C = splitting._heat_circulant(dt, 1.0, h, n)
+        assert C is splitting._heat_circulant(dt, 1.0, h, n)
+        assert not C.flags.writeable
+        assert np.all(C >= 0.0)
+        half = len(w) // 2
+        padded = np.concatenate([w, np.zeros(n - len(w))])
+        total = math.fsum(w)
+        for i in range(n):
+            # C[i, (i + k) mod n] is the weight at offset k
+            assert np.array_equal(C[i], np.roll(padded, i - half))
+            assert math.fsum(C[i]) == total
+        assert abs(w.sum() - 1.0) <= 1e-13
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(d=st.sampled_from([2, 3]), n=st.integers(8, 128),
+           frac=st.floats(1e-3, 0.99), seed=st.integers(0, 2**32 - 1))
+    def test_matches_two_wrapped_convolutions(self, d, n, frac, seed):
+        # dt up to just below the largest step whose kernel support
+        # 2 half + 1 fits n
+        h, L1 = 1.0 / n, 1.0
+        half = (n - 1) // 2
+        dt = frac * (half * h / KERNEL_SIGMAS) ** 2 / (4.0 * L1)
+        fld = random_field(n=n, d=d, seed=seed)
+        out = heat_step(fld, dt, L1).data
+        w = heat_kernel_weights(dt, L1, h, n)
+        ref = convolve1d(convolve1d(fld.data, w, axis=0, mode="wrap"), w, axis=1, mode="wrap")
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestBulkOde:
@@ -391,6 +430,19 @@ class TestHullBounds:
         fld = make_hull_spanning_field(16, 2 * math.pi / 16, P3, seed=0)
         with pytest.raises(UnstableStepError, match="bulk-ODE substep 1"):
             trotter_solve(fld, 0.25, 4, P3)
+
+    def test_overflowing_rate_is_a_numerical_failure(self):
+        # |a| + b|Q| + c|Q|^2 overflows to inf; it used to raise
+        # OverflowError converting the substep count to an integer
+        huge_c = LdGParams(a=-1.0, b=3.0, c=1e308, L1=1.0, L2=0.0, L3=0.0, L4=0.0)
+        fld = make_hull_spanning_field(16, 2 * math.pi / 16, P3, seed=0)
+        fld = PeriodicField(fld.data * 1e3, fld.h)
+        with pytest.raises(UnstableStepError, match="non-finite bulk-ODE rate"):
+            bulk_ode_step(fld.data, 0.25 / 4, huge_c, 3)
+        with pytest.raises(UnstableStepError, match="non-finite bulk-ODE rate"):
+            trotter_solve(fld, 0.25, 4, huge_c)
+        with pytest.raises(UnstableStepError, match="non-finite bulk-ODE rate"):
+            eigen_ode_integrate([1e3], [-1e3], huge_c, 1.0)
 
     def test_zero_field(self):
         fld = PeriodicField(np.zeros((8, 8, 2, 2)), 1.0)
