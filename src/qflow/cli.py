@@ -236,8 +236,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         substeps = _bulk_substeps(cfg) if bulk else 0.0
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if dt is not None and "T" in v and v["T"] / dt > MAX_STEPS:
-        raise ConfigError(f"T/dt = {v['T'] / dt:.3g} exceeds the cap of {MAX_STEPS} steps")
+    if dt is not None and "T" in v:
+        # the default energy-decay dt underflows to 0 on a tiny grid
+        steps = v["T"] / dt if dt > 0.0 else math.inf
+        if steps > MAX_STEPS:
+            raise ConfigError(f"T/dt = {steps:.3g} exceeds the cap of {MAX_STEPS} steps")
     if not substeps <= MAX_STEPS:
         raise ConfigError(
             f"bulk-ODE substep count T rate / {splitting.BULK_RATE_CAP} = {substeps:.3g} "
@@ -249,6 +252,8 @@ def _validate(cfg: ExperimentConfig) -> None:
             consts = derived_constants(params, strict=True)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if not math.isfinite(consts.eta1):
+            raise ConfigError("smallness experiment needs L4 != 0 (eta1 finite)")
         if "a" in v and abs(v["a"]) > 2.0 * params.c * consts.eta1:
             raise ConfigError("smallness requires |a| <= 2 c eta1")
     if cfg.experiment == "energy-decay" and v.get("L4", 0.0) != 0.0:
@@ -421,8 +426,6 @@ def _exp_smallness(cfg):
     params = cfg.params()
     consts = derived_constants(params)
     eta1 = consts.eta1
-    if not math.isfinite(eta1):
-        raise ConfigError("smallness experiment needs L4 != 0 (eta1 finite)")
     if "a" not in cfg.values:
         # default to 90% of the admissible coefficient size |a| <= 2 c eta1
         cfg.values["a"] = 0.9 * 2.0 * params.c * eta1
@@ -878,16 +881,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.values["seed"] = args.seed
         report = run_experiment(cfg, args.out)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"qflow: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"qflow: {exc}", file=sys.stderr)
-        return 1
-    except NumericalFailure as exc:
-        print(f"qflow: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except UnstableStepError as exc:
+    except (NumericalFailure, UnstableStepError) as exc:
         print(f"qflow: numerical failure: {exc}", file=sys.stderr)
         return 2
 

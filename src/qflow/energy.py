@@ -53,6 +53,8 @@ class LdGParams:
             raise ValueError("bulk assumption violated: b must be >= 0")
         if self.c <= 0.0:
             raise ValueError("bulk assumption violated: c must be > 0")
+        if self.C1 <= 0.0:
+            raise ValueError("interpolation constant C1 must be > 0")
         if strict and not self.is_coercive():
             raise ValueError("coercivity violated: need L1+L2 > 0 and L1+L3 > 0")
 
@@ -77,18 +79,19 @@ def derived_constants(params: LdGParams, strict: bool = True) -> DerivedConstant
 
     eta1 = zeta^2 / ((1+4*sqrt(2))^2 L4^2) and
     eta2 = (1/60) min(nu^2/(8 L4^2), zeta^2/(144 L4^2 C1^2), eta1).
-    With L4 = 0 the cubic obstruction is absent and both are +inf.
+    A quotient over 0 (L4 = 0, or L4^2 underflowing) is +inf.
     """
     params.validate(strict=strict)
     zeta, nu = params.zeta, params.nu
-    if params.L4 == 0.0:
-        return DerivedConstants(zeta=zeta, nu=nu, eta1=math.inf, eta2=math.inf)
+
+    def over(num, den):
+        return num / den if den != 0.0 else math.inf
     L4sq = params.L4 * params.L4
-    eta1 = zeta * zeta / ((1.0 + 4.0 * math.sqrt(2.0)) ** 2 * L4sq)
+    eta1 = over(zeta * zeta, (1.0 + 4.0 * math.sqrt(2.0)) ** 2 * L4sq)
     eta2 = (
         min(
-            nu * nu / (8.0 * L4sq),
-            zeta * zeta / (144.0 * L4sq * params.C1 * params.C1),
+            over(nu * nu, 8.0 * L4sq),
+            over(zeta * zeta, 144.0 * L4sq * params.C1 * params.C1),
             eta1,
         )
         / 60.0

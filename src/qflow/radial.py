@@ -137,7 +137,7 @@ def blowup_functional(profile: RadialProfile, params: LdGParams) -> float:
         - 0.5 * params.a * phi * phi
         - params.c * phi**4 / 8.0
     )
-    return float(np.trapezoid(integrand * r, r))
+    return _moment(integrand * r, np.diff(r))
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,13 @@ class BlowupCertificate:
 
 
 def blowup_certificate(profile: RadialProfile, params: LdGParams) -> BlowupCertificate:
-    """Geometric criterion, M0, F(0) and (when provable) a divergence time.
+    """Geometric criterion, M0, F(0) and the fate of the comparison ODE.
 
     M0 = 2|L4| R0 / sqrt(R1^4 - R0^4) * [pi^2/(9 (R1-R0)^2) - 1/R0^2]; the
     sign-split quantity is theta_minus for L4 < 0 and theta_plus for L4 > 0.
-    A predicted time is reported only when the comparison ODE provably
-    diverges: F0 >= 0, or its RHS is positive at y0 and monotone above it;
-    anything else is inconclusive.
+    With M0 > 0 and y0 > 0 the reason says whether the exact comparison
+    solution diverges (predicted when it crosses COMPARISON_DIVERGENCE) or
+    which bound it keeps; anything else is inconclusive.
     """
     if params.L4 == 0.0:
         raise ValueError("blow-up certificate needs L4 != 0 (no cubic mechanism)")
@@ -170,22 +170,17 @@ def blowup_certificate(profile: RadialProfile, params: LdGParams) -> BlowupCerti
     M0 = 2.0 * abs(params.L4) * R0 / math.sqrt(R1**4 - R0**4) * bracket
     r = profile.r
     phi = _signed_part(profile.theta, params.L4)
-    y0 = float(np.trapezoid(phi * phi * r, r))
+    y0 = _moment(phi * phi * r, np.diff(r))
     F0 = blowup_functional(profile, params)
-    provable = M0 > 0.0 and y0 > 0.0 and (
-        F0 >= 0.0
-        or (comparison_rhs(y0, M0, params.a, F0) > 0.0
-            and 1.5 * M0 * math.sqrt(y0) - abs(params.a) >= 0.0)
-    )
-    predicted = None
-    reason = "inconclusive"
-    if provable:
-        _, tdiv = comparison_lower_bound(M0, params.a, F0, y0, np.array([1e3]))
-        if tdiv is not None:
-            predicted = tdiv
-            reason = "comparison ODE diverges"
+    predicted, reason = None, "inconclusive"
+    if M0 > 0.0 and y0 > 0.0:
+        y_end, _, t_cross, _ = _comparison_path(M0, params.a, F0, y0)
+        if y_end == math.inf:
+            predicted, reason = t_cross, "comparison ODE diverges"
+        elif y_end > 0.0:
+            reason = f"comparison ODE settles at its equilibrium y* = {y_end!r}"
         else:
-            reason = "comparison ODE stayed bounded on the probe window"
+            reason = "comparison ODE decreases for all t"
     return BlowupCertificate(
         M0=M0, F0=F0, y0=y0, criterion_value=crit, criterion_ok=crit > 1.0,
         predicted_blowup_time=predicted, conclusive=predicted is not None,
@@ -193,82 +188,88 @@ def blowup_certificate(profile: RadialProfile, params: LdGParams) -> BlowupCerti
     )
 
 
-def comparison_rhs(y: float, M0: float, a: float, F0: float) -> float:
-    """G(y) = M0 max(y, 0)^{3/2} - |a| y + 4 F0; the comparison ODE is y' = 2 G(y)."""
-    return M0 * max(y, 0.0) ** 1.5 - abs(a) * y + 4.0 * F0
+def _comparison_path(M0: float, a: float, F0: float, y0: float):
+    """Classify the solution of y' = 2 G(y), y(0) = y0 >= 0, while y >= 0.
+
+    In u = y^{-1/2}, u' = -R(u) with R(u) = 4 F0 u^3 - |a| u + M0 = G(y) u^3,
+    so y diverges exactly when u reaches 0; partial fractions over the roots
+    rho of R give t(y) = sum_rho Re[log((u0 - rho)/(u - rho)) / R'(rho)].
+
+    Returns (y_end, t_zero, t_cross, elapsed): y moves monotonically toward
+    y_end, which is +inf (divergence), the nearest equilibrium 1/rho^2 (y0
+    if G(y0) = 0) or 0, reached at t_zero if F0 < 0; from t_cross on, y
+    stays above COMPARISON_DIVERGENCE (+inf: never); elapsed(y) is t(y).
+    """
+    A = abs(a)
+    # drop a leading coefficient too small for np.roots: it acts only at y < 1e-200
+    F0 = F0 if 4.0 * abs(F0) * 1e300 >= max(A, abs(M0)) else 0.0
+    A = A if F0 or A * 1e300 >= abs(M0) else 0.0
+    s0 = math.sqrt(y0)
+    u0 = 1.0 / s0 if y0 > 0.0 else math.inf
+    rho = np.roots([4.0 * F0, 0.0, -A, M0]).astype(complex)
+    # R'(rho_i) = lead * prod_{j != i} (rho_i - rho_j) also holds at near-double roots
+    diffs = np.where(np.eye(rho.size, dtype=bool), 1.0, rho[:, None] - rho)
+    dR = (4.0 * F0 if F0 else -A) * diffs.prod(axis=1)
+
+    def gap(u):  # log(u - rho) drops out at u = inf: a cubic's 1/R'(rho) sum to 0
+        return np.where(u < math.inf, u - rho, 1.0)
+
+    def elapsed(y):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = 1.0 / np.sqrt(np.asarray(y, dtype=float))
+            if rho.size == 0:  # R = M0
+                return (u0 - u) / M0
+            if M0 == 0.0 and A == 0.0:  # R = 4 F0 u^3 has a triple root
+                return (y - y0) / (8.0 * F0)
+            return (np.log(gap(u0) / gap(u[..., None])) / dR).real.sum(axis=-1)
+
+    G0 = (M0 * s0 - A) * y0 + 4.0 * F0
+    sqrt_eq = 1.0 / rho.real[(rho.imag == 0.0) & (rho.real > 0.0)]
+    s_end = s0
+    if G0 > 0.0:
+        s_end = float(min(sqrt_eq[sqrt_eq > s0], default=math.inf))
+    elif G0 < 0.0:
+        s_end = float(max(sqrt_eq[sqrt_eq < s0], default=0.0))
+    y_end = s_end * s_end
+    t_zero = float(elapsed(0.0)) if y_end == 0.0 and F0 < 0.0 else math.inf
+    t_cross = math.inf
+    if y_end > COMPARISON_DIVERGENCE:
+        t_cross = float(elapsed(COMPARISON_DIVERGENCE)) if y0 < COMPARISON_DIVERGENCE else 0.0
+    return y_end, t_zero, t_cross, elapsed
 
 
 def comparison_lower_bound(M0: float, a: float, F0: float, y0: float, t):
-    """Integrate y' = 2 (M0 y^{3/2} - |a| y + 4 F0) from y0; evaluate at t.
+    """Solve y' = 2 G(y), G(y) = M0 max(y, 0)^{3/2} - |a| y + 4 F0, from
+    y(0) = y0 >= 0 exactly and evaluate it at the times t.
 
-    RK4 with the step halved whenever y would grow by more than 10%, which
-    resolves the approach to the singularity.  Returns (values, divergence
-    time); values are +inf past divergence (y > 1e12).  Negative y values
-    are possible when F0 < 0 and make the lower bound vacuous there.
+    While y > 0, bisection inverts the time map of _comparison_path until
+    the midpoint equals an endpoint; once y reaches 0 (F0 < 0) the ODE is
+    linear, y' = 2 (-|a| y + 4 F0), and the bound vacuous.  Returns (values,
+    crossing time): values are +inf from the time y stays above
+    COMPARISON_DIVERGENCE, which is None if that never happens.
     """
     t_eval = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_eval < 0.0):
-        raise ValueError("evaluation times must be >= 0")
-    t_end = float(t_eval.max())
-
-    def g(y):
-        return 2.0 * comparison_rhs(y, M0, a, F0)
-
-    knots_t = [0.0]
-    knots_y = [float(y0)]
-    tcur, ycur = 0.0, float(y0)
-    scale0 = max(abs(y0), 1.0)
-    h = t_end / 1024.0 if t_end > 0 else 1.0
-    rate = abs(g(ycur))
-    if rate > 0:
-        h = min(h, 0.05 * max(abs(ycur), scale0 * 1e-6) / rate)
-    divergence_time = None
-    max_knots = 2_000_000
-    window = 256  # stagnation detector: net drift over this many steps
-    y_marker = ycur
-    while tcur < t_end and len(knots_t) < max_knots:
-        h = min(h, t_end - tcur)
-        # keep h inside the local linear stability region so the iteration
-        # converges at stable equilibria instead of hovering around them
-        dy = 1e-6 * max(abs(ycur), scale0 * 1e-6)
-        lam = abs(g(ycur + dy) - g(ycur)) / dy
-        if lam > 0.0:
-            h = min(h, 1.0 / lam)
-        for _ in range(200):
-            k1 = g(ycur)
-            k2 = g(ycur + 0.5 * h * k1)
-            k3 = g(ycur + 0.5 * h * k2)
-            k4 = g(ycur + h * k3)
-            ynew = ycur + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            grow = abs(ynew - ycur)
-            if grow <= 0.1 * max(abs(ycur), scale0 * 1e-9) or h <= 1e-15 * max(t_end, 1.0):
-                break
-            h *= 0.5
-        tcur += h
-        ycur = ynew
-        knots_t.append(tcur)
-        knots_y.append(ycur)
-        if ycur > COMPARISON_DIVERGENCE:
-            divergence_time = tcur
+    if y0 < 0.0 or np.any(t_eval < 0.0):
+        raise ValueError("y0 and the evaluation times must be >= 0")
+    y_end, t_zero, t_cross, elapsed = _comparison_path(M0, a, F0, y0)
+    # bisect between y0 and a never reached far end; other times start converged
+    vals = np.full_like(t_eval, y0)
+    moving = (t_eval > 0.0) & (t_eval < min(t_zero, t_cross))
+    far = np.where(moving, min(y_end, COMPARISON_DIVERGENCE), y0)
+    while True:
+        mid = vals + 0.5 * (far - vals)
+        live = np.flatnonzero((mid != vals) & (mid != far))
+        if live.size == 0:
             break
-        # stalled near an equilibrium: the trajectory cannot diverge anymore
-        # (reported as "no divergence detected", never as a boundedness claim)
-        if abs(g(ycur)) * (t_end - tcur) < 1e-9 * max(abs(ycur), scale0):
-            break
-        if len(knots_t) % window == 0:
-            if abs(ycur - y_marker) < 1e-6 * max(abs(ycur), scale0):
-                break
-            y_marker = ycur
-        if grow < 0.02 * max(abs(ycur), scale0 * 1e-9):
-            h *= 1.5
-    tk = np.array(knots_t)
-    yk = np.array(knots_y)
-    vals = np.interp(t_eval, tk, yk, right=yk[-1])
-    if divergence_time is not None:
-        vals = np.where(t_eval >= divergence_time, np.inf, vals)
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(vals[0]), divergence_time
-    return vals, divergence_time
+        before = elapsed(mid[live]) <= t_eval[live]
+        vals[live[before]], far[live[~before]] = mid[live[before]], mid[live[~before]]
+    late = (t_eval > 0.0) & (t_eval >= t_zero)
+    tau = t_eval[late] - t_zero
+    x = 2.0 * abs(a) * tau  # y = 8 F0 tau (1 - e^{-x})/x, which is 8 F0 tau at x = 0
+    vals[late] = 8.0 * F0 * tau * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0.0)
+    vals[t_eval >= t_cross] = np.inf
+    crossing = t_cross if t_cross < math.inf else None
+    return (float(vals[0]) if np.ndim(t) == 0 else vals), crossing
 
 
 # Why a radial run stopped (RadialFlag.stop, RadialTrace.stop).
@@ -550,10 +551,8 @@ def dominates_comparison(trace: RadialTrace, params: LdGParams,
     slack rtol at every recorded time.
     """
     rec = trace.y_minus if params.L4 < 0.0 else trace.y_plus
-    comp, _ = comparison_lower_bound(
-        certificate.M0, params.a, certificate.F0, certificate.y0, trace.t
-    )
-    comp = np.asarray(comp)
+    comp, _ = comparison_lower_bound(certificate.M0, params.a, certificate.F0,
+                                     certificate.y0, trace.t)
     slack = rtol * np.maximum(np.abs(comp), max(certificate.y0, 1e-300))
     finite = np.isfinite(comp)
     return bool(np.all(rec[finite] >= comp[finite] - slack[finite]))

@@ -233,10 +233,10 @@ def bulk_rate_bound(params: LdGParams, nrm: float) -> float:
 
 def _substeps(T: float, rate: float) -> int:
     """RK4 substeps over time T that keep substep * rate <= BULK_RATE_CAP.
-    Raises UnstableStepError when the rate is not finite."""
-    if not math.isfinite(rate):
-        raise UnstableStepError(f"non-finite bulk-ODE rate bound {rate}")
-    return max(1, int(math.ceil(T * rate / BULK_RATE_CAP)))
+    Raises UnstableStepError when T * rate / BULK_RATE_CAP is not finite."""
+    if not math.isfinite(count := T * rate / BULK_RATE_CAP):
+        raise UnstableStepError(f"non-finite bulk-ODE rate bound {rate} times T = {T}")
+    return max(1, int(math.ceil(count)))
 
 
 def bulk_ode_step(Q, dt: float, params: LdGParams, d: int) -> "QTensor2 | QTensor3 | np.ndarray":

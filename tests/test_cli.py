@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,8 +11,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qflow import splitting
+from qflow import cli, splitting
 from qflow.cli import (
     CSV_HEADER,
     ConfigError,
@@ -28,6 +32,14 @@ L3 = 3
 """
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+# values for generated config text: edge numbers, any float or integer, any text
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "1e-300", "-1e-300", "5e-324", "1e300", "nan", "inf", "x"]),
+    st.floats().map(repr),
+    st.integers(-10**7, 10**7).map(str),
+    st.text(max_size=8),
+)
 
 BLOWUP_CFG = """
 # pinned annulus geometry; deep quench drives the threshold crossing
@@ -316,8 +328,12 @@ class TestMainEntry:
         # no dt: the bulk-ODE substep count T rate / 0.1 is capped instead
         ("physicality", "T = 10", "T = 1e300", "exceeds the cap of 1000000 steps"),
         ("trotter-convergence", "T = 0.25", "T = 1e300", "exceeds the cap of 1000000 steps"),
+        # these used to divide by zero in derived_constants (C1 * C1 = 0, or L4 * L4 underflows)
+        ("smallness", "c = 1", "c = 1\nC1 = 0", "C1 must be > 0"),
+        ("smallness", "L4 = 1", "L4 = 1e-300", "needs L4 != 0 (eta1 finite)"),
     ], ids=["physicality_T_inf", "smallness_T_1e300", "smallness_dt_nan", "energy_decay_T_1e300",
-            "physicality_T_1e300", "trotter_convergence_T_1e300"])
+            "physicality_T_1e300", "trotter_convergence_T_1e300", "smallness_C1_0",
+            "smallness_L4_1e-300"])
     def test_unusable_time_exit_1(self, tmp_path, capsys, name, old, new, message):
         text = (CONFIGS / f"{name}.cfg").read_text()
         assert old in text
@@ -343,6 +359,26 @@ class TestMainEntry:
         assert rc == 2
         err = capsys.readouterr().err
         assert "numerical failure: non-finite eigenvalues after bulk-ODE substep 1" in err
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.dictionaries(st.sampled_from(sorted(cli._KEY_TYPES)), CONFIG_VALUES,
+                           min_size=1, max_size=3))
+    # these used to raise ZeroDivisionError in derived_constants
+    @example({"C1": "0"})
+    @example({"L4": "1e-300"})
+    def test_check_any_config_text(self, tmp_path_factory, overrides):
+        # every shipped config with up to three keys set to generated text:
+        # check exits 0 or 1 with one line and never raises
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        for base in sorted(CONFIGS.glob("*.cfg")):
+            lines = [line for line in base.read_text().splitlines()
+                     if line.partition("=")[0].strip() not in overrides]
+            path.write_text("\n".join(lines + [f"{k} = {v}" for k, v in overrides.items()]))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["check", str(path)])
+            assert rc in (0, 1)
+            assert len((out.getvalue() + err.getvalue()).splitlines()) == 1
 
     def test_import_loads_no_scipy(self):
         # only the radial solve needs scipy, and it loads it on first use

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qflow import radial
 from qflow.energy import LdGParams, derived_constants
 from qflow.radial import (
     STOP_BACKWARD_DIFFUSION,
@@ -115,6 +116,33 @@ class TestBlowupCertificate:
                 criterion_value(3.0, 4.0), rel=1e-12
             )
 
+    def test_shipped_blowup_config_settles(self):
+        # configs/blowup.cfg: P(s) = M0 s^3 - |a| s^2 + 4 F0 (s = sqrt(y)) has
+        # the positive roots 92.24 and 13422.6; y0 = 4375 lies below the
+        # first, so y settles at y* = 92.24^2
+        p = LdGParams(a=-6000.0, b=0.0, c=1e-8, L1=0.5, L2=0.0, L3=0.0, L4=-1.0)
+        cert = blowup_certificate(RadialProfile.sine_bump(3.0, 4.0, 200, -50.0), p)
+        roots = np.roots([cert.M0, -6000.0, 0.0, 4.0 * cert.F0])
+        s = np.sort(roots.real[(roots.imag == 0.0) & (roots.real > 0.0)])
+        assert s == pytest.approx([92.2413, 13422.608], rel=1e-6)
+        head, _, y_star = cert.reason.partition(" y* = ")
+        assert head == "comparison ODE settles at its equilibrium"
+        assert float(y_star) == pytest.approx(s[0] ** 2, rel=1e-12)
+        assert cert.predicted_blowup_time is None and not cert.conclusive
+
+    def test_divergence_predicted_at_the_crossing(self, monkeypatch):
+        # with a = F0 = 0 the comparison ODE is y' = 2 M0 y^{3/2}
+        monkeypatch.setattr(radial, "blowup_functional", lambda profile, params: 0.0)
+        cert = blowup_certificate(RadialProfile.sine_bump(3.0, 4.0, 50, -1.0), params(L4=-1.0))
+        assert cert.reason == "comparison ODE diverges" and cert.conclusive
+        exact = (cert.y0**-0.5 - radial.COMPARISON_DIVERGENCE**-0.5) / cert.M0
+        vals, crossing = comparison_lower_bound(
+            cert.M0, 0.0, 0.0, cert.y0, [0.0, 0.999 * exact, exact, 2.0 * exact])
+        assert cert.predicted_blowup_time == crossing
+        assert crossing == pytest.approx(exact, rel=1e-12)
+        # +inf from the crossing on
+        assert vals[0] == cert.y0 < vals[1] < 1e12 and np.all(vals[2:] == np.inf)
+
     def test_y0_uses_signed_part(self):
         prof = RadialProfile.sine_bump(3.0, 4.0, 400, -2.0)
         cert = blowup_certificate(prof, params(L4=-1.0))
@@ -124,6 +152,9 @@ class TestBlowupCertificate:
         # positive data contributes nothing to theta_minus
         prof_pos = RadialProfile.sine_bump(3.0, 4.0, 400, 2.0)
         assert blowup_certificate(prof_pos, params(L4=-1.0)).y0 == 0.0
+
+
+COMPARISON = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 class TestComparisonLowerBound:
@@ -151,6 +182,103 @@ class TestComparisonLowerBound:
         vals, tdiv = comparison_lower_bound(1e-3, 10.0, 0.0, 1.0, np.array([100.0]))
         assert tdiv is None
         assert vals[0] < 10.0
+
+    def test_decay_is_not_stalled(self):
+        # y^{-1/2} = M0/|a| + (y0^{-1/2} - M0/|a|) e^{|a| t} = 0.05 + 0.95 e^20
+        y = comparison_lower_bound(0.5, -10.0, 0.0, 1.0, 2.0)[0]
+        assert y == pytest.approx((0.05 + 0.95 * math.exp(20.0)) ** -2.0, rel=1e-12)
+
+    def test_negative_y0_rejected(self):
+        with pytest.raises(ValueError, match="y0"):
+            comparison_lower_bound(0.4, -1.0, 1.0, -1e-3, np.array([0.1]))
+
+    @COMPARISON
+    @given(st.floats(0.05, 5.0), st.floats(1e-2, 1e4), st.floats(0.0, 0.9))
+    def test_pure_power_closed_form(self, M0, y0, frac):
+        # a = F0 = 0: y = (y0^{-1/2} - M0 t)^{-2}, divergent at t* = 1/(M0 sqrt(y0))
+        t = frac / (M0 * math.sqrt(y0))
+        y = comparison_lower_bound(M0, 0.0, 0.0, y0, t)[0]
+        assert y == pytest.approx((y0**-0.5 - M0 * t) ** -2.0, rel=1e-12)
+
+    @COMPARISON
+    @given(st.floats(0.05, 5.0), st.floats(0.1, 50.0), st.floats(0.05, 20.0),
+           st.floats(0.0, 1.0))
+    def test_no_source_closed_form(self, M0, A, ratio, frac):
+        # F0 = 0: y^{-1/2} = rho + (y0^{-1/2} - rho) e^{|a| t}, rho = M0/|a|
+        rho = M0 / A
+        u0 = ratio * rho
+        if u0 > rho:  # decays; stop before y underflows
+            t = frac * 30.0 / A
+        else:  # grows; stop where u = u0/2
+            t = frac * math.log((rho - 0.5 * u0) / (rho - u0)) / A
+        y = comparison_lower_bound(M0, -A, 0.0, u0**-2.0, t)[0]
+        assert y == pytest.approx((rho + (u0 - rho) * math.exp(A * t)) ** -2.0, rel=1e-12)
+
+    @COMPARISON
+    @given(st.floats(-2.0, 2.0), st.floats(0.0, 20.0), st.floats(-50.0, -1e-3),
+           st.floats(0.0, 5.0))
+    def test_linear_branch_closed_form(self, M0, A, F0, t):
+        # from y0 = 0 with F0 < 0, y <= 0 and y' = 2 (-|a| y + 4 F0):
+        # y = (4 F0/|a|) (1 - e^{-2|a|t}), and 8 F0 t for a = 0
+        y = comparison_lower_bound(M0, -A, F0, 0.0, t)[0]
+        x = 2.0 * A * t
+        exact = 8.0 * F0 * t * (1.0 if x == 0.0 else -math.expm1(-x) / x)
+        assert y == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+    @COMPARISON
+    @given(st.floats(0.05, 3.0), st.floats(0.0, 20.0), st.floats(-50.0, 50.0),
+           st.sampled_from([0.0, 0.5, 20.0]), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_flow_property(self, M0, A, F0, y0, f1, f2):
+        # y(t1 + t2) from y0 equals y(t2) from y(t1), also from y0 = 0 and
+        # across the time y reaches 0
+        scale = 1.0 / (abs(F0) + 3.0 * M0 * math.sqrt(y0 + 1.0) + 2.0 * A)
+        t1, t2 = f1 * scale, f2 * scale
+        y1 = comparison_lower_bound(M0, -A, F0, y0, t1)[0]
+        assume(0.0 <= y1 < 1e6)
+        y12 = comparison_lower_bound(M0, -A, F0, y0, t1 + t2)[0]
+        assert comparison_lower_bound(M0, -A, F0, y1, t2)[0] == pytest.approx(
+            y12, rel=1e-9, abs=1e-9 * max(y0, abs(F0) * scale))
+
+    def test_double_root_closed_form(self):
+        # R(u) = 4 u^3 - 3 u + 1 = 4 (u + 1)(u - 1/2)^2, so from u0 = 1
+        # t(u) = [(4/9) log((u0 + 1)(u - 1/2)/((u + 1)(u0 - 1/2)))
+        #         + (2/3) (1/(u - 1/2) - 1/(u0 - 1/2))] / 4;
+        # np.roots splits the double root by about sqrt(eps), which limits
+        # the accuracy to about 1e-8
+        u = np.array([0.9, 0.7, 0.55, 0.501, 0.5001])
+        t = ((4.0 / 9.0) * np.log(2.0 * (u - 0.5) / ((u + 1.0) * 0.5))
+             + (2.0 / 3.0) * (1.0 / (u - 0.5) - 2.0)) / 4.0
+        vals, crossing = comparison_lower_bound(1.0, -3.0, 1.0, 1.0, t)
+        assert crossing is None
+        assert np.abs(vals * u * u - 1.0).max() < 1e-7
+
+    @COMPARISON
+    @given(st.floats(0.05, 3.0), st.floats(0.0, 20.0), st.floats(1e-3, 50.0),
+           st.sampled_from([-1.0, 1.0]), st.floats(0.1, 100.0))
+    def test_matches_fine_rk4(self, M0, A, F0_abs, sign, y0):
+        F0 = sign * F0_abs
+
+        def g(y):
+            return 2.0 * (M0 * max(y, 0.0) ** 1.5 - A * y + 4.0 * F0)
+
+        # two time scales of the initial rate in 500 RK4 steps (about 1e-12
+        # relative error), cut where y leaves [y0/8, 8 y0]
+        rate = abs(g(y0)) / y0 + 3.0 * M0 * math.sqrt(y0) + 2.0 * A
+        h = 2.0 / rate / 500
+        ts, ys = [], []
+        y = y0
+        for k in range(1, 501):
+            k1 = g(y)
+            k2 = g(y + 0.5 * h * k1)
+            k3 = g(y + 0.5 * h * k2)
+            k4 = g(y + h * k3)
+            y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not y0 / 8.0 <= y <= 8.0 * y0:
+                break
+            ts.append(k * h)
+            ys.append(y)
+        vals, _ = comparison_lower_bound(M0, -A, F0, y0, np.array(ts))
+        assert np.all(np.abs(vals / np.array(ys) - 1.0) <= 1e-10)
 
 
 class TestRunRadial:

@@ -432,8 +432,8 @@ class TestHullBounds:
             trotter_solve(fld, 0.25, 4, P3)
 
     def test_overflowing_rate_is_a_numerical_failure(self):
-        # |a| + b|Q| + c|Q|^2 overflows to inf; it used to raise
-        # OverflowError converting the substep count to an integer
+        # |a| + b|Q| + c|Q|^2, or T times it, overflows to inf; it used to
+        # raise OverflowError converting the substep count to an integer
         huge_c = LdGParams(a=-1.0, b=3.0, c=1e308, L1=1.0, L2=0.0, L3=0.0, L4=0.0)
         fld = make_hull_spanning_field(16, 2 * math.pi / 16, P3, seed=0)
         fld = PeriodicField(fld.data * 1e3, fld.h)
@@ -443,6 +443,8 @@ class TestHullBounds:
             trotter_solve(fld, 0.25, 4, huge_c)
         with pytest.raises(UnstableStepError, match="non-finite bulk-ODE rate"):
             eigen_ode_integrate([1e3], [-1e3], huge_c, 1.0)
+        with pytest.raises(UnstableStepError, match="non-finite bulk-ODE rate"):
+            eigen_ode_integrate([0.5], [-0.2], P3, 1e308)
 
     def test_zero_field(self):
         fld = PeriodicField(np.zeros((8, 8, 2, 2)), 1.0)
