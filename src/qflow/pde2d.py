@@ -118,13 +118,15 @@ class Field2D:
 
     def l2_norm(self) -> float:
         """||Q||_L2 over the rectangle."""
-        return _l2_norm(self.grid, self.p, self.q)
+        return _l2_norm(self.grid, self.p * self.p + self.q * self.q)
 
 
-def _l2_norm(grid: Grid2D, p: np.ndarray, q: np.ndarray) -> float:
-    """||Q||_L2 by trapezoidal quadrature of tr(Q^2) = 2(p^2+q^2)."""
-    h2 = 2.0 * (p * p + q * q)
-    val = np.trapezoid(np.trapezoid(h2, dx=grid.hy, axis=1), dx=grid.hx, axis=0)
+def _l2_norm(grid: Grid2D, h2: np.ndarray) -> float:
+    """||Q||_L2 by trapezoidal quadrature of tr(Q^2) = 2 h2, h2 = p^2 + q^2,
+    with np.trapezoid's expression along each axis."""
+    y = 2.0 * h2
+    y = (grid.hy * (y[:, 1:] + y[:, :-1]) / 2.0).sum(1)
+    val = (grid.hx * (y[1:] + y[:-1]) / 2.0).sum(0)
     return math.sqrt(max(float(val), 0.0))
 
 
@@ -155,44 +157,66 @@ def smooth_random_field(grid: Grid2D, amplitude: float, seed: int = 0, kmax: int
     return Field2D(grid, p, q)
 
 
-def _first_derivs(F: np.ndarray, hx: float, hy: float):
-    """Interior values and central first derivatives."""
-    fi = F[1:-1, 1:-1]
-    d1 = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * hx)
-    d2 = (F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * hy)
-    return fi, d1, d2
+def _slab(F: np.ndarray):
+    """at(di, dj): the interior nodes of F shifted by (di, dj), as one
+    contiguous run of nx W - 2 entries of F.ravel(), W = ny+2 (see README,
+    numerical notes).  The run also crosses the ring columns between rows."""
+    W, f = F.shape[1], F.ravel()  # ravel copies unless F is C-contiguous
+    n = (F.shape[0] - 2) * W - 2
+
+    def at(di: int = 0, dj: int = 0) -> np.ndarray:
+        start = (1 + di) * W + 1 + dj
+        return f[start:start + n]
+
+    return at
 
 
-def _derivs(F: np.ndarray, hx: float, hy: float):
-    """Central first/second derivatives on interior nodes."""
-    fi, d1, d2 = _first_derivs(F, hx, hy)
-    d11 = (F[2:, 1:-1] - 2.0 * fi + F[:-2, 1:-1]) / (hx * hx)
-    d22 = (F[1:-1, 2:] - 2.0 * fi + F[1:-1, :-2]) / (hy * hy)
-    d12 = (F[2:, 2:] - F[2:, :-2] - F[:-2, 2:] + F[:-2, :-2]) / (4.0 * hx * hy)
-    return fi, d1, d2, d11, d12, d22
+def _interior(s: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """The (nx, ny) interior nodes of a contiguous slab, as a view of it."""
+    return np.ndarray((grid.nx, grid.ny), s.dtype, s, 0, ((grid.ny + 2) * s.itemsize, s.itemsize))
+
+
+def _first_derivs(at, hx: float, hy: float):
+    return (at(1, 0) - at(-1, 0)) / (2.0 * hx), (at(0, 1) - at(0, -1)) / (2.0 * hy)
+
+
+def _second_derivs(at, hx: float, hy: float):
+    f2 = 2.0 * at()
+    return (at(1, 0) - f2 + at(-1, 0)) / (hx * hx), (at(0, 1) - f2 + at(0, -1)) / (hy * hy)
+
+
+def _cross_deriv(at, hx: float, hy: float):
+    return (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * hx * hy)
 
 
 def rhs_pq(field: Field2D, params: LdGParams):
-    """(dp/dt, dq/dt) on interior nodes, second-order central differences."""
-    hx, hy = field.grid.hx, field.grid.hy
+    """(dp/dt, dq/dt) on interior nodes, second-order central differences on
+    slabs; with L4 = 0 no first or mixed derivative is formed."""
+    grid = field.grid
+    hx, hy = grid.hx, grid.hy
     zeta, L4, a, c = params.zeta, params.L4, params.a, params.c
-    p, dp1, dp2, dp11, dp12, dp22 = _derivs(field.p, hx, hy)
-    q, dq1, dq2, dq11, dq12, dq22 = _derivs(field.q, hx, hy)
+    P, Q = _slab(field.p), _slab(field.q)
+    p, q = P(), Q()
+    dp11, dp22 = _second_derivs(P, hx, hy)
+    dq11, dq22 = _second_derivs(Q, hx, hy)
     h2 = p * p + q * q
     dp = zeta * (dp11 + dp22) - a * p - 2.0 * c * h2 * p
     dq = zeta * (dq11 + dq22) - a * q - 2.0 * c * h2 * q
     if L4 != 0.0:
+        dp1, dp2 = _first_derivs(P, hx, hy)
+        dq1, dq2 = _first_derivs(Q, hx, hy)
+        q2 = 2.0 * q
         dp += L4 * (
             dp1 * dp1 - dq1 * dq1 - dp2 * dp2 + dq2 * dq2
             + 2.0 * dp1 * dq2 + 2.0 * dp2 * dq1
         )
-        dp += 2.0 * L4 * (p * dp11 + 2.0 * q * dp12 - p * dp22)
+        dp += 2.0 * L4 * (p * dp11 + q2 * _cross_deriv(P, hx, hy) - p * dp22)
         dq += 2.0 * L4 * (dq1 * dq2 - dp1 * dp2 + dp1 * dq1 - dp2 * dq2)
-        dq += 2.0 * L4 * (p * dq11 + 2.0 * q * dq12 - p * dq22)
-    return dp, dq
+        dq += 2.0 * L4 * (p * dq11 + q2 * _cross_deriv(Q, hx, hy) - p * dq22)
+    return _interior(dp, grid).copy(), _interior(dq, grid).copy()
 
 
-def discrete_energy(field: Field2D, params: LdGParams) -> float:
+def discrete_energy(field: Field2D, params: LdGParams, *, h2: np.ndarray | None = None) -> float:
     """Scheme-matched discrete energy.
 
     Quadratic part as a sum over edge differences, bulk as a nodal sum: for
@@ -200,7 +224,8 @@ def discrete_energy(field: Field2D, params: LdGParams) -> float:
     discrete RHS, so the dissipation identity holds to the Euler O(dt^2)
     defect.  The (L3-L2) cross term is a null Lagrangian (constant in time
     under fixed boundary data) and is omitted; the L4 part is a
-    central-difference quadrature, for monitoring only.
+    central-difference quadrature, for monitoring only.  A caller may pass
+    the nodal h2 = p*p + q*q it already holds.
     """
     hx, hy = field.grid.hx, field.grid.hy
     w = hx * hy
@@ -210,16 +235,19 @@ def discrete_energy(field: Field2D, params: LdGParams) -> float:
         dx = (F[1:, :] - F[:-1, :]) / hx
         dy = (F[:, 1:] - F[:, :-1]) / hy
         e += zeta * w * (float(np.sum(dx * dx)) + float(np.sum(dy * dy)))
-    h2 = field.p * field.p + field.q * field.q
+    if h2 is None:
+        h2 = field.p * field.p + field.q * field.q
     e += w * float(np.sum(params.a * h2 + params.c * h2 * h2))
     if params.L4 != 0.0:
-        p, dp1, dp2 = _first_derivs(field.p, hx, hy)
-        q, dq1, dq2 = _first_derivs(field.q, hx, hy)
-        cubic = 2.0 * (
-            p * (dp1 * dp1 + dq1 * dq1 - dp2 * dp2 - dq2 * dq2)
-            + 2.0 * q * (dp1 * dp2 + dq1 * dq2)
+        P, Q = _slab(field.p), _slab(field.q)
+        dp1, dp2 = _first_derivs(P, hx, hy)
+        dq1, dq2 = _first_derivs(Q, hx, hy)
+        cubic = (
+            P() * (dp1 * dp1 + dq1 * dq1 - dp2 * dp2 - dq2 * dq2)
+            + 2.0 * Q() * (dp1 * dp2 + dq1 * dq2)
         )
-        e += params.L4 * w * float(np.sum(cubic))
+        # the sum runs over a contiguous (nx, ny) array, as on the 2D views
+        e += params.L4 * w * float(np.sum(2.0 * _interior(cubic, field.grid)))
     return e
 
 
@@ -228,7 +256,10 @@ def stability_dt(grid: Grid2D, params: LdGParams) -> float:
     zeta = params.zeta
     if zeta <= 0.0:
         raise ValueError("stability bound needs zeta > 0")
-    return CFL_FRACTION * min(grid.hx, grid.hy) ** 2 / zeta
+    try:
+        return CFL_FRACTION * min(grid.hx, grid.hy) ** 2 / zeta
+    except OverflowError:
+        raise ValueError("stability bound overflows: min(hx, hy)^2 is out of range") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,6 +270,15 @@ def _sine_basis(n: int):
     k = np.arange(1, n + 1)
     S = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(k, k) / (n + 1))
     return S, 2.0 * (1.0 - np.cos(np.pi * k / (n + 1)))
+
+
+@functools.lru_cache(maxsize=16)
+def _imex_symbol(nx: int, ny: int, mx: float, my: float) -> np.ndarray:
+    """Read-only 1 + mx ex_i + my ey_j, the sine-basis symbol of
+    I - dt zeta L_h for mx = dt zeta / hx^2 and my = dt zeta / hy^2."""
+    lam = 1.0 + mx * _sine_basis(nx)[1][:, None] + my * _sine_basis(ny)[1][None, :]
+    lam.flags.writeable = False
+    return lam
 
 
 def _advance(field: Field2D, dp: np.ndarray, dq: np.ndarray, dt: float,
@@ -252,9 +292,8 @@ def _advance(field: Field2D, dp: np.ndarray, dq: np.ndarray, dt: float,
         # (I - dt zeta L_h) delta = rhs with delta = 0 on the ring, solved
         # exactly in the sine basis that diagonalizes the 5-point operator
         grid = field.grid
-        Sx, ex = _sine_basis(grid.nx)
-        Sy, ey = _sine_basis(grid.ny)
-        lam = 1.0 + (dt * zeta / grid.hx**2) * ex[:, None] + (dt * zeta / grid.hy**2) * ey[None, :]
+        Sx, Sy = _sine_basis(grid.nx)[0], _sine_basis(grid.ny)[0]
+        lam = _imex_symbol(grid.nx, grid.ny, dt * zeta / grid.hx**2, dt * zeta / grid.hy**2)
         dp, dq = Sx @ ((Sx @ np.stack((dp, dq)) @ Sy) / lam) @ Sy
     out.p[1:-1, 1:-1] += dt * dp
     out.q[1:-1, 1:-1] += dt * dq
@@ -330,26 +369,29 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
     consts = derived_constants(params)
     eta1 = consts.eta1
     small_cap = eta1 * (1.0 + SMALLNESS_REL_TOL) ** 2 if math.isfinite(eta1) else math.inf
-    w = field0.grid.hx * field0.grid.hy
+    grid = field0.grid
+    w = grid.hx * grid.hy
     nsteps = max(1, int(round(T / dt)))
 
     fld = field0.copy()
     ts, es, mh2s, l2s, rates, defects, smalls = [], [], [], [], [], [], []
 
-    def record(t, energy, defect, dp, dq):
+    # one h^2 = p^2 + q^2 per record serves the energy, max h^2 and the L2 norm
+    def record(t, energy, defect, h2, dp, dq):
         ts.append(t)
         es.append(energy)
-        mh2 = fld.max_h2()
+        mh2 = float(np.max(h2))
         mh2s.append(mh2)
-        l2s.append(fld.l2_norm())
+        l2s.append(_l2_norm(grid, h2))
         rates.append(math.sqrt(_dqdt_norm2(dp, dq, w)))
         defects.append(defect)
         smalls.append(mh2 <= small_cap)
 
-    energy = discrete_energy(fld, params)
+    h2 = fld.p * fld.p + fld.q * fld.q
+    energy = discrete_energy(fld, params, h2=h2)
     # the RHS of the field last recorded is the one the next step needs
     rhs = rhs_pq(fld, params)
-    record(0.0, energy, 0.0, *rhs)
+    record(0.0, energy, 0.0, h2, *rhs)
     blown = False
     nonfinite = False
     blowup_time = None
@@ -357,26 +399,27 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
     # overflow on the way to a detected blow-up is expected, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nsteps + 1):
-            prev_p = fld.p[1:-1, 1:-1].copy()
-            prev_q = fld.q[1:-1, 1:-1].copy()
             if rhs is None:
                 rhs = rhs_pq(fld, params)
             try:
-                fld = _advance(fld, *rhs, dt, params, scheme)
+                new = _advance(fld, *rhs, dt, params, scheme)
             except UnstableStepError:
                 nonfinite = True
                 blown = True
                 blowup_time = n * dt
                 break
             rhs = None
-            ddp = (fld.p[1:-1, 1:-1] - prev_p) / dt
-            ddq = (fld.q[1:-1, 1:-1] - prev_q) / dt
+            # fld still holds the pre-step field
+            ddp = (new.p[1:-1, 1:-1] - fld.p[1:-1, 1:-1]) / dt
+            ddq = (new.q[1:-1, 1:-1] - fld.q[1:-1, 1:-1]) / dt
+            fld = new
             acc_dissipation += dt * _dqdt_norm2(ddp, ddq, w)
             if n % record_every == 0 or n == nsteps:
-                new_energy = discrete_energy(fld, params)
+                h2 = fld.p * fld.p + fld.q * fld.q
+                new_energy = discrete_energy(fld, params, h2=h2)
                 defect = abs(new_energy - energy + acc_dissipation)
                 rhs = rhs_pq(fld, params)
-                record(n * dt, new_energy, defect, *rhs)
+                record(n * dt, new_energy, defect, h2, *rhs)
                 energy = new_energy
                 acc_dissipation = 0.0
                 if l2s[-1] > BLOWUP_L2_THRESHOLD:
@@ -418,7 +461,8 @@ class ContinuousDependenceResult:
 
 def field_distance(f1: Field2D, f2: Field2D) -> float:
     """||Q1 - Q2||_L2 over the rectangle."""
-    return _l2_norm(f1.grid, f1.p - f2.p, f1.q - f2.q)
+    dp, dq = f1.p - f2.p, f1.q - f2.q
+    return _l2_norm(f1.grid, dp * dp + dq * dq)
 
 
 def continuous_dependence_experiment(field0: Field2D, perturbation: Field2D,

@@ -216,6 +216,19 @@ class TestShippedConfigs:
             "c4644b60d20b7429a68ec22f5fe555308cda26981f046442dbdc8e8511c698d4"
         )
 
+    @pytest.mark.parametrize("name, lines, digest", [
+        ("smallness", 1002, "4f3d37a1aed0f67e506e80683d79b70d482c06d98cc702592d368dfb624fd01b"),
+        ("energy-decay", 1586, "9001b9bcadccf9adab156c0fba9cf8339a32afd078384ad2ba60985ecad12821"),
+        ("continuous-dependence", 502,
+         "74f3bc25b02c1c957ae3c74549eacd80718d951b9e530d60b97c591089e855a4"),
+    ])
+    def test_rectangle_trace_csv_pinned(self, tmp_path, name, lines, digest):
+        cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+        run_experiment(cfg, str(tmp_path), emit_svg=False)
+        data = (tmp_path / "trace.csv").read_bytes()
+        assert len(data.splitlines()) == lines
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_threshold_search_bracket_pinned(self, tmp_path):
         cfg = parse_config((CONFIGS / "blowup-threshold-search.cfg").read_text())
         report = run_experiment(cfg, str(tmp_path), emit_svg=False)
@@ -331,9 +344,12 @@ class TestMainEntry:
         # these used to divide by zero in derived_constants (C1 * C1 = 0, or L4 * L4 underflows)
         ("smallness", "c = 1", "c = 1\nC1 = 0", "C1 must be > 0"),
         ("smallness", "L4 = 1", "L4 = 1e-300", "needs L4 != 0 (eta1 finite)"),
+        # the default dt's min(hx, hy)^2 used to raise OverflowError
+        ("energy-decay", "ny = 64", "ny = 64\nLx = 1e300\nLy = 1e300",
+         "stability bound overflows"),
     ], ids=["physicality_T_inf", "smallness_T_1e300", "smallness_dt_nan", "energy_decay_T_1e300",
             "physicality_T_1e300", "trotter_convergence_T_1e300", "smallness_C1_0",
-            "smallness_L4_1e-300"])
+            "smallness_L4_1e-300", "energy_decay_L_1e300"])
     def test_unusable_time_exit_1(self, tmp_path, capsys, name, old, new, message):
         text = (CONFIGS / f"{name}.cfg").read_text()
         assert old in text
@@ -366,6 +382,8 @@ class TestMainEntry:
     # these used to raise ZeroDivisionError in derived_constants
     @example({"C1": "0"})
     @example({"L4": "1e-300"})
+    # this overflowed min(hx, hy)^2 in energy-decay's default dt
+    @example({"Lx": "1e300", "Ly": "1e300"})
     def test_check_any_config_text(self, tmp_path_factory, overrides):
         # every shipped config with up to three keys set to generated text:
         # check exits 0 or 1 with one line and never raises

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow.energy import LdGParams, derived_constants
 from qflow.pde2d import (
@@ -72,6 +74,102 @@ def tensor_rhs_oracle(field, params):
                 val += 0.5 * params.L4 * grad2
             out[i, j] = val
     return out
+
+
+def strided_derivs(F, hx, hy):
+    """Interior values and central derivatives from shifted 2D views: the
+    formulas the slab stencils must reproduce bit for bit."""
+    fi = F[1:-1, 1:-1]
+    d1 = (F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * hx)
+    d2 = (F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * hy)
+    d11 = (F[2:, 1:-1] - 2.0 * fi + F[:-2, 1:-1]) / (hx * hx)
+    d22 = (F[1:-1, 2:] - 2.0 * fi + F[1:-1, :-2]) / (hy * hy)
+    d12 = (F[2:, 2:] - F[2:, :-2] - F[:-2, 2:] + F[:-2, :-2]) / (4.0 * hx * hy)
+    return fi, d1, d2, d11, d12, d22
+
+
+def strided_rhs(field, params):
+    """rhs_pq's expressions on shifted 2D views."""
+    hx, hy = field.grid.hx, field.grid.hy
+    zeta, L4, a, c = params.zeta, params.L4, params.a, params.c
+    p, dp1, dp2, dp11, dp12, dp22 = strided_derivs(field.p, hx, hy)
+    q, dq1, dq2, dq11, dq12, dq22 = strided_derivs(field.q, hx, hy)
+    h2 = p * p + q * q
+    dp = zeta * (dp11 + dp22) - a * p - 2.0 * c * h2 * p
+    dq = zeta * (dq11 + dq22) - a * q - 2.0 * c * h2 * q
+    if L4 != 0.0:
+        dp += L4 * (
+            dp1 * dp1 - dq1 * dq1 - dp2 * dp2 + dq2 * dq2
+            + 2.0 * dp1 * dq2 + 2.0 * dp2 * dq1
+        )
+        dp += 2.0 * L4 * (p * dp11 + 2.0 * q * dp12 - p * dp22)
+        dq += 2.0 * L4 * (dq1 * dq2 - dp1 * dp2 + dp1 * dq1 - dp2 * dq2)
+        dq += 2.0 * L4 * (p * dq11 + 2.0 * q * dq12 - p * dq22)
+    return dp, dq
+
+
+def strided_energy(field, params):
+    """discrete_energy's expressions on shifted 2D views."""
+    hx, hy, w = field.grid.hx, field.grid.hy, field.grid.hx * field.grid.hy
+    e = 0.0
+    for F in (field.p, field.q):
+        dx = (F[1:, :] - F[:-1, :]) / hx
+        dy = (F[:, 1:] - F[:, :-1]) / hy
+        e += params.zeta * w * (float(np.sum(dx * dx)) + float(np.sum(dy * dy)))
+    h2 = field.p * field.p + field.q * field.q
+    e += w * float(np.sum(params.a * h2 + params.c * h2 * h2))
+    if params.L4 != 0.0:
+        p, dp1, dp2 = strided_derivs(field.p, hx, hy)[:3]
+        q, dq1, dq2 = strided_derivs(field.q, hx, hy)[:3]
+        cubic = 2.0 * (
+            p * (dp1 * dp1 + dq1 * dq1 - dp2 * dp2 - dq2 * dq2)
+            + 2.0 * q * (dp1 * dp2 + dq1 * dq2)
+        )
+        e += params.L4 * w * float(np.sum(cubic))
+    return e
+
+
+def trapezoid_l2(grid, p, q):
+    h2 = 2.0 * (p * p + q * q)
+    return math.sqrt(max(float(
+        np.trapezoid(np.trapezoid(h2, dx=grid.hy, axis=1), dx=grid.hx, axis=0)), 0.0))
+
+
+def laid_out(arr, layout):
+    """arr in C order, in Fortran order, or as a view into a larger array;
+    the last two make ravel() copy."""
+    if layout == "fortran":
+        return np.asfortranarray(arr)
+    if layout == "view":
+        big = np.zeros((2 * arr.shape[0], arr.shape[1] + 3))
+        big[::2, 1:-2] = arr
+        return big[::2, 1:-2]
+    return arr
+
+
+class TestSlabStencils:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(nx=st.integers(3, 40), ny=st.integers(3, 40),
+           hx=st.floats(0.01, 2.0), hy=st.floats(0.01, 2.0),
+           L4=st.sampled_from([0.0, 0.7, -1.3]),
+           layout=st.sampled_from(["C", "fortran", "view"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_strided_formulas(self, nx, ny, hx, hy, L4, layout, seed):
+        if hx == hy:
+            hy = 1.5 * hx
+        rng = np.random.default_rng(seed)
+        grid = Grid2D(nx=nx, ny=ny, hx=hx, hy=hy)
+        p, q, r, s = (laid_out(rng.standard_normal((nx + 2, ny + 2)), layout)
+                      for _ in range(4))
+        fld, other = Field2D(grid, p, q), Field2D(grid, r, s)
+        params = coercive_params(a=rng.normal(), c=0.5 + rng.random(), L2=0.2, L3=-0.1, L4=L4)
+        for got, ref in zip(rhs_pq(fld, params), strided_rhs(fld, params)):
+            assert got.shape == (nx, ny) and np.array_equal(got, ref)
+        e = discrete_energy(fld, params)
+        assert e == strided_energy(fld, params)
+        assert discrete_energy(fld, params, h2=p * p + q * q) == e
+        assert fld.l2_norm() == trapezoid_l2(grid, p, q)
+        assert field_distance(fld, other) == trapezoid_l2(grid, p - r, q - s)
 
 
 class TestRhsPq:
@@ -223,24 +321,9 @@ class TestDiscreteEnergy:
         rng = np.random.default_rng(21)
         fld = Field2D(grid, rng.standard_normal((13, 10)), rng.standard_normal((13, 10)))
         params = coercive_params(a=-0.4, L2=0.1, L3=0.3, L4=0.7)
-        hx, hy, w = grid.hx, grid.hy, grid.hx * grid.hy
-        ref = 0.0
-        for F in (fld.p, fld.q):
-            dx = (F[1:, :] - F[:-1, :]) / hx
-            dy = (F[:, 1:] - F[:, :-1]) / hy
-            ref += params.zeta * w * (float(np.sum(dx * dx)) + float(np.sum(dy * dy)))
-        h2 = fld.p * fld.p + fld.q * fld.q
-        ref += w * float(np.sum(params.a * h2 + params.c * h2 * h2))
-        p, q = fld.p[1:-1, 1:-1], fld.q[1:-1, 1:-1]
-        dp1, dq1 = ((F[2:, 1:-1] - F[:-2, 1:-1]) / (2.0 * hx) for F in (fld.p, fld.q))
-        dp2, dq2 = ((F[1:-1, 2:] - F[1:-1, :-2]) / (2.0 * hy) for F in (fld.p, fld.q))
-        cubic = 2.0 * (
-            p * (dp1 * dp1 + dq1 * dq1 - dp2 * dp2 - dq2 * dq2)
-            + 2.0 * q * (dp1 * dp2 + dq1 * dq2)
-        )
-        ref += params.L4 * w * float(np.sum(cubic))
-        assert params.L4 * float(np.sum(cubic)) != 0.0
-        assert discrete_energy(fld, params) == ref
+        no_cubic = coercive_params(a=-0.4, L2=0.1, L3=0.3)
+        assert strided_energy(fld, no_cubic) != strided_energy(fld, params)
+        assert discrete_energy(fld, params) == strided_energy(fld, params)
 
 
 class TestRun:
@@ -329,6 +412,10 @@ class TestRun:
             fld = step(fld, dt, params, scheme)
         assert np.array_equal(trace.final_field.p, fld.p)
         assert np.array_equal(trace.final_field.q, fld.q)
+        # the last record's monitors, from one shared h^2, are the public ones
+        assert trace.energy[-1] == discrete_energy(fld, params)
+        assert trace.max_h2[-1] == fld.max_h2()
+        assert trace.l2_q[-1] == fld.l2_norm()
 
     def test_step_raises_on_overflow(self):
         grid = Grid2D.from_extent(8, 8, 1.0, 1.0)
