@@ -543,42 +543,29 @@ def _exp_blowup(cfg):
 
 
 def _exp_blowup_threshold_search(cfg):
-    params = cfg.params()
-
-    def blows(amp):
-        profile = RadialProfile.sine_bump(cfg.R0, cfg.R1, cfg.nr, amp)
-        flag = radial.run_radial_flag(profile, params, cfg.T, cfg.dt)
-        if flag.nonfinite:
-            # an aborted run says nothing about the threshold, so no bracket
-            raise NumericalFailure(
-                f"the run at amplitude {amp!r} stopped on {flag.stop} at t = {flag.t!r}"
-            )
-        return flag.blown_up
-
-    lo, hi = cfg.amp_lo, cfg.amp_hi
-    lo_blows, hi_blows = blows(lo), blows(hi)
+    search = radial.threshold_search(cfg.R0, cfg.R1, cfg.nr, cfg.params(), cfg.T, cfg.dt,
+                                     cfg.amp_lo, cfg.amp_hi)
+    if search.aborted is not None:
+        # an aborted run says nothing about the threshold, so no bracket
+        amp, flag = search.aborted
+        raise NumericalFailure(
+            f"the run at amplitude {amp!r} stopped on {flag.stop} at t = {flag.t!r}"
+        )
+    lo_blows, hi_blows = (flag.blown_up for _, flag in search.runs[:2])
     if lo_blows == hi_blows:
         raise ConfigError(
             "amp_lo and amp_hi do not bracket the blow-up threshold "
             f"(flags {lo_blows} and {hi_blows})"
         )
-    history = []
-    for _ in range(16):
-        mid = 0.5 * (lo + hi)
-        mb = blows(mid)
-        history.append({"amplitude": mid, "blown_up": mb})
-        if mb == hi_blows:
-            hi = mid
-        else:
-            lo = mid
+    history = [{"amplitude": amp, "blown_up": flag.blown_up} for amp, flag in search.history]
+    lo, hi = search.lo, search.hi
     interval = sorted((lo, hi))
     width = interval[1] - interval[0]
     # each rounded midpoint may move the bracket by half an ulp of the
     # amplitudes; the halvings keep the sum of those below one ulp
     amp_ulp = math.ulp(max(abs(cfg.amp_lo), abs(cfg.amp_hi)))
     max_width = abs(cfg.amp_hi - cfg.amp_lo) / 2 ** 16 + 2.0 * amp_ulp
-    flags = {cfg.amp_lo: lo_blows, cfg.amp_hi: hi_blows}
-    flags.update((h["amplitude"], h["blown_up"]) for h in history)
+    flags = {amp: flag.blown_up for amp, flag in search.runs}
     end_flags = [flags[lo], flags[hi]]
     checks = [
         _check("bracket width <= |amp_hi - amp_lo| / 2^16 (+2 ulp)",

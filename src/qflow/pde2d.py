@@ -234,10 +234,10 @@ def discrete_energy(field: Field2D, params: LdGParams, *, h2: np.ndarray | None 
     for F in (field.p, field.q):
         dx = (F[1:, :] - F[:-1, :]) / hx
         dy = (F[:, 1:] - F[:, :-1]) / hy
-        e += zeta * w * (float(np.sum(dx * dx)) + float(np.sum(dy * dy)))
+        e += zeta * w * (float((dx * dx).sum()) + float((dy * dy).sum()))
     if h2 is None:
         h2 = field.p * field.p + field.q * field.q
-    e += w * float(np.sum(params.a * h2 + params.c * h2 * h2))
+    e += w * float((params.a * h2 + params.c * h2 * h2).sum())
     if params.L4 != 0.0:
         P, Q = _slab(field.p), _slab(field.q)
         dp1, dp2 = _first_derivs(P, hx, hy)
@@ -247,7 +247,7 @@ def discrete_energy(field: Field2D, params: LdGParams, *, h2: np.ndarray | None 
             + 2.0 * Q() * (dp1 * dp2 + dq1 * dq2)
         )
         # the sum runs over a contiguous (nx, ny) array, as on the 2D views
-        e += params.L4 * w * float(np.sum(2.0 * _interior(cubic, field.grid)))
+        e += params.L4 * w * float((2.0 * _interior(cubic, field.grid)).sum())
     return e
 
 
@@ -353,7 +353,7 @@ class RunTrace:
 
 def _dqdt_norm2(dp, dq, w):
     # |dQ/dt|_F^2 = 2 (pdot^2 + qdot^2), midpoint quadrature over interior
-    return 2.0 * w * (float(np.sum(dp * dp)) + float(np.sum(dq * dq)))
+    return 2.0 * w * (float((dp * dp).sum()) + float((dq * dq).sum()))
 
 
 def run(field0: Field2D, params: LdGParams, T: float, dt: float,

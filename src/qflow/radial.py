@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -188,12 +189,45 @@ def blowup_certificate(profile: RadialProfile, params: LdGParams) -> BlowupCerti
     )
 
 
+def _cubic_roots(p: float, q: float):
+    """The roots of u^3 + p u + q in closed form, and whether one is double.
+
+    With a double root the roots are (simple, double).  The cubic is first
+    scaled by a power of two to |p|, |q| < 1, which is exact.  Three real
+    roots come from the trigonometric form, the one of least magnitude from
+    the product of the roots instead; otherwise Cardano's A, B give the
+    real root as -q / (A^2 - Q + B^2) = A + B, free of cancellation, and
+    the complex pair (Numerical Recipes, 5.6).
+    """
+    if q == 0.0:  # u (u^2 + p)
+        s = math.sqrt(-p) if p <= 0.0 else 1j * math.sqrt(p)
+        return np.array([0.0, s, -s], dtype=complex), False
+    e = math.frexp(max(math.sqrt(abs(p)), float(np.cbrt(abs(q)))))[1]
+    p, q = math.ldexp(p, -2 * e), math.ldexp(q, -3 * e)
+    Q, R = -p / 3.0, q / 2.0
+    d = R * R - Q * Q * Q
+    double = d == 0.0
+    if d < 0.0:
+        sq = math.sqrt(Q)
+        phi = math.acos(max(-1.0, min(1.0, R / (Q * sq))))
+        u = sorted((-2.0 * sq * math.cos((phi + k * math.pi) / 3.0) for k in (0, 2, -2)), key=abs)
+        u[0] = -q / (u[1] * u[2])
+    else:
+        A = -math.copysign(float(np.cbrt(abs(R) + math.sqrt(d))), R)
+        B = Q / A
+        x = -q / (A * A - Q + B * B)
+        im = 0.5 * math.sqrt(3.0) * (A - B)
+        u = [x, -0.5 * x] if double else [x, complex(-0.5 * x, im), complex(-0.5 * x, -im)]
+    return np.array(u, dtype=complex) * math.ldexp(1.0, e), double
+
+
 def _comparison_path(M0: float, a: float, F0: float, y0: float):
     """Classify the solution of y' = 2 G(y), y(0) = y0 >= 0, while y >= 0.
 
     In u = y^{-1/2}, u' = -R(u) with R(u) = 4 F0 u^3 - |a| u + M0 = G(y) u^3,
     so y diverges exactly when u reaches 0; partial fractions over the roots
-    rho of R give t(y) = sum_rho Re[log((u0 - rho)/(u - rho)) / R'(rho)].
+    rho of R give t(y) = sum_rho Re[log((u0 - rho)/(u - rho)) / R'(rho)],
+    plus c (1/(u - rho) - 1/(u0 - rho)) at a double root.
 
     Returns (y_end, t_zero, t_cross, elapsed): y moves monotonically toward
     y_end, which is +inf (divergence), the nearest equilibrium 1/rho^2 (y0
@@ -201,15 +235,24 @@ def _comparison_path(M0: float, a: float, F0: float, y0: float):
     stays above COMPARISON_DIVERGENCE (+inf: never); elapsed(y) is t(y).
     """
     A = abs(a)
-    # drop a leading coefficient too small for np.roots: it acts only at y < 1e-200
+    # drop a leading coefficient too small to divide by: it acts only at y < 1e-200
     F0 = F0 if 4.0 * abs(F0) * 1e300 >= max(A, abs(M0)) else 0.0
     A = A if F0 or A * 1e300 >= abs(M0) else 0.0
     s0 = math.sqrt(y0)
     u0 = 1.0 / s0 if y0 > 0.0 else math.inf
-    rho = np.roots([4.0 * F0, 0.0, -A, M0]).astype(complex)
-    # R'(rho_i) = lead * prod_{j != i} (rho_i - rho_j) also holds at near-double roots
-    diffs = np.where(np.eye(rho.size, dtype=bool), 1.0, rho[:, None] - rho)
-    dR = (4.0 * F0 if F0 else -A) * diffs.prod(axis=1)
+    lead = 4.0 * F0 if F0 else -A
+    if F0:
+        rho, double = _cubic_roots(-A / lead, M0 / lead)
+    else:
+        rho, double = np.array([M0 / A] if A else [], dtype=complex), False
+    if double:  # R = lead (u - rho1) (u - rho2)^2
+        r1, r2 = rho.real
+        dR = lead * (r1 - r2) ** 2 * np.array([1.0, -1.0])
+        pole = 1.0 / (lead * (r2 - r1))
+    else:
+        # R'(rho_i) = lead * prod_{j != i} (rho_i - rho_j) also holds at near-double roots
+        diffs = np.where(np.eye(rho.size, dtype=bool), 1.0, rho[:, None] - rho)
+        dR = lead * diffs.prod(axis=1)
 
     def gap(u):  # log(u - rho) drops out at u = inf: a cubic's 1/R'(rho) sum to 0
         return np.where(u < math.inf, u - rho, 1.0)
@@ -221,10 +264,14 @@ def _comparison_path(M0: float, a: float, F0: float, y0: float):
                 return (u0 - u) / M0
             if M0 == 0.0 and A == 0.0:  # R = 4 F0 u^3 has a triple root
                 return (y - y0) / (8.0 * F0)
-            return (np.log(gap(u0) / gap(u[..., None])) / dR).real.sum(axis=-1)
+            t = (np.log(gap(u0) / gap(u[..., None])) / dR).real.sum(axis=-1)
+            if double:
+                t = t + pole * (1.0 / (u - r2) - 1.0 / (u0 - r2))
+            return t
 
     G0 = (M0 * s0 - A) * y0 + 4.0 * F0
-    sqrt_eq = 1.0 / rho.real[(rho.imag == 0.0) & (rho.real > 0.0)]
+    with np.errstate(over="ignore"):  # an equilibrium past the float range is inf
+        sqrt_eq = 1.0 / rho.real[(rho.imag == 0.0) & (rho.real > 0.0)]
     s_end = s0
     if G0 > 0.0:
         s_end = float(min(sqrt_eq[sqrt_eq > s0], default=math.inf))
@@ -307,7 +354,8 @@ class RadialTrace:
 
 @dataclass(frozen=True)
 class RadialFlag:
-    """How a radial run ended: the stop reason and the time it stopped at.
+    """How a radial run ended: the stop reason, the time it stopped at and
+    the number of steps it took.
 
     blown_up, nonfinite and blowup_time mean what the RadialTrace fields of
     the same name mean: blown_up only when y crossed the threshold, and
@@ -316,6 +364,7 @@ class RadialFlag:
 
     stop: str
     t: float
+    steps: int
 
     @property
     def nonfinite(self) -> bool:
@@ -372,100 +421,247 @@ def _moment(f: np.ndarray, dx: np.ndarray) -> float:
     return float(np.add.reduce(dx * (f[1:] + f[:-1]) / 2.0))
 
 
-def _march(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
-           y_threshold: float, record=None, theta_small: float = -math.inf):
-    """The adaptive semi-implicit stepper shared by run_radial and run_radial_flag.
+class _Batch(NamedTuple):
+    """What one lock-step march gives back.
 
-    y = int theta^2 r dr is computed at t = 0 and after every accepted step,
-    and record(t, theta, y), if given, is called with it; record must not
-    keep theta, which the stepper updates in place.  Without record, y is
-    computed only where y <= max theta^2 (R1^2 - R0^2)/2 does not keep it
-    below y_threshold.  A step that leaves max|theta| <= theta_small stops
-    the run with STOP_SMALL.  Returns the RadialFlag and the final theta.
+    outcomes[i] is row i's RadialFlag, the exception that ended it, or None
+    if the row was dropped; theta[i] is its theta when it stopped.
+    iterations counts the lock-step steps and row_steps the steps summed
+    over the rows.
+    """
+
+    outcomes: list
+    theta: np.ndarray
+    iterations: int
+    row_steps: int
+
+
+def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
+           record=None, theta_small: float = -math.inf, on_stop=None) -> _Batch:
+    """The adaptive semi-implicit stepper, in lock step over profiles on one grid.
+
+    Every row takes the steps and stops of its own run, bit for bit (README,
+    numerical notes).  y = int theta^2 r dr is computed at t = 0 and after
+    every accepted step, and record(t, theta, y), if given, is called with
+    it; record needs a single profile and must not keep theta, which the
+    stepper updates in place.  Without record, y is computed only where
+    y <= max theta^2 (R1^2 - R0^2)/2 does not keep it below y_threshold.  A
+    step that leaves max|theta| <= theta_small stops the run with
+    STOP_SMALL.  When row i stops, on_stop(i, outcome), if given, returns
+    rows to drop.  A row whose boundary check fails has the ValueError as
+    its outcome.
     """
     if params.zeta <= 0.0:
         raise ValueError("radial flow needs zeta > 0")
     if dt <= 0.0 or T <= 0.0:
         raise ValueError("need positive T and dt")
-    profile0.check_boundary()
-    nr = profile0.nr
-    dr = profile0.dr
-    r = profile0.r
+    p0 = profiles[0]
+    if any((p.R0, p.R1, p.nr) != (p0.R0, p0.R1, p0.nr) for p in profiles):
+        raise ValueError("a lock-step march needs profiles on one grid")
+    if record is not None and len(profiles) != 1:
+        raise ValueError("record needs a single profile")
+    nr, W, m0 = p0.nr, p0.nr + 2, len(profiles)
+    dr = p0.dr
+    r = p0.r
     dx = np.diff(r)
-    ri = r[1:-1]
     zeta, L4, a, c = params.zeta, params.L4, params.a, params.c
-    # Loop invariants.  Each keeps the operation order of the expression it
-    # stands for, so every step is bit-for-bit the same as the inline form;
-    # dr * dr and dr**2 stay apart because libm pow may round differently.
+    # The rows are those of th, a C-contiguous (m, W) array, so the
+    # interior nodes of all rows are one flat run of m W - 2 entries of
+    # th.ravel(); the stencil, the explicit terms and the linear system act
+    # on that run, and each row's W - 2 nodes sit at offset k W.  The two
+    # ring nodes between rows are computed too and dropped.  Loop
+    # invariants per node of the run, for m0 rows (m rows use a prefix):
+    # each keeps the operation order of the expression it stands for, so
+    # every step is bit-for-bit the same as the inline form; dr * dr and
+    # dr**2 stay apart because libm pow may round differently.
+    ri = (r + np.zeros((m0, 1))).ravel()[1:-1]
     ri2 = ri**2
-    zeta_ri = zeta / ri
-    react = 4.0 * zeta / ri2
+    node_terms = np.array([ri, ri2, zeta / ri, 4.0 * zeta / ri2])
     four_zeta = 4.0 * zeta
     half_c = 0.5 * c
     two_dr = 2.0 * dr
     dr_mul = dr * dr
     dr_pow = dr**2
+    # reduceat bounds of the rows' interior segments of the run, with the
+    # ring segments between them
+    bounds_all = (np.arange(m0)[:, None] * W + np.array([0, nr])).ravel()[:-1]
     # y <= amax^2 * int r dr, with a margin for the rounding of both sums
     amax2_cap = y_threshold / (_moment(r, dx) * (1.0 + 1e-9))
-    # One buffer for the step's linear system, refilled on every step: the
-    # band rows in scipy's (1, 1) layout (the corners ab[0, 0] and
-    # ab[2, -1] stay 0), then the right-hand side, which gtsv overwrites
-    # with the solution.
-    system = np.zeros((4, nr))
-    ab, b = system[:3], system[3]
-    th = profile0.theta.copy()
-    thi, th_up, th_down = th[1:-1], th[2:], th[:-2]
 
-    t = 0.0
-    y = _moment(th * th * r, dx)
-    if record is not None:
-        record(t, th, y)
-    if y > y_threshold:
-        return RadialFlag(STOP_THRESHOLD, t), th
-    amax = float(np.abs(th).max())
-    while t < T:
+    outcomes = [None] * m0
+    final = np.array([p.theta for p in profiles], dtype=float)
+    dropped = np.zeros(m0, dtype=bool)
+    changed = True  # a row stopped or was dropped since the last compaction
+
+    def finish(i, outcome):
+        nonlocal changed
+        outcomes[i] = outcome
+        changed = True
+        for j in on_stop(i, outcome) if on_stop is not None else ():
+            dropped[j] |= outcomes[j] is None
+
+    live = []
+    for i, prof in enumerate(profiles):
+        if dropped[i]:
+            continue
+        try:
+            prof.check_boundary()
+        except ValueError as exc:
+            finish(i, exc)
+            continue
+        y = _moment(final[i] * final[i] * r, dx)
+        if record is not None:
+            record(0.0, final[i], y)
+        if y > y_threshold:
+            finish(i, RadialFlag(STOP_THRESHOLD, 0.0, 0))
+        else:
+            live.append(i)
+
+    # Per live row: its profile's index, t, and max|theta| over the row and
+    # over its two fixed ends; every live row has taken `steps` steps.
+    ids = np.array(live, dtype=np.intp)
+    th = final[ids]
+    t = np.zeros(ids.size)
+    amax = np.abs(th).max(axis=1)
+    edge = np.maximum(np.abs(th[:, 0]), np.abs(th[:, -1]))
+    alive = np.ones(ids.size, dtype=bool)
+    steps = iterations = row_steps = 0
+
+    def halt(k, outcome):
+        alive[k] = False
+        final[ids[k]] = th[k]
+        finish(ids[k], outcome)
+
+    def stop(rows, reason):
+        for k in np.flatnonzero(alive & rows):
+            halt(k, RadialFlag(reason, float(t[k]), steps))
+
+    def fill():
+        # the one-row system of each row, with h = h[k] on its nodes
+        h_run = h.repeat(W)[1:-1]
+        minus_h = -h_run
+        np.multiply(minus_h[:-1], co_up[:-1], out=ab[0, 1:])
+        np.subtract(1.0, h_run * diag, out=ab[1])
+        np.multiply(minus_h[1:], co_down[1:], out=ab[2, :-1])
+        np.add(thi, h_run * expl, out=b)
+        for band, value in ring_band:
+            band[...] = value
+        # boundary contributions from the fixed ring values
+        np.add(b_first, h * co_down[::W] * th_left, out=b_first)
+        np.add(b_last, h * co_up[nr - 1::W] * th_right, out=b_last)
+
+    m = 0
+    while True:
+        if changed:
+            keep = alive & ~dropped[ids]
+            ids, th, t, amax, edge = ids[keep], th[keep], t[keep], amax[keep], edge[keep]
+            m = ids.size
+            if m == 0:
+                break
+            alive = np.ones(m, dtype=bool)
+            changed = False
+            n = m * W - 2
+            ri, ri2, zeta_ri, react = node_terms[:, :n]
+            bounds = bounds_all[:2 * m - 1]
+            # One buffer for the step's linear system over the run, refilled
+            # on every step: band rows in scipy's (1, 1) layout, then the
+            # right-hand side, which gtsv overwrites with the solution.  Row
+            # k's block is the one-row system of its run, and the blocks are
+            # uncoupled: gtsv's elimination factor at a block edge is 0/d.
+            # (The rows are m W long, so that each is an (m, W) array too.)
+            system = np.zeros((4, m * W))
+            ab, b = system[:3, :n], system[3, :n]
+            b_first, b_last = b[::W], b[nr - 1::W]
+            # the equations of the two ring nodes after each row: 1 on the
+            # diagonal, 0 off it, which uncouples them from each other and
+            # from the rows' end nodes
+            rows = system[:3].reshape(3, m, W)
+            ring_band = [(rows[0, :-1, nr:], 0.0), (rows[0, 1:, 0], 0.0),
+                         (rows[1, :-1, nr:], 1.0), (rows[2, :-1, nr - 1:], 0.0)] if m > 1 else []
+            f = th.ravel()
+            thi, th_up, th_down = f[1:-1], f[2:], f[:-2]
+            th_left, th_right = th[:, 0], th[:, -1]
+            ring = th[1:, 0].copy(), th[:-1, -1].copy()
         d1 = (th_up - th_down) / two_dr
         d2 = (th_up - 2.0 * thi + th_down) / dr_mul
         L4_thi = L4 * thi
         D = zeta + L4_thi
-        if (D <= 0.0).any():
-            return RadialFlag(STOP_BACKWARD_DIFFUSION, t), th
+        # min over the non-NaN entries: (D <= 0).any(), also true if only a
+        # ring node between rows has D <= 0
+        if np.fmin.reduce(D) <= 0.0:
+            stop(np.fmin.reduceat(D, bounds)[::2] <= 0.0, STOP_BACKWARD_DIFFUSION)
+            if changed:
+                continue
         adv = zeta_ri + L4_thi / ri
         expl = L4 * (0.5 * d1 * d1 + 6.0 * thi * thi / ri2) - a * thi - half_c * (thi * thi * thi)
         full = expl + D * d2 + adv * d1 - four_zeta * thi / ri2
-        scale = max(amax, 1e-12)
-        h = min(dt, STEP_FRACTION * scale / max(float(np.abs(full).max()), 1e-15), T - t)
+        scale = np.maximum(amax, 1e-12)
+        fmax = np.maximum(np.maximum.reduceat(np.abs(full), bounds)[::2], 1e-15)
+        # min(dt, x, T - t) of one run: fmin, like Python's min, passes a NaN x over
+        h = np.fmin(STEP_FRACTION * scale / fmax, np.minimum(dt, T - t))
         co_d2 = D / dr_pow
         co_d1 = adv / two_dr
         # coefficients of theta_{i+1} and theta_{i-1} in row i
         co_up = co_d2 + co_d1
         co_down = co_d2 - co_d1
-        np.multiply(-h, co_up[:-1], out=ab[0, 1:])
-        np.subtract(1.0, h * (-2.0 * co_d2 - react), out=ab[1])
-        np.multiply(-h, co_down[1:], out=ab[2, :-1])
-        np.add(thi, h * expl, out=b)
-        # boundary contributions from the fixed ring values
-        b[0] += h * co_down[0] * th[0]
-        b[-1] += h * co_up[-1] * th[-1]
+        diag = -2.0 * co_d2 - react
+        fill()
+        iterations += 1
         try:
-            thi[:] = solve_banded(ab, b)
-        except ValueError:
-            # the explicit term overflowed and the system is not finite
-            return RadialFlag(STOP_NONFINITE, t), th
+            x = solve_banded(ab, b)
+            new_amax = np.maximum(np.maximum.reduceat(np.abs(x), bounds)[::2], edge)
+            batched = math.isfinite(np.maximum.reduce(new_amax))
+        except ValueError:  # LinAlgError is one too
+            batched = False
+        if batched:
+            thi[:] = x
+            if m > 1:  # the ring nodes' x are dropped
+                th[1:, 0], th[:-1, -1] = ring
+        else:
+            # A non-finite or singular block, or a block that another's
+            # overflow reached through the zero couplings (0 * inf = NaN):
+            # solve each row's block alone, as its own run does.
+            fill()
+            for k in range(m):
+                blk = slice(k * W, k * W + nr)
+                try:
+                    th[k, 1:-1] = solve_banded(system[:3, blk], system[3, blk])
+                except ValueError:
+                    # the explicit term overflowed and the system is not
+                    # finite, or (a LinAlgError) it is singular
+                    halt(k, RadialFlag(STOP_NONFINITE, float(t[k]), steps))
+            new_amax = np.abs(th).max(axis=1)
         t += h
+        steps += 1
+        row_steps += int(alive.sum()) if changed else m
         # max|theta| is inf or NaN exactly when theta holds an inf or NaN
-        amax = float(np.abs(th).max())
-        if not math.isfinite(amax):
-            return RadialFlag(STOP_NONFINITE, t), th
-        if record is not None or amax * amax > amax2_cap:
-            y = _moment(th * th * r, dx)
-            if record is not None:
-                record(t, th, y)
-            if not math.isfinite(y) or y > y_threshold:
-                return RadialFlag(STOP_THRESHOLD, t), th
-        if amax <= theta_small:
-            return RadialFlag(STOP_SMALL, t), th
-    return RadialFlag(STOP_REACHED_T, t), th
+        amax = new_amax
+        top = float(np.maximum.reduce(amax))
+        if not math.isfinite(top):
+            stop(~np.isfinite(amax), STOP_NONFINITE)
+        if record is not None or not top * top <= amax2_cap:
+            for k in np.flatnonzero(alive):
+                ak = float(amax[k])
+                if record is None and not ak * ak > amax2_cap:
+                    continue
+                y = _moment(th[k] * th[k] * r, dx)
+                if record is not None:
+                    record(float(t[k]), th[k], y)
+                if not math.isfinite(y) or y > y_threshold:
+                    halt(k, RadialFlag(STOP_THRESHOLD, float(t[k]), steps))
+        if not np.minimum.reduce(amax) > theta_small:
+            stop(amax <= theta_small, STOP_SMALL)
+        if np.maximum.reduce(t) >= T:
+            stop(t >= T, STOP_REACHED_T)
+    return _Batch(outcomes, final, iterations, row_steps)
+
+
+def _single(batch: _Batch):
+    """The flag and final theta of a one-row march; its exception is raised."""
+    outcome = batch.outcomes[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome, batch.theta[0]
 
 
 def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
@@ -509,7 +705,7 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
         full = np.concatenate(([0.0], rhs_full, [0.0]))
         rates.append(math.sqrt(max(_moment(full * full * r, dx), 0.0)))
 
-    flag, th = _march(profile0, params, T, dt, y_threshold, record)
+    flag, th = _single(_march([profile0], params, T, dt, y_threshold, record))
     return RadialTrace(
         t=np.array(ts), y=np.array(ys), y_minus=np.array(yms), y_plus=np.array(yps),
         max_abs_theta=np.array(mxs), F=np.array(Fs), rate=np.array(rates),
@@ -517,6 +713,20 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
         final_profile=RadialProfile(profile0.R0, profile0.R1, profile0.nr, th),
         stop=flag.stop, stop_time=flag.t,
     )
+
+
+def _flag_march(profiles, params: LdGParams, T: float, dt: float, on_stop=None) -> _Batch:
+    """_march for flags only: no monitors, and the smallness stop where it applies."""
+    try:
+        eta1 = derived_constants(params, strict=True).eta1
+    except ValueError:
+        eta1 = math.inf
+    # the bound on y of a run in the regime, with a rounding margin
+    y_small = 2.0 * eta1 * (profiles[0].R1**2 - profiles[0].R0**2) * (1.0 + 1e-9)
+    decided = abs(params.a) <= 2.0 * params.c * eta1 and y_small <= BLOWUP_Y_THRESHOLD
+    return _march(profiles, params, T, dt, BLOWUP_Y_THRESHOLD,
+                  theta_small=2.0 * math.sqrt(eta1) if decided else -math.inf,
+                  on_stop=on_stop)
 
 
 def run_radial_flag(profile0: RadialProfile, params: LdGParams, T: float,
@@ -531,15 +741,119 @@ def run_radial_flag(profile0: RadialProfile, params: LdGParams, T: float,
     run that gets there can then neither abort nor, if 4 eta1 (R1^2 - R0^2)/2
     lies below the threshold, cross it, so it stops with STOP_SMALL.
     """
-    try:
-        eta1 = derived_constants(params, strict=True).eta1
-    except ValueError:
-        eta1 = math.inf
-    # the bound on y of a run in the regime, with a rounding margin
-    y_small = 2.0 * eta1 * (profile0.R1**2 - profile0.R0**2) * (1.0 + 1e-9)
-    decided = abs(params.a) <= 2.0 * params.c * eta1 and y_small <= BLOWUP_Y_THRESHOLD
-    return _march(profile0, params, T, dt, BLOWUP_Y_THRESHOLD,
-                  theta_small=2.0 * math.sqrt(eta1) if decided else -math.inf)[0]
+    return _single(_flag_march([profile0], params, T, dt))[0]
+
+
+# Bisection levels of threshold_search, and the levels one lock-step batch
+# marches: depth 4 measured fastest (README, numerical notes).
+SEARCH_LEVELS = 16
+SEARCH_DEPTH = 4
+
+
+@dataclass(frozen=True)
+class ThresholdSearch:
+    """The runs and bracket of a blow-up threshold bisection.
+
+    runs holds (amplitude, flag) for each run the sequential search takes,
+    in its order: amp_lo, amp_hi, then the midpoints.  It ends early at a
+    run that aborted, or when the two ends flag the same.  [lo, hi] (in
+    either order) is the bracket, lo on amp_lo's side.  iterations counts
+    the lock-step steps and row_steps the steps of all rows marched,
+    dropped candidates included.
+    """
+
+    runs: tuple
+    lo: float
+    hi: float
+    iterations: int
+    row_steps: int
+
+    @property
+    def history(self) -> tuple:
+        return self.runs[2:]
+
+    @property
+    def aborted(self) -> tuple | None:
+        """(amplitude, flag) of the run that ended the search on an abort."""
+        return self.runs[-1] if self.runs[-1][1].nonfinite else None
+
+    @property
+    def sequential_steps(self) -> int:
+        """The steps the runs take one after another, as run_radial_flag."""
+        return sum(flag.steps for _, flag in self.runs)
+
+
+def threshold_search(R0: float, R1: float, nr: int, params: LdGParams, T: float,
+                     dt: float, amp_lo: float, amp_hi: float) -> ThresholdSearch:
+    """Bisect the sine-bump amplitude for the blow-up threshold, SEARCH_LEVELS times.
+
+    The result is that of the sequential search, which flags amp_lo and
+    amp_hi with run_radial_flag and then bisects: the midpoint replaces
+    the end whose flag it shares.  Here the midpoints of SEARCH_DEPTH
+    levels march as one lock-step batch (2^SEARCH_DEPTH - 1 candidates);
+    a candidate is dropped once a finished ancestor rules it out.  The
+    sequential path is then read off the batch: an exception of a run on
+    it is raised, and the runs off it are never read.
+    """
+    runs = []
+    counts = [0, 0]
+
+    def march(amps, on_stop=None):
+        batch = _flag_march([RadialProfile.sine_bump(R0, R1, nr, amp) for amp in amps],
+                            params, T, dt, on_stop)
+        counts[0] += batch.iterations
+        counts[1] += batch.row_steps
+        return batch.outcomes
+
+    def take(amp, outcome) -> bool:
+        """Add a run of the sequential path; False if the search ends on it."""
+        if isinstance(outcome, Exception):
+            raise outcome
+        runs.append((amp, outcome))
+        return not outcome.nonfinite
+
+    def result(lo, hi) -> ThresholdSearch:
+        return ThresholdSearch(tuple(runs), lo, hi, *counts)
+
+    lo, hi = amp_lo, amp_hi
+    for amp, outcome in zip((lo, hi), march([lo, hi])):
+        if not take(amp, outcome):
+            return result(lo, hi)
+    hi_blows = runs[1][1].blown_up
+    if runs[0][1].blown_up == hi_blows:
+        return result(lo, hi)
+    n = 2**SEARCH_DEPTH - 1
+    for _ in range(SEARCH_LEVELS // SEARCH_DEPTH):
+        # the subtree in heap order: node j bisects brackets[j]; its child
+        # 2j+1 bisects the lower half (taken when j flags as hi does) and
+        # 2j+2 the upper half
+        brackets, amps = [(lo, hi)], []
+        for j in range(n):
+            l, h = brackets[j]
+            amps.append(0.5 * (l + h))
+            brackets += [(l, amps[j]), (amps[j], h)]
+
+        def ruled_out(j, outcome):
+            if isinstance(outcome, Exception) or outcome.nonfinite:
+                heads = [2 * j + 1, 2 * j + 2]  # the search would end at j
+            else:
+                heads = [2 * j + 2 if outcome.blown_up == hi_blows else 2 * j + 1]
+            while heads:
+                k = heads.pop()
+                if k < n:
+                    yield k
+                    heads += [2 * k + 1, 2 * k + 2]
+
+        outcomes = march(amps, ruled_out)
+        j = 0
+        while j < n:
+            if not take(amps[j], outcomes[j]):
+                return result(lo, hi)
+            if outcomes[j].blown_up == hi_blows:
+                hi, j = amps[j], 2 * j + 1
+            else:
+                lo, j = amps[j], 2 * j + 2
+    return result(lo, hi)
 
 
 def dominates_comparison(trace: RadialTrace, params: LdGParams,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qflow import radial
@@ -243,14 +243,14 @@ class TestComparisonLowerBound:
         # R(u) = 4 u^3 - 3 u + 1 = 4 (u + 1)(u - 1/2)^2, so from u0 = 1
         # t(u) = [(4/9) log((u0 + 1)(u - 1/2)/((u + 1)(u0 - 1/2)))
         #         + (2/3) (1/(u - 1/2) - 1/(u0 - 1/2))] / 4;
-        # np.roots splits the double root by about sqrt(eps), which limits
-        # the accuracy to about 1e-8
+        # the closed-form roots know the double root, so the partial
+        # fractions carry its second-order pole exactly
         u = np.array([0.9, 0.7, 0.55, 0.501, 0.5001])
         t = ((4.0 / 9.0) * np.log(2.0 * (u - 0.5) / ((u + 1.0) * 0.5))
              + (2.0 / 3.0) * (1.0 / (u - 0.5) - 2.0)) / 4.0
         vals, crossing = comparison_lower_bound(1.0, -3.0, 1.0, 1.0, t)
         assert crossing is None
-        assert np.abs(vals * u * u - 1.0).max() < 1e-7
+        assert np.abs(vals * u * u - 1.0).max() < 1e-14
 
     @COMPARISON
     @given(st.floats(0.05, 3.0), st.floats(0.0, 20.0), st.floats(1e-3, 50.0),
@@ -279,6 +279,32 @@ class TestComparisonLowerBound:
             ys.append(y)
         vals, _ = comparison_lower_bound(M0, -A, F0, y0, np.array(ts))
         assert np.all(np.abs(vals / np.array(ys) - 1.0) <= 1e-10)
+
+
+class TestCubicRoots:
+    """radial._cubic_roots, the closed-form roots of u^3 + p u + q."""
+
+    @COMPARISON
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.booleans())
+    @example(2.0**-40, 1.0, False)  # a root of least magnitude 1e-12 beside +-1
+    @example(1e-12, 1.0, True)  # one real root 1e-12, where A + B cancels
+    def test_backward_error(self, x, y, pair):
+        # roots x, y, -(x + y), or x and the pair -x/2 +- i y
+        if pair:
+            p, q = y * y - 0.75 * x * x, -x * (0.25 * x * x + y * y)
+        else:
+            p, q = -(x * x + x * y + y * y), x * y * (x + y)
+        assume(p != 0.0 or q != 0.0)
+        roots, double = radial._cubic_roots(p, q)
+        assert roots.size == 2 if double else roots.size == 3
+        for u in roots:
+            scale = abs(u) ** 3 + abs(p * u) + abs(q)
+            assert abs(u**3 + p * u + q) <= 1e-13 * scale
+
+    def test_double_root_is_exact(self):
+        # (u - 1/2)^2 (u + 1) = u^3 - 3/4 u + 1/4
+        roots, double = radial._cubic_roots(-0.75, 0.25)
+        assert double and roots.tolist() == [-1.0, 0.5]
 
 
 class TestRunRadial:
@@ -548,6 +574,282 @@ class TestStopSmall:
         trace, flag = self._both(prof, params(c=1.0))
         assert flag.stop == STOP_SMALL and flag.t == trace.t[1]
         assert trace.stop == STOP_REACHED_T and trace.t[-1] == 0.1
+
+
+def _sine_theta(amp, nr):
+    """amp sin(pi s) on nr+2 nodes, with both ends exactly 0."""
+    theta = amp * np.sin(np.pi * np.linspace(0.0, 1.0, nr + 2))
+    theta[0] = theta[-1] = 0.0
+    return theta
+
+
+@st.composite
+def lockstep_batches(draw):
+    """(profiles, params, T, dt, y_threshold, theta_small) for one lock-step batch.
+
+    Either the threshold search's thin annulus with L4 = -1, where rows run
+    away, start above the threshold, decay, enter the smallness regime or
+    turn backward-diffusive (theta > zeta); or a growing flow (a < 0, L4 = 0)
+    from near the float range, where rows overflow at different steps
+    beside rows that reach T.  Each row has its own boundary value, and
+    one row may fail its boundary check.
+    """
+    nr = draw(st.integers(3, 24))
+    m = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        R0, R1, p, T, y_threshold = 0.3, 1.3, params(c=1e-6), 0.05, 1e6
+        amp = st.one_of(st.floats(-60.0, -0.05), st.floats(1.5, 10.0), st.just(-3e3))
+        theta_small = draw(st.sampled_from([-math.inf, 0.05, 0.5]))
+    else:
+        R0 = draw(st.floats(0.5, 3.0))
+        R1, p, T, y_threshold = R0 + 1.0, params(a=-100.0, c=1e-300, L4=0.0), 0.02, math.inf
+        amp = st.one_of(st.floats(-1.0, 1.0), st.floats(1e101, 5.6e102))
+        theta_small = -math.inf
+    thetas = [_sine_theta(a, nr) for a in draw(st.lists(amp, min_size=m, max_size=m))]
+    for theta in thetas:  # the boundary value theta_b of each row
+        theta[0] = theta[-1] = draw(st.sampled_from([0.0, 0.25]))
+    if draw(st.booleans()):
+        thetas[draw(st.integers(0, m - 1))][-1] = 1.0  # "boundary values ... must agree"
+    profiles = [RadialProfile(R0, R1, nr, th) for th in thetas]
+    return profiles, p, T, 1e-3, y_threshold, theta_small
+
+
+def _outcome_key(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return outcome
+
+
+class TestLockStep:
+    """_march over several profiles: every row gives its one-row run's bits."""
+
+    SWEEP = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+    def _check_rows(self, profiles, p, T, dt, y_threshold, theta_small):
+        with np.errstate(all="ignore"):
+            batch = radial._march(profiles, p, T, dt, y_threshold, theta_small=theta_small)
+            singles = [radial._march([prof], p, T, dt, y_threshold, theta_small=theta_small)
+                       for prof in profiles]
+        assert batch.iterations == max(s.iterations for s in singles)
+        flags = [o for o in batch.outcomes if isinstance(o, radial.RadialFlag)]
+        assert batch.row_steps == sum(flag.steps for flag in flags)
+        for i, single in enumerate(singles):
+            assert _outcome_key(batch.outcomes[i]) == _outcome_key(single.outcomes[0])
+            assert batch.theta[i].tobytes() == single.theta[0].tobytes()
+        return batch
+
+    @SWEEP
+    @given(lockstep_batches())
+    def test_rows_equal_one_row_runs(self, batch_args):
+        self._check_rows(*batch_args)
+
+    def test_every_stop_reason_in_one_batch(self):
+        nr = 12
+        thin = [_sine_theta(a, nr) for a in (-10.0, -3e3, -2.0, 5.0, -0.5)]
+        batch = self._check_rows([RadialProfile(0.3, 1.3, nr, th) for th in thin],
+                                 params(c=1e-6), 0.05, 1e-3, 1e6, 0.3)
+        stops = [o.stop for o in batch.outcomes]
+        assert stops == [STOP_THRESHOLD, STOP_THRESHOLD, STOP_REACHED_T,
+                         STOP_BACKWARD_DIFFUSION, STOP_SMALL]
+        assert len({o.t for o in batch.outcomes}) == 4  # t = 0 twice
+        grow = [_sine_theta(a, nr) for a in (3e102, 5e102, 0.5)]
+        batch = self._check_rows([RadialProfile(1.0, 2.0, nr, th) for th in grow],
+                                 params(a=-100.0, c=1e-300, L4=0.0), 0.02, 1e-3, math.inf,
+                                 -math.inf)
+        assert [o.stop for o in batch.outcomes] == [STOP_NONFINITE] * 2 + [STOP_REACHED_T]
+        assert 0.0 < batch.outcomes[1].t < batch.outcomes[0].t < 0.02
+
+    def test_step_solves_the_semi_implicit_system(self):
+        # one step h = T of rows with their own boundary values: (theta1 -
+        # theta0)/h = expl(theta0) + D0 theta1'' + adv0 theta1' - 4 zeta
+        # theta1/r^2, the diffusivity D0 and advection adv0 frozen at theta0
+        nr, T, p = 12, 1e-5, params(c=1e-6)
+        profiles = [RadialProfile(0.3, 1.3, nr, _sine_theta(a, nr) + tb)
+                    for a, tb in ((-2.0, 0.25), (-5.0, 0.0), (-1.0, 0.5))]
+        batch = radial._march(profiles, p, T, 1e-3, 1e6)
+        assert [o.steps for o in batch.outcomes] == [1, 1, 1]
+        r, dr, zeta, L4 = profiles[0].r[1:-1], profiles[0].dr, p.zeta, p.L4
+        for prof, theta1 in zip(profiles, batch.theta):
+            th0, th1 = prof.theta, theta1
+
+            def d1(th):
+                return (th[2:] - th[:-2]) / (2.0 * dr)
+
+            def d2(th):
+                return (th[2:] - 2.0 * th[1:-1] + th[:-2]) / (dr * dr)
+
+            t0 = th0[1:-1]
+            expl = L4 * (0.5 * d1(th0) ** 2 + 6.0 * t0 * t0 / r**2) - p.a * t0 - 0.5 * p.c * t0**3
+            rhs = (expl + (zeta + L4 * t0) * d2(th1) + (zeta + L4 * t0) / r * d1(th1)
+                   - 4.0 * zeta * th1[1:-1] / r**2)
+            assert th1[0] == th0[0] and th1[-1] == th0[-1]
+            assert np.abs((th1[1:-1] - t0) / T - rhs).max() <= 1e-10 * np.abs(rhs).max()
+
+    @pytest.mark.parametrize("fault", ["singular", "nan"])
+    def test_row_by_row_solve_keeps_the_bits(self, monkeypatch, fault):
+        # a batched solve that fails (a singular block) or returns a NaN
+        # (a block poisoned through the zero couplings) on every third step
+        # is redone row by row
+        solve, calls = radial.solve_banded, [0]
+
+        def faulty(ab, b):
+            x = solve(ab, b)
+            if b.size > nr:
+                calls[0] += 1
+                if calls[0] % 3 == 0:
+                    if fault == "singular":
+                        raise np.linalg.LinAlgError("singular matrix")
+                    x[-1] = np.nan
+            return x
+
+        nr = 10
+        profiles = [RadialProfile.sine_bump(0.3, 1.3, nr, a) for a in (-10.0, -2.0, -0.3)]
+        expected = [radial._march([prof], params(c=1e-6), 0.05, 1e-3, 1e6) for prof in profiles]
+        monkeypatch.setattr(radial, "solve_banded", faulty)
+        batch = radial._march(profiles, params(c=1e-6), 0.05, 1e-3, 1e6)
+        assert calls[0] > 3
+        for i, single in enumerate(expected):
+            assert batch.outcomes[i] == single.outcomes[0]
+            assert batch.theta[i].tobytes() == single.theta[0].tobytes()
+
+    def test_singular_block_stops_its_row_only(self, monkeypatch):
+        # the batched solve fails, and so does the middle row's own block:
+        # that row stops as non-finite, as its own run does, and the other
+        # rows march on
+        solve, nr = radial.solve_banded, 10
+
+        def singular(ab, b):
+            if b.size > nr or np.abs(b).max() < 1e-2:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(ab, b)
+
+        profiles = [RadialProfile.sine_bump(0.3, 1.3, nr, a) for a in (-2.0, 5e-3, -0.3)]
+        expected = [radial._march([prof], params(c=1e-6), 0.05, 1e-3, 1e6) for prof in profiles]
+        monkeypatch.setattr(radial, "solve_banded", singular)
+        batch = radial._march(profiles, params(c=1e-6), 0.05, 1e-3, 1e6)
+        flag = run_radial_flag(profiles[1], params(c=1e-6), 0.05, 1e-3)
+        assert batch.outcomes[1] == flag == radial.RadialFlag(STOP_NONFINITE, 0.0, 0)
+        for i in (0, 2):
+            assert batch.outcomes[i] == expected[i].outcomes[0]
+            assert batch.theta[i].tobytes() == expected[i].theta[0].tobytes()
+
+    def test_one_row_raises_its_exception(self):
+        th = _sine_theta(-1.0, 10)
+        th[-1] = 1.0
+        with pytest.raises(ValueError, match="must agree"):
+            run_radial_flag(RadialProfile(0.3, 1.3, 10, th), params(c=1e-6), 0.05, 1e-3)
+
+    def test_needs_one_grid(self):
+        profiles = [RadialProfile.sine_bump(0.3, 1.3, 10, -1.0),
+                    RadialProfile.sine_bump(0.3, 1.4, 10, -1.0)]
+        with pytest.raises(ValueError, match="one grid"):
+            radial._march(profiles, params(c=1e-6), 0.05, 1e-3, 1e6)
+
+
+def sequential_search(R0, R1, nr, p, T, dt, amp_lo, amp_hi):
+    """The bisection threshold_search batches, one run_radial_flag at a time.
+
+    Returns the (amplitude, flag) runs in order, ending at an aborted run,
+    and the final (lo, hi).
+    """
+    runs = []
+
+    def flag(amp):
+        runs.append((amp, run_radial_flag(RadialProfile.sine_bump(R0, R1, nr, amp), p, T, dt)))
+        return runs[-1][1]
+
+    lo, hi = amp_lo, amp_hi
+    lo_flag = flag(lo)
+    if lo_flag.nonfinite:
+        return runs, lo, hi
+    hi_flag = flag(hi)
+    if hi_flag.nonfinite or lo_flag.blown_up == hi_flag.blown_up:
+        return runs, lo, hi
+    for _ in range(radial.SEARCH_LEVELS):
+        mid = 0.5 * (lo + hi)
+        mid_flag = flag(mid)
+        if mid_flag.nonfinite:
+            break
+        if mid_flag.blown_up == hi_flag.blown_up:
+            hi = mid
+        else:
+            lo = mid
+    return runs, lo, hi
+
+
+# the thin inner annulus of the shipped search, on a coarse grid and to
+# T = 0.05: amplitudes below about -8 run away, positive ones above
+# zeta = 1 turn backward-diffusive
+SEARCH_SETUP = (0.3, 1.3, 8, params(c=1e-6), 0.05, 1e-3)
+
+
+@st.composite
+def search_brackets(draw):
+    ends = st.one_of(st.floats(-40.0, -0.05), st.floats(0.05, 3.0))
+    return draw(ends), draw(ends)
+
+
+class TestThresholdSearch:
+    SWEEP = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+    @SWEEP
+    @given(search_brackets())
+    def test_equals_sequential_bisection(self, bracket):
+        runs, lo, hi = sequential_search(*SEARCH_SETUP, *bracket)
+        search = radial.threshold_search(*SEARCH_SETUP, *bracket)
+        assert search.runs == tuple(runs)
+        assert (search.lo, search.hi) == (lo, hi)
+        assert search.sequential_steps == sum(flag.steps for _, flag in runs)
+
+    @SWEEP
+    @given(search_brackets(), st.sampled_from(["nonfinite", "backward", "singular", "boundary"]))
+    def test_runs_off_the_path_are_never_read(self, bracket, fault):
+        # every candidate the sequential search does not run gets an abort
+        # or an exception in place of its outcome
+        runs, lo, hi = sequential_search(*SEARCH_SETUP, *bracket)
+        nr = SEARCH_SETUP[2]
+        path = {RadialProfile.sine_bump(0.3, 1.3, nr, amp).theta.tobytes() for amp, _ in runs}
+        bad = {"nonfinite": radial.RadialFlag(STOP_NONFINITE, 0.0, 1),
+               "backward": radial.RadialFlag(STOP_BACKWARD_DIFFUSION, 0.0, 0),
+               "singular": np.linalg.LinAlgError("singular matrix"),
+               "boundary": ValueError("boundary values must agree")}[fault]
+        flag_march = radial._flag_march
+
+        def faulty(profiles, *args):
+            batch = flag_march(profiles, *args)
+            for i, prof in enumerate(profiles):
+                if prof.theta.tobytes() not in path:
+                    batch.outcomes[i] = bad
+            return batch
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(radial, "_flag_march", faulty)
+            search = radial.threshold_search(*SEARCH_SETUP, *bracket)
+        assert search.runs == tuple(runs)
+        assert (search.lo, search.hi) == (lo, hi)
+
+    def test_exception_on_the_path_is_raised(self):
+        # amp_hi * sin(pi) = 1.2e-11 fails the boundary check, as it does
+        # for run_radial_flag
+        with pytest.raises(ValueError, match="must agree"):
+            radial.threshold_search(*SEARCH_SETUP, -0.2, -1e5)
+
+    def test_aborted_run_ends_the_search(self):
+        search = radial.threshold_search(*SEARCH_SETUP, -0.2, -40.0)
+        assert not search.aborted and len(search.history) == radial.SEARCH_LEVELS
+        search = radial.threshold_search(*SEARCH_SETUP, -0.2, 2.0)
+        amp, flag = search.aborted
+        assert amp == 2.0 and flag.stop == STOP_BACKWARD_DIFFUSION
+        assert len(search.runs) == 2 and not search.history
+
+    def test_shipped_search_work_counts(self):
+        # configs/blowup-threshold-search.cfg: 16 levels in 4 batches of 15
+        # candidates take 13,757 lock-step steps and 143,953 row steps,
+        # where the 18 runs one after another take 45,670 steps
+        search = radial.threshold_search(0.3, 1.3, 100, params(c=1e-6), 0.5, 1e-4, -0.2, -60.0)
+        assert (search.lo, search.hi) == (-3.670144653320313, -3.6710571289062504)
+        assert search.sequential_steps == 45_670
+        assert (search.iterations, search.row_steps) == (13_757, 143_953)
 
 
 class TestPoincareStep:
