@@ -59,10 +59,6 @@ class PeriodicField:
     def dim(self) -> int:
         return self.data.shape[2]
 
-    @property
-    def period(self) -> float:
-        return self.n * self.h
-
     def copy(self) -> "PeriodicField":
         return PeriodicField(self.data.copy(), self.h)
 
@@ -70,9 +66,6 @@ class PeriodicField:
     def constant(cls, n: int, h: float, Q) -> "PeriodicField":
         m = Q.matrix() if isinstance(Q, (QTensor2, QTensor3)) else np.asarray(Q, float)
         return cls(np.tile(m, (n, n, 1, 1)), h)
-
-    def frobenius(self) -> np.ndarray:
-        return np.sqrt(np.einsum("xyij,xyij->xy", self.data, self.data))
 
     def eigenvalues(self) -> np.ndarray:
         """Per-cell eigenvalues, ascending along the last axis."""
@@ -134,11 +127,30 @@ def heat_kernel_weights(dt: float, L1: float, h: float, n: int) -> np.ndarray:
     return w / w.sum()
 
 
-# Index pairs (i, j), i <= j, of the entries of a symmetric d x d tensor,
-# diagonal first; _FREE leaves out the last diagonal entry, which is minus
-# the sum of the others in a traceless tensor.
+# Index pairs (i, j), i <= j, of the independent entries of a symmetric
+# d x d tensor, diagonal first; _FREE leaves out the last diagonal entry,
+# which the heat step sets to minus the sum of the others.
 _PAIRS = {2: ((0, 0), (1, 1), (0, 1)), 3: ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))}
-_FREE = {2: ((0, 0), (0, 1)), 3: ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2))}
+_FREE = {d: pairs[: d - 1] + pairs[d:] for d, pairs in _PAIRS.items()}
+
+
+def _entries(Q: np.ndarray, d: int) -> list:
+    """The independent entries q[i][j] = Q[..., j, i] in _PAIRS[d] order,
+    read from the lower triangle (as LAPACK eigvalsh reads it): Python
+    floats for one matrix, contiguous planes over the leading axes for a
+    batch."""
+    q = Q.T.tolist() if Q.ndim == 2 else np.asfortranarray(Q).T
+    return [q[i][j] for i, j in _PAIRS[d]]
+
+
+def _assemble(x: list, shape: tuple) -> np.ndarray:
+    """The exactly symmetric (..., d, d) array, in Fortran order (contiguous
+    planes), whose entries in _PAIRS[d] order are x."""
+    out = np.empty(shape, order="F")
+    o = out.T
+    for (i, j), v in zip(_PAIRS[shape[-1]], x):
+        o[i, j] = o[j, i] = v
+    return out
 
 
 # one entry per step size and grid; a trotter-convergence run uses five
@@ -166,38 +178,21 @@ def heat_step(field: PeriodicField, dt: float, L1: float) -> PeriodicField:
     exactly symmetric and traceless."""
     C = _heat_circulant(dt, L1, field.h, field.n)
     d = field.dim
-    free = _FREE[d]
     # planes[c, y, x] = data[x, y, j, i]: C.T convolves along x, C along y
-    planes = np.stack([field.data.T[i, j] for i, j in free])
-    planes = C @ planes @ C.T
-    out = np.empty(field.data.shape, order="F")
-    o = out.T
-    for (i, j), plane in zip(free, planes):
-        o[i, j] = o[j, i] = plane
-    o[d - 1, d - 1] = -planes[: d - 1].sum(axis=0)
-    return PeriodicField(out, field.h)
+    planes = C @ np.stack([field.data.T[i, j] for i, j in _FREE[d]]) @ C.T
+    x = [*planes[: d - 1], -planes[: d - 1].sum(axis=0), *planes[d - 1:]]
+    return PeriodicField(_assemble(x, field.data.shape), field.h)
 
 
-def _as_matrix_batch(Q, d):
-    if isinstance(Q, (QTensor2, QTensor3)):
-        return Q.matrix(), "tensor"
-    arr = np.asarray(Q, dtype=float)
-    if arr.shape[-2:] != (d, d):
-        raise ValueError(f"expected trailing {d}x{d} blocks")
-    return arr, "array"
-
-
-def bulk_ode_rhs(Q: np.ndarray, params: LdGParams, d: int) -> np.ndarray:
+def bulk_ode_rhs(Q, params: LdGParams, d: int):
     """-a Q + b (Q^2 - tr(Q^2)/d I) - c Q tr(Q^2); b dropped for d = 2 where
     the matrix combination vanishes structurally (tr(Q^3) = 0).
 
-    One formula on the entries q[i][j] = Q[..., j, i], i <= j: Python floats
-    for a single matrix, planes over the leading axes for a batch.  The
-    result is exactly symmetric and in Fortran order (contiguous planes)."""
-    Q = np.asarray(Q, dtype=float)
-    q = Q.T.tolist() if Q.ndim == 2 else Q.T
-    pairs = _PAIRS[d]
-    x = [q[i][j] for i, j in pairs]
+    One formula on the list of independent entries that _entries reads, and
+    the rates come back as such a list.  A (..., d, d) array is also taken:
+    its lower triangle is read, and the rates come back as an exactly
+    symmetric array in Fortran order."""
+    x = Q if isinstance(Q, list) else _entries(np.asarray(Q, dtype=float), d)
     # diagonal of Q^2, whose sum is tr(Q^2)
     if d == 2:
         q11, q22, q12 = x
@@ -219,11 +214,7 @@ def bulk_ode_rhs(Q: np.ndarray, params: LdGParams, d: int) -> np.ndarray:
             q23 * (q22 + q33) + q12 * q13,
         ]
         rhs = [v + params.b * w for v, w in zip(rhs, dev)]
-    out = np.empty(Q.shape, order="F")
-    o = out.T
-    for (i, j), v in zip(pairs, rhs):
-        o[i, j] = o[j, i] = v
-    return out
+    return rhs if isinstance(Q, list) else _assemble(rhs, np.shape(Q))
 
 
 def bulk_rate_bound(params: LdGParams, nrm: float) -> float:
@@ -239,58 +230,65 @@ def _substeps(T: float, rate: float) -> int:
     return max(1, int(math.ceil(count)))
 
 
+def _rk4(f, x: list, h: float, nsub: int) -> list:
+    """nsub classical RK4 steps of size h for x' = f(x), where x and f(x)
+    are lists of floats or arrays combined entry by entry."""
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(nsub):
+        k1 = f(x)
+        k2 = f([v + half * k for v, k in zip(x, k1)])
+        k3 = f([v + half * k for v, k in zip(x, k2)])
+        k4 = f([v + h * k for v, k in zip(x, k3)])
+        x = [v + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+             for v, r1, r2, r3, r4 in zip(x, k1, k2, k3, k4)]
+    return x
+
+
 def bulk_ode_step(Q, dt: float, params: LdGParams, d: int) -> "QTensor2 | QTensor3 | np.ndarray":
-    """RK4 step of the bulk ODE; symmetry and tracelessness are preserved
-    structurally.  Substeps keep dt (|a| + b|Q| + c|Q|^2) <= 0.1; a rate
-    that overflows raises UnstableStepError."""
+    """RK4 step of the bulk ODE on the independent entries of Q (6 for 3x3,
+    3 for 2x2), read once from its lower triangle.  The result is exactly
+    symmetric; its trace stays zero up to roundoff, as the last diagonal
+    entry is evolved on its own.  Substeps keep dt (|a| + b|Q| + c|Q|^2)
+    <= 0.1; a rate that overflows raises UnstableStepError."""
     if d not in (2, 3):
         raise ValueError("d must be 2 or 3")
-    arr, kind = _as_matrix_batch(Q, d)
+    tensor = isinstance(Q, (QTensor2, QTensor3))
+    arr = Q.matrix() if tensor else np.asarray(Q, dtype=float)
+    if arr.shape[-2:] != (d, d):
+        raise ValueError(f"expected trailing {d}x{d} blocks")
     nrm = float(np.sqrt(np.einsum("...ij,...ij->...", arr, arr).max())) if arr.size else 0.0
     nsub = _substeps(dt, bulk_rate_bound(params, nrm))
-    hsub = dt / nsub
-    # every stage then keeps the Fortran order of bulk_ode_rhs
-    out = np.asfortranarray(arr)
-    for _ in range(nsub):
-        k1 = bulk_ode_rhs(out, params, d)
-        k2 = bulk_ode_rhs(out + 0.5 * hsub * k1, params, d)
-        k3 = bulk_ode_rhs(out + 0.5 * hsub * k2, params, d)
-        k4 = bulk_ode_rhs(out + hsub * k3, params, d)
-        out = out + hsub / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if kind == "tensor":
-        if d == 2:
-            return QTensor2(p=float(out[0, 0]), q=float(out[0, 1]))
-        return QTensor3.from_matrix(out)
-    return out
+    x = _rk4(lambda y: bulk_ode_rhs(y, params, d), _entries(arr, d), dt / nsub, nsub)
+    if tensor and d == 2:
+        return QTensor2(p=x[0], q=x[2])
+    out = _assemble(x, arr.shape)
+    return QTensor3.from_matrix(out) if tensor else out
+
+
+def _eigen_rates(u: np.ndarray, params: LdGParams) -> np.ndarray:
+    """Rates of the stacked pair u = (lambda1, lambda2), shape (2, ...), of
+    the diagonal 3D bulk ODE, stacked the same way."""
+    s = u * u
+    s12 = u[0] * u[1]
+    common = 2.0 * params.c * (s[0] + s[1] + s12) + params.a
+    # y - u common has the bits of -u common + y, with one ufunc call fewer
+    return params.b * (s - 2.0 * s[::-1] - 2.0 * s12) / 3.0 - u * common
 
 
 def eigen_ode_rhs(pair: EigenPair, params: LdGParams):
-    """RHS of the two-eigenvalue system of the diagonal 3D bulk ODE; the pair
-    may hold floats or arrays of one shape."""
-    u1, u2 = pair.lambda1, pair.lambda2
-    s11, s22, s12 = u1 * u1, u2 * u2, u1 * u2
-    common = 2.0 * params.c * (s11 + s22 + s12) + params.a
-    d1 = -u1 * common + params.b * (s11 - 2.0 * s22 - 2.0 * s12) / 3.0
-    d2 = -u2 * common + params.b * (s22 - 2.0 * s11 - 2.0 * s12) / 3.0
-    return d1, d2
+    """RHS (d lambda1, d lambda2) of the two-eigenvalue system of the
+    diagonal 3D bulk ODE; the pair may hold floats or arrays of one shape."""
+    return tuple(_eigen_rates(np.array([pair.lambda1, pair.lambda2], dtype=float), params))
 
 
 def eigen_ode_integrate(lambda1, lambda2, params: LdGParams, T: float):
-    """Vectorized RK4 integration of the eigenvalue system to time T."""
-    l1 = np.asarray(lambda1, dtype=float).copy()
-    l2 = np.asarray(lambda2, dtype=float).copy()
-
-    nrm = float(max(np.abs(l1).max(), np.abs(l2).max(), 1e-12)) * math.sqrt(6.0)
+    """Vectorized RK4 integration of the eigenvalue system to time T, on the
+    pair stacked as one (2, ...) array."""
+    lam = np.array([lambda1, lambda2], dtype=float)
+    nrm = float(max(np.abs(lam).max(), 1e-12)) * math.sqrt(6.0)
     nsub = _substeps(T, bulk_rate_bound(params, nrm))
-    h = T / nsub
-    for _ in range(nsub):
-        a1, a2 = eigen_ode_rhs(EigenPair(l1, l2), params)
-        b1, b2 = eigen_ode_rhs(EigenPair(l1 + 0.5 * h * a1, l2 + 0.5 * h * a2), params)
-        c1, c2 = eigen_ode_rhs(EigenPair(l1 + 0.5 * h * b1, l2 + 0.5 * h * b2), params)
-        d1, d2 = eigen_ode_rhs(EigenPair(l1 + h * c1, l2 + h * c2), params)
-        l1 = l1 + h / 6.0 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        l2 = l2 + h / 6.0 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-    return l1, l2
+    [lam] = _rk4(lambda y: [_eigen_rates(y[0], params)], [lam], T / nsub, nsub)
+    return lam[0], lam[1]
 
 
 @dataclass

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qflow import cli, splitting
+from qflow import cli, qtensor, splitting
 from qflow.cli import (
     CSV_HEADER,
     ConfigError,
@@ -209,12 +209,22 @@ class TestShippedConfigs:
 
     def test_physicality_trace_csv_pinned(self, tmp_path):
         cfg = parse_config((CONFIGS / "physicality.cfg").read_text())
-        run_experiment(cfg, str(tmp_path), emit_svg=False)
+        report = run_experiment(cfg, str(tmp_path), emit_svg=False)
         data = (tmp_path / "trace.csv").read_bytes()
         assert len(data.splitlines()) == 52
         assert hashlib.sha256(data).hexdigest() == (
             "c4644b60d20b7429a68ec22f5fe555308cda26981f046442dbdc8e8511c698d4"
         )
+        assert report.summary["results"]["equivariance_error"] == 1.9984014443252818e-15
+
+    def test_trotter_convergence_results_pinned(self, tmp_path):
+        cfg = parse_config((CONFIGS / "trotter-convergence.cfg").read_text())
+        res = run_experiment(cfg, str(tmp_path), emit_svg=False).summary["results"]
+        assert res["errors"] == [0.008434403885013342, 0.003807433070274524,
+                                 0.0017978147448386593, 0.0008756238370002604]
+        assert res["orders"] == [1.1474674311046273, 1.0825743097018683, 1.0378612320534766]
+        assert res["initial_hull"] == [-0.728713553878169, 1.457427107756338]
+        assert res["worst_hull_excess"] == 0.0
 
     @pytest.mark.parametrize("name, lines, digest", [
         ("smallness", 1002, "4f3d37a1aed0f67e506e80683d79b70d482c06d98cc702592d368dfb624fd01b"),
@@ -250,6 +260,78 @@ class TestShippedConfigs:
         ]
         width, end_flags = (c["measured"] for c in report.summary["checks"])
         assert width == res["width"] and end_flags == [False, True]
+
+
+# the split path's spans in the benchmark, by module
+SPLIT_SPANS = {"bulk_ode_rhs": splitting, "bulk_ode_step": splitting, "heat_step": splitting,
+               "hull_bounds": splitting, "eigen_ode_integrate": splitting,
+               "eigvals_traceless_sym3": qtensor}
+
+
+class TestSplitSpans:
+    """The split experiments call every span the benchmark times on them,
+    whichever binding they call it through."""
+
+    TROTTER = {"n_cells = 64": "n_cells = 32", "n_hi = 64": "n_hi = 16"}
+    PHYSICALITY = {"T = 10": "T = 1", "n_grid = 20": "n_grid = 8", "n_rotations = 20": "n_rotations = 3"}
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Wrap every binding in qflow of each span with a call counter;
+        return the counts and the (bulk_ode_rhs calls, RK4 substeps) of
+        each bulk_ode_step call."""
+        calls = dict.fromkeys(SPLIT_SPANS, 0)
+        per_step, substeps = [], []
+        real_substeps = splitting._substeps
+
+        def recorded_substeps(T, rate):
+            substeps.append(real_substeps(T, rate))
+            return substeps[-1]
+
+        monkeypatch.setattr(splitting, "_substeps", recorded_substeps)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                rhs0 = calls["bulk_ode_rhs"]
+                out = fn(*args, **kwargs)
+                if name == "bulk_ode_step":
+                    per_step.append((calls["bulk_ode_rhs"] - rhs0, substeps[-1]))
+                return out
+            return wrapper
+
+        modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "qflow"]
+        for name, module in SPLIT_SPANS.items():
+            original = getattr(module, name)
+            wrapper = counting(name, original)
+            for mod in modules:
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+        # the from-imports are wrapped too
+        assert cli.bulk_ode_step is splitting.bulk_ode_step
+        assert splitting.eigvals_traceless_sym3 is qtensor.eigvals_traceless_sym3
+        return calls, per_step
+
+    @pytest.mark.parametrize("name, edits, counts", [
+        ("trotter-convergence", TROTTER,
+         {"bulk_ode_rhs": 280, "bulk_ode_step": 56, "heat_step": 56, "hull_bounds": 117,
+          "eigen_ode_integrate": 0, "eigvals_traceless_sym3": 118}),
+        ("physicality", PHYSICALITY,
+         {"bulk_ode_rhs": 1448, "bulk_ode_step": 6, "heat_step": 0, "hull_bounds": 0,
+          "eigen_ode_integrate": 50, "eigvals_traceless_sym3": 0}),
+    ])
+    def test_spans_called(self, tmp_path, monkeypatch, name, edits, counts):
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        calls, per_step = self._count_calls(monkeypatch)
+        assert run_experiment(parse_config(text), str(tmp_path), emit_svg=False).passed
+        assert calls == counts
+        # four RHS calls per RK4 substep, all inside bulk_ode_step
+        assert per_step and all(rhs == 4 * n for rhs, n in per_step)
+        assert sum(rhs for rhs, _ in per_step) == calls["bulk_ode_rhs"]
 
 
 class TestContinuousDependenceSeeds:

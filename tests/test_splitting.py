@@ -165,6 +165,25 @@ class TestBulkOde:
         assert np.abs(out - out.T).max() < 1e-13
         assert abs(np.trace(out)) < 1e-13
 
+    def test_result_reads_the_lower_triangle(self):
+        # a rotated state is symmetric only up to roundoff; the result is
+        # built from its lower triangle alone, so it is exactly symmetric and
+        # has the bits of the lower triangle mirrored
+        rng = np.random.default_rng(8)
+        pair = stationary_pair(P3)
+        mats = []
+        for _ in range(100):
+            R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            l1, l2 = rng.uniform(pair.lambda1, pair.lambda2, size=2)
+            mats.append(R @ np.diag([l1, l2, -l1 - l2]) @ R.T)
+        mats = np.array(mats)
+        assert not np.array_equal(mats, np.swapaxes(mats, -1, -2))
+        lower = np.tril(mats) + np.swapaxes(np.tril(mats, -1), -1, -2)
+        for Q, L in [*zip(mats, lower), (mats, lower)]:  # one matrix, then a batch
+            out = bulk_ode_step(Q, 0.1, P3, 3)
+            assert np.array_equal(out, np.swapaxes(out, -1, -2))
+            assert np.array_equal(out, bulk_ode_step(L, 0.1, P3, 3))
+
     def test_2d_b_term_structurally_absent(self):
         m = QTensor2(0.4, -0.3).matrix()
         for b in (0.0, 2.0, 11.0):
@@ -445,6 +464,10 @@ class TestHullBounds:
             eigen_ode_integrate([1e3], [-1e3], huge_c, 1.0)
         with pytest.raises(UnstableStepError, match="non-finite bulk-ODE rate"):
             eigen_ode_integrate([0.5], [-0.2], P3, 1e308)
+        # a NaN in either eigenvalue reaches the rate bound
+        for pair in (([math.nan], [0.5]), ([0.5], [math.nan])):
+            with pytest.raises(UnstableStepError, match="non-finite bulk-ODE rate"):
+                eigen_ode_integrate(*pair, P3, 1.0)
 
     def test_zero_field(self):
         fld = PeriodicField(np.zeros((8, 8, 2, 2)), 1.0)
