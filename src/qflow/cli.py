@@ -41,19 +41,6 @@ CSV_HEADER = "t,energy,max_h2,l2_norm,l2_dQdt,flag"
 # instead of running without bound.
 MAX_STEPS = 1_000_000
 
-EXPERIMENTS = (
-    "smallness",
-    "energy-decay",
-    "blowup",
-    "blowup-threshold-search",
-    "physicality",
-    "trotter-convergence",
-    "continuous-dependence",
-    "coercivity-report",
-    "hedgehog-consistency",
-)
-
-
 class ConfigError(Exception):
     """Invalid config or violated precondition (exit code 1)."""
 
@@ -116,6 +103,8 @@ _REQUIRED = {
     "coercivity-report": ["L1", "L2", "L3"],
     "hedgehog-consistency": ["L1", "R0", "R1"],
 }
+
+EXPERIMENTS = tuple(_REQUIRED)
 
 
 @dataclass
@@ -185,14 +174,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if missing:
         raise ConfigError("missing mandatory keys: " + ", ".join(missing))
 
-    values = {}
-    for key, (typ, default) in _KEY_TYPES.items():
-        if key == "experiment":
-            continue
-        if key in raw:
-            values[key] = raw[key]
-        elif default is not None:
-            values[key] = default
+    values = {key: raw.get(key, default) for key, (_, default) in _KEY_TYPES.items()
+              if key != "experiment" and (key in raw or default is not None)}
     cfg = ExperimentConfig(experiment=experiment, values=values)
     _validate(cfg)
     return cfg
@@ -372,13 +355,8 @@ def _check(name, passed, measured, tolerance):
 
 
 def _trace_rows_from_run(trace: pde2d.RunTrace):
-    rows = []
-    for i in range(len(trace.t)):
-        rows.append(
-            (trace.t[i], trace.energy[i], trace.max_h2[i], trace.l2_q[i],
-             trace.l2_dqdt[i], bool(trace.smallness[i]))
-        )
-    return rows
+    return list(zip(trace.t, trace.energy, trace.max_h2, trace.l2_q, trace.l2_dqdt,
+                    trace.smallness))
 
 
 def _series_from_run(trace: pde2d.RunTrace):
@@ -484,21 +462,6 @@ def _exp_energy_decay(cfg):
     return results, checks, _trace_rows_from_run(trace), _series_from_run(trace)
 
 
-def _radial_rows(trace: radial.RadialTrace, threshold: float):
-    # fixed CSV header mapping for radial runs: energy := F(t),
-    # max_h2 := max theta^2 / 4 (h^2 of the hedgehog field),
-    # l2_norm := ||Q||_L2 = sqrt(pi y), l2_dQdt := sqrt(pi) * rate
-    rows = []
-    for i in range(len(trace.t)):
-        rows.append(
-            (trace.t[i], trace.F[i], trace.max_abs_theta[i] ** 2 / 4.0,
-             math.sqrt(math.pi * max(trace.y[i], 0.0)),
-             math.sqrt(math.pi) * trace.rate[i],
-             bool(trace.y[i] > threshold))
-        )
-    return rows
-
-
 def _exp_blowup(cfg):
     params = cfg.params()
     profile = RadialProfile.sine_bump(cfg.R0, cfg.R1, cfg.nr, cfg.amplitude)
@@ -533,13 +496,17 @@ def _exp_blowup(cfg):
         "comparison_series": comp,
         "times": trace.t,
     }
+    # the CSV columns of a radial run: energy := F(t), max_h2 := max theta^2 / 4
+    # (h^2 of the hedgehog field), l2_norm := ||Q||_L2 = sqrt(pi y),
+    # l2_dQdt := sqrt(pi) * rate, flag := y above the threshold
     series = {
         "energy": (trace.t, trace.F),
         "max_h2": (trace.t, trace.max_abs_theta**2 / 4.0),
         "l2_norm": (trace.t, np.sqrt(math.pi * np.maximum(trace.y, 0.0))),
         "l2_dqdt": (trace.t, math.sqrt(math.pi) * trace.rate),
     }
-    return results, checks, _radial_rows(trace, radial.BLOWUP_Y_THRESHOLD), series
+    rows = zip(trace.t, *(ys for _, ys in series.values()), trace.y > radial.BLOWUP_Y_THRESHOLD)
+    return results, checks, list(rows), series
 
 
 def _exp_blowup_threshold_search(cfg):
@@ -663,11 +630,8 @@ def _exp_trotter_convergence(cfg):
     else:
         field0 = splitting.make_smooth_physical_field(cfg.n_cells, h, params, d, seed=cfg.seed)
     hull0 = hull_bounds(field0)
-    n_list = []
-    n = cfg.n_lo
-    while n <= cfg.n_hi:
-        n_list.append(n)
-        n *= 2
+    # n_lo 2^i up to n_hi
+    n_list = [cfg.n_lo << i for i in range((cfg.n_hi // cfg.n_lo).bit_length())]
     solutions = {}
     hull_ok = True
     worst_hull = 0.0
@@ -699,50 +663,25 @@ def _exp_trotter_convergence(cfg):
 
 def _exp_continuous_dependence(cfg):
     params = cfg.params()
-    consts = derived_constants(params)
+    eta2 = derived_constants(params).eta2
     grid = pde2d.Grid2D.from_extent(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    if math.isfinite(consts.eta2):
-        amplitude = 0.9 * math.sqrt(2.0 * consts.eta2)
+    if math.isfinite(eta2):
+        amplitude = 0.9 * math.sqrt(2.0 * eta2)
     else:
         amplitude = cfg.values.get("amplitude", 0.05)
     base = pde2d.smooth_random_field(grid, amplitude, seed=cfg.seed, kmax=cfg.kmax)
     shape = pde2d.smooth_random_field(grid, 1.0, seed=cfg.seed + 1, kmax=cfg.kmax)
-
-    def perturbed(eps):
-        return pde2d.Field2D(grid, base.p + eps * shape.p, base.q + eps * shape.q)
-
-    nsteps = max(1, int(round(cfg.T / cfg.dt)))
-    fa = base.copy()
-    f1 = perturbed(cfg.eps1)
-    f2 = perturbed(cfg.eps2)
-    times = [0.0]
-    d1 = [pde2d.field_distance(fa, f1)]
-    d2 = [pde2d.field_distance(fa, f2)]
-    base_trace_rows = []
-    consts_eta1 = consts.eta1
-    for n in range(nsteps + 1):
-        if n > 0:
-            fa = pde2d.step(fa, cfg.dt, params, cfg.scheme)
-            f1 = pde2d.step(f1, cfg.dt, params, cfg.scheme)
-            f2 = pde2d.step(f2, cfg.dt, params, cfg.scheme)
-            times.append(n * cfg.dt)
-            d1.append(pde2d.field_distance(fa, f1))
-            d2.append(pde2d.field_distance(fa, f2))
-        mh2 = fa.max_h2()
-        small = mh2 <= consts_eta1 * (1 + 1e-3) ** 2 if math.isfinite(consts_eta1) else True
-        base_trace_rows.append(
-            (n * cfg.dt, pde2d.discrete_energy(fa, params), mh2, fa.l2_norm(), 0.0, small)
-        )
-    times = np.array(times)
-    d1 = np.array(d1)
-    d2 = np.array(d2)
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+    perturbations = [pde2d.Field2D(grid, eps * shape.p, eps * shape.q)
+                     for eps in (cfg.eps1, cfg.eps2)]
+    res = pde2d.continuous_dependence_experiment(base, perturbations, params, cfg.T, cfg.dt,
+                                                 cfg.scheme, cfg.record_every)
+    times, (d1, d2) = res.times, res.distances
+    if not np.all(np.isfinite(res.distances)):
         raise NumericalFailure("non-finite distances in continuous-dependence run")
     ratio = d1 / d2
     expected = cfg.eps1 / cfg.eps2
     ratio_dev = float(np.max(np.abs(ratio / expected - 1.0)))
-    pos = d1 > 0
-    slope = float(np.polyfit(times[pos], np.log(d1[pos]), 1)[0]) if pos.sum() >= 2 else float("nan")
+    slope = float(res.slope[0])
     checks = [
         _check(f"distance ratio stays {expected:g} +- 20%", ratio_dev <= 0.2, ratio_dev, 0.2),
         _check("log-distance slope finite", math.isfinite(slope), slope, None),
@@ -758,7 +697,8 @@ def _exp_continuous_dependence(cfg):
         "distance_eps2": (times, d2),
         "ratio": (times, ratio),
     }
-    return results, checks, base_trace_rows, series
+    rows = list(zip(times, res.energy, res.max_h2, res.l2_q, [0.0] * len(times), res.smallness))
+    return results, checks, rows, series
 
 
 def _exp_hedgehog_consistency(cfg):

@@ -119,13 +119,12 @@ def elastic_matrix_eigenvalues(params: LdGParams) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(elastic_matrix(params)))
 
 
+def _matrix(Q) -> np.ndarray:
+    return Q.matrix() if isinstance(Q, (QTensor2, QTensor3)) else np.asarray(Q, dtype=float)
+
+
 def _traces(Q, d):
-    if isinstance(Q, QTensor2):
-        m = Q.matrix()
-    elif isinstance(Q, QTensor3):
-        m = Q.matrix()
-    else:
-        m = np.asarray(Q, dtype=float)
+    m = _matrix(Q)
     if d is not None and m.shape != (d, d):
         raise ValueError(f"tensor dimension {m.shape} does not match d={d}")
     t2 = float(np.sum(m * m))
@@ -153,10 +152,7 @@ def elastic_density(Q, gradQ, params: LdGParams) -> float:
     gradQ[k, i, j] holds the derivative of Q_ij along x_k and must be
     symmetric traceless in (i, j).
     """
-    if isinstance(Q, (QTensor2, QTensor3)):
-        m = Q.matrix()
-    else:
-        m = np.asarray(Q, dtype=float)
+    m = _matrix(Q)
     g = np.asarray(gradQ, dtype=float)
     d = m.shape[0]
     if g.shape != (d, d, d):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qflow import cli, qtensor, splitting
+from qflow import cli, energy, pde2d, qtensor, splitting
 from qflow.cli import (
     CSV_HEADER,
     ConfigError,
@@ -239,6 +239,21 @@ class TestShippedConfigs:
         assert len(data.splitlines()) == lines
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_rectangle_results_pinned(self, tmp_path):
+        def results(name):
+            cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+            return run_experiment(cfg, str(tmp_path / name), emit_svg=False).summary["results"]
+
+        res = results("continuous-dependence")
+        assert res["slope"] == -38.539681342148064
+        assert res["ratio_max_deviation"] == 2.502305695983864e-08
+        assert res["initial_distances"] == [4.7556108116252684e-07, 4.755610811623654e-08]
+        assert res["final_distances"] == [4.047863464118663e-24, 4.0478633628384313e-25]
+        res = results("energy-decay")
+        assert res["dt"] == 9.467455621301776e-06
+        assert res["final_energy"] == 0.00026609341917425045
+        assert res["max_defect_rel"] == 1.1522485379852351e-07
+
     def test_threshold_search_bracket_pinned(self, tmp_path):
         cfg = parse_config((CONFIGS / "blowup-threshold-search.cfg").read_text())
         report = run_experiment(cfg, str(tmp_path), emit_svg=False)
@@ -334,6 +349,59 @@ class TestSplitSpans:
         assert sum(rhs for rhs, _ in per_step) == calls["bulk_ode_rhs"]
 
 
+# the rectangle path's spans in the benchmark, by module
+RECT_SPANS = {"run": pde2d, "step": pde2d, "rhs_pq": pde2d, "discrete_energy": pde2d,
+              "field_distance": pde2d, "smooth_random_field": pde2d,
+              "derived_constants": energy}
+
+
+class TestRectSpans:
+    """The rectangle experiments call every span the benchmark times on them,
+    whichever binding they call it through."""
+
+    SMALLNESS = {"nx = 64": "nx = 16", "ny = 64": "ny = 16", "T = 5": "T = 0.05"}
+    ENERGY_DECAY = {"nx = 64": "nx = 16", "ny = 64": "ny = 16", "T = 0.015": "T = 2e-4\ndt = 1e-5"}
+    CONTINUOUS = {"nx = 32": "nx = 16", "ny = 32": "ny = 16", "T = 1": "T = 0.02"}
+
+    @pytest.mark.parametrize("name, edits, counts", [
+        ("smallness", SMALLNESS,
+         {"run": 1, "step": 0, "rhs_pq": 11, "discrete_energy": 11, "field_distance": 0,
+          "smooth_random_field": 1, "derived_constants": 3}),
+        ("energy-decay", ENERGY_DECAY,
+         {"run": 1, "step": 0, "rhs_pq": 21, "discrete_energy": 21, "field_distance": 0,
+          "smooth_random_field": 1, "derived_constants": 1}),
+        # the base and both perturbed fields take each step as one stack
+        ("continuous-dependence", CONTINUOUS,
+         {"run": 0, "step": 10, "rhs_pq": 10, "discrete_energy": 11, "field_distance": 22,
+          "smooth_random_field": 2, "derived_constants": 2}),
+    ])
+    def test_spans_called(self, tmp_path, monkeypatch, name, edits, counts):
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        calls = dict.fromkeys(RECT_SPANS, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "qflow"]
+        for span, module in RECT_SPANS.items():
+            original = getattr(module, span)
+            wrapper = counting(span, original)
+            for mod in modules:
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+        # the from-imports are wrapped too
+        assert cli.derived_constants is pde2d.derived_constants is energy.derived_constants
+        assert run_experiment(parse_config(text), str(tmp_path), emit_svg=False).passed
+        assert calls == counts
+
+
 class TestContinuousDependenceSeeds:
     def test_seed_7_ratio_holds(self, tmp_path):
         # the perturbation problem is linear to first order, so the distance
@@ -391,6 +459,14 @@ class TestMainEntry:
         rc = main(["run", self._write(tmp_path, cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_continuous_dependence_data_above_eta2_exit_1(self, tmp_path, capsys):
+        # the perturbed data exceed the eta2 bound of the library driver
+        cfg = (CONFIGS / "continuous-dependence.cfg").read_text()
+        cfg = cfg.replace("eps1 = 1e-6", "eps1 = 0.1")
+        rc = main(["run", self._write(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "initial data exceeds the eta2 smallness bound" in capsys.readouterr().err
 
     def test_threshold_search_aborted_run_exit_2(self, tmp_path, capsys):
         # shipped geometry with amp_hi = +50: zeta + L4 theta = 1 - theta is

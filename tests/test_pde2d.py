@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflow import pde2d
 from qflow.energy import LdGParams, derived_constants
 from qflow.pde2d import (
+    BLOWUP_L2_THRESHOLD,
+    SCHEMES,
     Field2D,
     Grid2D,
     UnstableStepError,
@@ -389,6 +392,23 @@ class TestRun:
         assert trace.blown_up
         assert trace.blowup_time is not None and trace.blowup_time < 1.0
 
+    def test_blowup_time_does_not_wait_for_a_record(self):
+        # the same runaway: a step between records that crosses the
+        # threshold is recorded, and the run stops there
+        grid = Grid2D.from_extent(16, 16, 1.0, 1.0)
+        params = LdGParams(a=-300.0, b=0.0, c=1e-12, L1=1.0, L2=0.0, L3=0.0, L4=0.0)
+        f0 = smooth_random_field(grid, 0.5, seed=7)
+        ref = run(f0, params, 1.0, 1e-3, scheme="imex")
+        assert ref.blown_up and not ref.nonfinite and ref.blowup_time == ref.t[-1]
+        for record_every in (10, 50):
+            trace = run(f0, params, 1.0, 1e-3, scheme="imex", record_every=record_every)
+            assert trace.blown_up and not trace.nonfinite
+            assert trace.blowup_time == ref.blowup_time == trace.t[-1]
+            assert trace.l2_q[-1] == ref.l2_q[-1] > BLOWUP_L2_THRESHOLD
+            assert trace.energy[-1] == ref.energy[-1]
+            assert np.array_equal(trace.final_field.p, ref.final_field.p)
+            assert np.all(trace.l2_q[:-1] <= BLOWUP_L2_THRESHOLD)
+
     def test_blowup_flag_on_unstable_dt(self):
         # far above the stability bound the L2 threshold trips within steps
         grid = Grid2D.from_extent(16, 16, 1.0, 1.0)
@@ -423,6 +443,73 @@ class TestRun:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(UnstableStepError):
                 step(fld, 1e308, coercive_params(), "explicit-euler")
+
+
+class TestLockStep:
+    """A stack of fields steps as one array; each member keeps its bits."""
+
+    @staticmethod
+    def _fields(rng, grid, k):
+        # each field with its own nonzero Dirichlet ring
+        shape = (grid.nx + 2, grid.ny + 2)
+        return [Field2D(grid, 0.3 * rng.standard_normal(shape), 0.3 * rng.standard_normal(shape))
+                for _ in range(k)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(1, 4), nx=st.integers(3, 14), ny=st.integers(3, 14),
+           hx=st.floats(0.05, 1.0), hy=st.floats(0.05, 1.0),
+           L4=st.sampled_from([0.0, 0.6]), scheme=st.sampled_from(SCHEMES),
+           seed=st.integers(0, 2**32 - 1))
+    def test_members_keep_the_bits_of_their_own_steps(self, k, nx, ny, hx, hy, L4, scheme, seed):
+        if nx == ny:
+            ny += 1
+        if hx == hy:
+            hy = 1.5 * hx
+        rng = np.random.default_rng(seed)
+        grid = Grid2D(nx=nx, ny=ny, hx=hx, hy=hy)
+        fields = self._fields(rng, grid, k)
+        params = coercive_params(a=rng.normal(), L2=0.2, L3=-0.1, L4=L4)
+        dt = stability_dt(grid, params) / 2
+        stack = Field2D.stack(fields)
+        assert stack.p.shape == (k * (nx + 2), ny + 2) and stack.p.flags.c_contiguous
+        rhs = rhs_pq(stack, params)
+        for i, f in enumerate(fields):
+            for got, ref in zip(rhs, rhs_pq(f, params)):
+                assert np.array_equal(got.reshape(k, nx, ny)[i], ref)
+        for _ in range(3):
+            stack = step(stack, dt, params, scheme)
+            fields = [step(f, dt, params, scheme) for f in fields]
+            members = stack.members()
+            assert len(members) == k
+            for got, ref in zip(members, fields):
+                assert got.p.tobytes() == ref.p.tobytes()
+                assert got.q.tobytes() == ref.q.tobytes()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("k, bad", [(1, 0), (3, 0), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+    def test_a_non_finite_member_raises(self, scheme, k, bad, value):
+        grid = Grid2D(nx=6, ny=5, hx=0.2, hy=0.15)
+        fields = self._fields(np.random.default_rng(3), grid, k)
+        fields[bad].q[3, 2] = value  # 1e300 overflows in the cubic term
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(UnstableStepError):
+                step(Field2D.stack(fields), 1e-3, coercive_params(L4=0.4), scheme)
+
+    def test_stack_shapes_are_checked(self):
+        grid = Grid2D(nx=4, ny=3, hx=0.2, hy=0.3)
+        with pytest.raises(ValueError):
+            Field2D(grid, np.zeros((9, 5)), np.zeros((9, 5)))
+        with pytest.raises(ValueError):
+            Field2D(grid, np.zeros((12, 5)), np.zeros((6, 5)))
+        with pytest.raises(ValueError):
+            Field2D(grid, np.zeros((0, 5)), np.zeros((0, 5)))
+        with pytest.raises(ValueError):
+            Field2D.stack([Field2D.zeros(grid), Field2D.zeros(Grid2D(nx=4, ny=3, hx=0.2, hy=0.4))])
+        stack = Field2D(grid, np.zeros((18, 5)), np.zeros((18, 5)))
+        assert len(stack.members()) == 3
+        with pytest.raises(ValueError, match="stack"):
+            run(stack, coercive_params(), 1e-2, 1e-3)
 
 
 class TestContinuousDependence:
@@ -466,3 +553,51 @@ class TestContinuousDependence:
         big = smooth_random_field(self.grid, 10.0, seed=11)
         with pytest.raises(ValueError):
             continuous_dependence_experiment(big, self._pert(1e-8), self.params, 0.1, 1e-3)
+        # a perturbed state above eta2, and one that is not a number
+        nan = self._pert(1e-8)
+        nan.p[1:-1, 1:-1] = np.nan
+        for pert in (self._pert(0.1), nan):
+            with pytest.raises(ValueError, match="eta2"):
+                continuous_dependence_experiment(
+                    self.base, [self._pert(1e-8), pert], self.params, 0.1, 1e-3)
+
+    # each side without its corners, which the other sides share
+    @pytest.mark.parametrize("side", [(0, slice(1, -1)), (-1, slice(1, -1)),
+                                      (slice(1, -1), 0), (slice(1, -1), -1)])
+    def test_rejects_a_perturbation_on_the_ring(self, side):
+        for component in ("p", "q"):
+            pert = self._pert(1e-8)
+            getattr(pert, component)[side] = 1e-12
+            with pytest.raises(ValueError, match="ring"):
+                continuous_dependence_experiment(
+                    self.base, [self._pert(1e-7), pert], self.params, 0.1, 1e-3)
+
+    @pytest.mark.parametrize("n, fields_per_step", [(16, 3), (32, 3), (48, 1)])
+    def test_several_perturbations_in_lock_step(self, monkeypatch, n, fields_per_step):
+        # stacks of at most STACK_NODES nodes: all 3 fields up to 32^2, one
+        # from 48^2 on; each result is that of its own run
+        grid = Grid2D.from_extent(n, n, 1.0, 1.2)
+        base = smooth_random_field(grid, 0.9 * math.sqrt(2 * self.consts.eta2), seed=9)
+        shape = smooth_random_field(grid, 1.0, seed=10)
+        perts = [Field2D(grid, eps * shape.p, eps * shape.q) for eps in (1e-6, 1e-7)]
+        stacked = []
+        real_step = pde2d.step
+
+        def counting(f, *args):
+            stacked.append(len(f.p) // (n + 2))
+            return real_step(f, *args)
+
+        monkeypatch.setattr(pde2d, "step", counting)
+        T, dt = 8e-3, 1e-3
+        res = continuous_dependence_experiment(base, perts, self.params, T, dt, record_every=3)
+        assert stacked == [fields_per_step] * (8 * 3 // fields_per_step)
+        monkeypatch.undo()
+        assert res.distances.shape == (2, 4) and np.array_equal(res.times, [0.0, 3e-3, 6e-3, 8e-3])
+        for i, pert in enumerate(perts):
+            alone = continuous_dependence_experiment(base, pert, self.params, T, dt, record_every=3)
+            assert np.array_equal(res.distances[i], alone.distances)
+            assert res.slope[i] == alone.slope and res.initial_distance[i] == alone.initial_distance
+        # the base monitors are those of run
+        trace = run(base, self.params, T, dt, record_every=3)
+        for name in ("energy", "max_h2", "l2_q", "smallness"):
+            assert np.array_equal(getattr(res, name), getattr(trace, name))
