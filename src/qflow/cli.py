@@ -29,7 +29,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import pde2d, radial, splitting
-from .energy import LdGParams, derived_constants, elastic_matrix, elastic_matrix_eigenvalues
+from .energy import (LdGParams, bulk_from_traces, derived_constants, elastic_matrix,
+                     elastic_matrix_eigenvalues)
 from .qtensor import physical_interval
 from .pde2d import UnstableStepError
 from .radial import RadialProfile, blowup_certificate, comparison_lower_bound
@@ -579,9 +580,7 @@ def _exp_physicality(cfg):
         ordered = bool(np.all(cur1[initially_ordered] <= cur2[initially_ordered] + 1e-12))
         order_all = order_all and ordered
         q2 = 2.0 * (cur1**2 + cur2**2 + cur1 * cur2)
-        bulk = 0.5 * params.a * q2 + 0.25 * params.c * q2**2
-        t3 = cur1**3 + cur2**3 + lam3**3
-        bulk -= params.b / 3.0 * t3
+        bulk = bulk_from_traces(q2, params, cur1**3 + cur2**3 + lam3**3)
         r1, r2 = eigen_ode_rhs(EigenPair(cur1, cur2), params)
         rate2 = 2.0 * (r1**2 + r2**2 + r1 * r2)  # |dQ/dt|_F^2 of the diagonal state
         rows.append(

@@ -132,6 +132,17 @@ def _traces(Q, d):
     return t2, t3, m
 
 
+def bulk_from_traces(t2, params: LdGParams, t3=None):
+    """The bulk density (a/2) t2 - (b/3) t3 + (c/4) t2^2 of t2 = tr(Q^2) and
+    t3 = tr(Q^3), scalars or arrays; t3 = None drops the b term.
+
+    For a 2x2 Q, t2 = 2 h2 with h2 = p^2 + q^2 gives a h2 + c h2^2 bit for
+    bit: the factors 2, 1/2 and 1/4 are powers of two.
+    """
+    val = 0.5 * params.a * t2 + 0.25 * params.c * t2 * t2
+    return val if t3 is None else val - params.b * t3 / 3.0
+
+
 def bulk_density(Q, params: LdGParams, d: int | None = None) -> float:
     """(a/2) tr(Q^2) - (b/3) tr(Q^3) + (c/4) tr^2(Q^2).
 
@@ -139,10 +150,7 @@ def bulk_density(Q, params: LdGParams, d: int | None = None) -> float:
     dropped and the value does not depend on b at all.
     """
     t2, t3, m = _traces(Q, d)
-    val = 0.5 * params.a * t2 + 0.25 * params.c * t2 * t2
-    if m.shape[0] != 2:
-        val -= params.b * t3 / 3.0
-    return val
+    return bulk_from_traces(t2, params, None if m.shape[0] == 2 else t3)
 
 
 def elastic_density(Q, gradQ, params: LdGParams) -> float:
@@ -177,7 +185,6 @@ def total_energy(field, params: LdGParams) -> float:
     hx, hy = field.grid.hx, field.grid.hy
     p1, p2 = np.gradient(p, hx, hy, edge_order=2)
     q1, q2 = np.gradient(q, hx, hy, edge_order=2)
-    h2 = p * p + q * q
     dens = params.zeta * (p1 * p1 + p2 * p2 + q1 * q1 + q2 * q2)
     w = params.L3 - params.L2
     dens += 2.0 * w * p1 * q2 - 2.0 * w * p2 * q1
@@ -186,7 +193,7 @@ def total_energy(field, params: LdGParams) -> float:
             p * (p1 * p1 + q1 * q1 - p2 * p2 - q2 * q2)
             + 2.0 * q * (p1 * p2 + q1 * q2)
         )
-    dens += params.a * h2 + params.c * h2 * h2
+    dens += bulk_from_traces(2.0 * (p * p + q * q), params)
     return float(np.trapezoid(np.trapezoid(dens, dx=hy, axis=1), dx=hx, axis=0))
 
 

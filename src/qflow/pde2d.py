@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .energy import LdGParams, derived_constants
+from .energy import LdGParams, bulk_from_traces, derived_constants
 
 # Explicit-Euler stability fraction: dt <= CFL_FRACTION * min(hx,hy)^2 / zeta.
 # The cubic term's stiffness is data-dependent; a runtime non-finite guard
@@ -144,12 +144,17 @@ class Field2D:
         return _l2_norm(self.grid, self.p * self.p + self.q * self.q)
 
 
+def trapezoid(f: np.ndarray, d) -> np.ndarray:
+    """Trapezoid sum of f along its last axis with spacing d (a scalar, or
+    the spacings np.diff of the nodes): np.trapezoid's expression, without
+    its argument handling."""
+    return (d * (f[..., 1:] + f[..., :-1]) / 2.0).sum(-1)
+
+
 def _l2_norm(grid: Grid2D, h2: np.ndarray) -> float:
     """||Q||_L2 by trapezoidal quadrature of tr(Q^2) = 2 h2, h2 = p^2 + q^2,
-    with np.trapezoid's expression along each axis."""
-    y = 2.0 * h2
-    y = (grid.hy * (y[:, 1:] + y[:, :-1]) / 2.0).sum(1)
-    val = (grid.hx * (y[1:] + y[:-1]) / 2.0).sum(0)
+    along each axis."""
+    val = trapezoid(trapezoid(2.0 * h2, grid.hy), grid.hx)
     return math.sqrt(max(float(val), 0.0))
 
 
@@ -274,7 +279,7 @@ def discrete_energy(field: Field2D, params: LdGParams, *, h2: np.ndarray | None 
         e += zeta * w * (float((dx * dx).sum()) + float((dy * dy).sum()))
     if h2 is None:
         h2 = field.p * field.p + field.q * field.q
-    e += w * float((params.a * h2 + params.c * h2 * h2).sum())
+    e += w * float(bulk_from_traces(2.0 * h2, params).sum())
     if params.L4 != 0.0:
         P, Q = _slab(field.p), _slab(field.q)
         dp1, dp2, dq1, dq2 = first or _first_pq(field)
@@ -476,31 +481,19 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
 
 @dataclass
 class ContinuousDependenceResult:
-    """Distances ||Q_i(t) - Q(t)||_L2 of the perturbed runs from the base run
-    and the base run's monitors (as in RunTrace), at the recorded times.
-
-    One perturbation gives distances of shape (n,), a float slope and
-    initial distance; a sequence of m gives (m, n) and (m,) arrays.
-    """
+    """Distances ||Q_i(t) - Q(t)||_L2 of the m perturbed runs from the base
+    run, shape (m, n), with each one's fitted log-slope and initial distance,
+    shape (m,), and the base run's monitors (as in RunTrace), at the n
+    recorded times."""
 
     times: np.ndarray
     distances: np.ndarray
-    slope: float | np.ndarray
-    initial_distance: float | np.ndarray
+    slope: np.ndarray
+    initial_distance: np.ndarray
     energy: np.ndarray
     max_h2: np.ndarray
     l2_q: np.ndarray
     smallness: np.ndarray
-
-    def bound_margin(self, tol: float = 0.0) -> float:
-        """max over t of d(t) / (d0 e^{slope t} (1+tol)) - 1; <= 0 means the
-        exponential envelope with the fitted slope holds."""
-        d0, slope = np.asarray(self.initial_distance)[..., None], np.asarray(self.slope)[..., None]
-        envelope = d0 * np.exp(slope * self.times) * (1.0 + tol)
-        good = envelope > 0
-        if not np.any(good):
-            return 0.0
-        return float(np.max(self.distances[good] / envelope[good]) - 1.0)
 
 
 def field_distance(f1: Field2D, f2: Field2D) -> float:
@@ -516,20 +509,19 @@ def _log_slope(times: np.ndarray, d: np.ndarray) -> float:
     return float(np.polyfit(times[pos], np.log(d[pos]), 1)[0])
 
 
-def continuous_dependence_experiment(field0: Field2D, perturbation, params: LdGParams,
+def continuous_dependence_experiment(field0: Field2D, perturbations, params: LdGParams,
                                      T: float, dt: float, scheme: str = "imex",
                                      record_every: int = 1) -> ContinuousDependenceResult:
     """Evolve field0 and field0 + each perturbation in lock step and fit each
     log-distance slope.
 
-    perturbation is one Field2D or a sequence of them.  Each must vanish on
-    the boundary ring (all solutions share the Dirichlet data), and every
+    perturbations is an iterable of Field2D.  Each must vanish on the
+    boundary ring (all solutions share the Dirichlet data), and every
     initial state must satisfy the eta2 smallness bound max h^2 <= eta2.
     The fields are marched as stacks of at most STACK_NODES nodes, each
     member with the bits of its own run.
     """
-    single = isinstance(perturbation, Field2D)
-    perturbations = [perturbation] if single else list(perturbation)
+    perturbations = list(perturbations)
     for d in perturbations:
         for F in (d.p, d.q):
             if np.any(F[[0, -1]] != 0.0) or np.any(F[:, [0, -1]] != 0.0):
@@ -564,9 +556,7 @@ def continuous_dependence_experiment(field0: Field2D, perturbation, params: LdGP
     energy, max_h2, l2_q, smallness = (np.array(m) for m in zip(*monitors))
     distances = np.array(dists).T
     slope = np.array([_log_slope(times, d) for d in distances])
-    if single:
-        distances, slope = distances[0], float(slope[0])
     return ContinuousDependenceResult(
-        times=times, distances=distances, slope=slope, initial_distance=distances.T[0],
+        times=times, distances=distances, slope=slope, initial_distance=distances[:, 0],
         energy=energy, max_h2=max_h2, l2_q=l2_q, smallness=smallness,
     )

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .energy import LdGParams, derived_constants
-from .pde2d import Field2D, Grid2D, rhs_pq
+from .pde2d import Field2D, Grid2D, rhs_pq, trapezoid
 
 # Blow-up threshold on y = int theta^2 r dr.
 BLOWUP_Y_THRESHOLD = 1e6
@@ -91,28 +91,41 @@ class RadialProfile:
         )
 
 
+def _rhs_parts(theta, d1, d2, r, r2, zeta_r, half_c, params: LdGParams):
+    """The radial RHS expl + D d2 + adv d1 - 4 zeta theta/r^2 from theta and
+    its derivatives d1, d2 at the radii r, and its parts (D, adv, expl, rhs).
+
+    D = zeta + L4 theta is the quasilinear diffusivity, adv = zeta/r +
+    L4 theta/r and expl = L4 (d1^2/2 + 6 theta^2/r^2) - a theta -
+    (c/2) theta^3; the stepper takes D d2 + adv d1 - 4 zeta theta/r^2
+    implicitly and expl explicitly.  r2 = r**2, zeta_r = zeta/r and
+    half_c = 0.5 c are passed in, so that the stepper forms them once.
+    """
+    zeta, L4 = params.zeta, params.L4
+    L4_theta = L4 * theta
+    D = zeta + L4_theta
+    adv = zeta_r + L4_theta / r
+    expl = (L4 * (0.5 * d1 * d1 + 6.0 * theta * theta / r2) - params.a * theta
+            - half_c * (theta * theta * theta))
+    return D, adv, expl, expl + D * d2 + adv * d1 - 4.0 * zeta * theta / r2
+
+
 def theta_rhs_pointwise(theta, dtheta, ddtheta, r, params: LdGParams):
     """The radial RHS from pointwise values of theta and its derivatives."""
-    zeta, L4, a, c = params.zeta, params.L4, params.a, params.c
-    return (
-        L4 * (0.5 * dtheta * dtheta + theta * dtheta / r + theta * ddtheta
-              + 6.0 * theta * theta / (r * r))
-        + zeta * ddtheta + zeta * dtheta / r - 4.0 * zeta * theta / (r * r)
-        - a * theta - 0.5 * c * theta**3
-    )
+    return _rhs_parts(theta, dtheta, ddtheta, r, r**2, params.zeta / r, 0.5 * params.c,
+                      params)[3]
 
 
 def theta_rhs(profile: RadialProfile, params: LdGParams) -> np.ndarray:
-    """dtheta/dt on interior points with central differences."""
+    """dtheta/dt on interior points with central differences: the bits of
+    the RHS the stepper evaluates on the same profile."""
     if params.zeta <= 0.0:
         raise ValueError("radial flow needs zeta > 0")
     th = profile.theta
     dr = profile.dr
-    ri = profile.r[1:-1]
-    thi = th[1:-1]
     d1 = (th[2:] - th[:-2]) / (2.0 * dr)
-    d2 = (th[2:] - 2.0 * thi + th[:-2]) / (dr * dr)
-    return theta_rhs_pointwise(thi, d1, d2, ri, params)
+    d2 = (th[2:] - 2.0 * th[1:-1] + th[:-2]) / (dr * dr)
+    return theta_rhs_pointwise(th[1:-1], d1, d2, profile.r[1:-1], params)
 
 
 def _signed_part(theta: np.ndarray, L4: float) -> np.ndarray:
@@ -138,7 +151,7 @@ def blowup_functional(profile: RadialProfile, params: LdGParams) -> float:
         - 0.5 * params.a * phi * phi
         - params.c * phi**4 / 8.0
     )
-    return _moment(integrand * r, np.diff(r))
+    return float(trapezoid(integrand * r, np.diff(r)))
 
 
 @dataclass(frozen=True)
@@ -171,7 +184,7 @@ def blowup_certificate(profile: RadialProfile, params: LdGParams) -> BlowupCerti
     M0 = 2.0 * abs(params.L4) * R0 / math.sqrt(R1**4 - R0**4) * bracket
     r = profile.r
     phi = _signed_part(profile.theta, params.L4)
-    y0 = _moment(phi * phi * r, np.diff(r))
+    y0 = float(trapezoid(phi * phi * r, np.diff(r)))
     F0 = blowup_functional(profile, params)
     predicted, reason = None, "inconclusive"
     if M0 > 0.0 and y0 > 0.0:
@@ -412,15 +425,6 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _moment(f: np.ndarray, dx: np.ndarray) -> float:
-    """Trapezoid sum of f over a grid with spacings dx = np.diff(r).
-
-    The same expression np.trapezoid(f, r) evaluates, without its
-    argument handling.
-    """
-    return float(np.add.reduce(dx * (f[1:] + f[:-1]) / 2.0))
-
-
 class _Batch(NamedTuple):
     """What one lock-step march gives back.
 
@@ -464,7 +468,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
     dr = p0.dr
     r = p0.r
     dx = np.diff(r)
-    zeta, L4, a, c = params.zeta, params.L4, params.a, params.c
+    zeta = params.zeta
     # The rows are those of th, a C-contiguous (m, W) array, so the
     # interior nodes of all rows are one flat run of m W - 2 entries of
     # th.ravel(); the stencil, the explicit terms and the linear system act
@@ -472,13 +476,12 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
     # ring nodes between rows are computed too and dropped.  Loop
     # invariants per node of the run, for m0 rows (m rows use a prefix):
     # each keeps the operation order of the expression it stands for, so
-    # every step is bit-for-bit the same as the inline form; dr * dr and
-    # dr**2 stay apart because libm pow may round differently.
+    # the RHS of every step has the bits of theta_rhs on its row; dr * dr
+    # and dr**2 stay apart because libm pow may round differently.
     ri = (r + np.zeros((m0, 1))).ravel()[1:-1]
     ri2 = ri**2
     node_terms = np.array([ri, ri2, zeta / ri, 4.0 * zeta / ri2])
-    four_zeta = 4.0 * zeta
-    half_c = 0.5 * c
+    half_c = 0.5 * params.c
     two_dr = 2.0 * dr
     dr_mul = dr * dr
     dr_pow = dr**2
@@ -486,7 +489,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
     # ring segments between them
     bounds_all = (np.arange(m0)[:, None] * W + np.array([0, nr])).ravel()[:-1]
     # y <= amax^2 * int r dr, with a margin for the rounding of both sums
-    amax2_cap = y_threshold / (_moment(r, dx) * (1.0 + 1e-9))
+    amax2_cap = y_threshold / (float(trapezoid(r, dx)) * (1.0 + 1e-9))
 
     outcomes = [None] * m0
     final = np.array([p.theta for p in profiles], dtype=float)
@@ -509,7 +512,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
         except ValueError as exc:
             finish(i, exc)
             continue
-        y = _moment(final[i] * final[i] * r, dx)
+        y = float(trapezoid(final[i] * final[i] * r, dx))
         if record is not None:
             record(0.0, final[i], y)
         if y > y_threshold:
@@ -584,17 +587,13 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
             ring = th[1:, 0].copy(), th[:-1, -1].copy()
         d1 = (th_up - th_down) / two_dr
         d2 = (th_up - 2.0 * thi + th_down) / dr_mul
-        L4_thi = L4 * thi
-        D = zeta + L4_thi
+        D, adv, expl, full = _rhs_parts(thi, d1, d2, ri, ri2, zeta_ri, half_c, params)
         # min over the non-NaN entries: (D <= 0).any(), also true if only a
         # ring node between rows has D <= 0
         if np.fmin.reduce(D) <= 0.0:
             stop(np.fmin.reduceat(D, bounds)[::2] <= 0.0, STOP_BACKWARD_DIFFUSION)
             if changed:
                 continue
-        adv = zeta_ri + L4_thi / ri
-        expl = L4 * (0.5 * d1 * d1 + 6.0 * thi * thi / ri2) - a * thi - half_c * (thi * thi * thi)
-        full = expl + D * d2 + adv * d1 - four_zeta * thi / ri2
         scale = np.maximum(amax, 1e-12)
         fmax = np.maximum(np.maximum.reduceat(np.abs(full), bounds)[::2], 1e-15)
         # min(dt, x, T - t) of one run: fmin, like Python's min, passes a NaN x over
@@ -644,7 +643,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
                 ak = float(amax[k])
                 if record is None and not ak * ak > amax2_cap:
                     continue
-                y = _moment(th[k] * th[k] * r, dx)
+                y = float(trapezoid(th[k] * th[k] * r, dx))
                 if record is not None:
                     record(float(t[k]), th[k], y)
                 if not math.isfinite(y) or y > y_threshold:
@@ -697,13 +696,13 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
         tp = np.maximum(th, 0.0)
         ts.append(t)
         ys.append(y)
-        yms.append(_moment(tm * tm * r, dx))
-        yps.append(_moment(tp * tp * r, dx))
+        yms.append(trapezoid(tm * tm * r, dx))
+        yps.append(trapezoid(tp * tp * r, dx))
         mxs.append(float(np.abs(th).max()))
         Fs.append(blowup_functional(prof, params))
         # boundary values are pinned, so dtheta/dt vanishes at the endpoints
         full = np.concatenate(([0.0], rhs_full, [0.0]))
-        rates.append(math.sqrt(max(_moment(full * full * r, dx), 0.0)))
+        rates.append(math.sqrt(max(trapezoid(full * full * r, dx), 0.0)))
 
     flag, th = _single(_march([profile0], params, T, dt, y_threshold, record))
     return RadialTrace(
@@ -872,35 +871,19 @@ def dominates_comparison(trace: RadialTrace, params: LdGParams,
     return bool(np.all(rec[finite] >= comp[finite] - slack[finite]))
 
 
-def _theta_derivatives(theta):
-    """Normalize the profile argument to (theta, theta', theta'') callables.
-
-    Accepts a CubicSpline-like object with .derivative(), or a tuple/list of
-    three callables.
-    """
-    if isinstance(theta, (tuple, list)):
-        if len(theta) != 3:
-            raise ValueError("expected (theta, theta', theta'') callables")
-        return theta[0], theta[1], theta[2]
-    if hasattr(theta, "derivative"):
-        d1 = theta.derivative(1)
-        d2 = theta.derivative(2)
-        return theta, d1, d2
-    raise TypeError("theta must provide derivatives (spline or callable triple)")
-
-
 def hedgehog_consistency_check(theta, params: LdGParams, sample_points,
                                h_s: float, r_bounds=None) -> float:
     """Max componentwise mismatch between the 2D stencil RHS and the radial one.
 
-    At each sample point x the hedgehog field theta(|y|) S(y) is evaluated
-    on a local 5x5 stencil of spacing h_s, the full 2D RHS is formed by the
+    theta is the triple (theta, theta', theta'') of callables.  At each
+    sample point x the hedgehog field theta(|y|) S(y) is evaluated on a
+    local 5x5 stencil of spacing h_s, the full 2D RHS is formed by the
     solver's central differences at the stencil center, and compared against
     the analytic radial RHS times S(x).  The mismatch is O(h_s^2) for smooth
     theta.  Samples closer than 3 h_s to the annulus boundary are rejected
     when r_bounds = (R0, R1) is given.
     """
-    th, dth, ddth = _theta_derivatives(theta)
+    th, dth, ddth = theta
     samples = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if samples.shape[1] != 2:
         raise ValueError("sample points must be 2-vectors")

@@ -232,11 +232,11 @@ def test_10_continuous_dependence():
         def pert(eps):
             return pde2d.Field2D(grid, eps * shape.p, eps * shape.q)
 
-        r1 = pde2d.continuous_dependence_experiment(base, pert(1e-6), params, 1.0, 2e-3)
-        r2 = pde2d.continuous_dependence_experiment(base, pert(1e-7), params, 1.0, 2e-3)
-        ratio = r1.distances / r2.distances
+        res = pde2d.continuous_dependence_experiment(base, [pert(1e-6), pert(1e-7)], params,
+                                                     1.0, 2e-3)
+        ratio = res.distances[0] / res.distances[1]
         assert np.all(np.abs(ratio / 10.0 - 1.0) <= 0.2)
-        assert math.isfinite(r1.slope) and math.isfinite(r2.slope)
+        assert math.isfinite(res.slope[0]) and math.isfinite(res.slope[1])
 
 
 def test_11_oseen_frank_roundtrip():

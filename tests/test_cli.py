@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qflow import cli, energy, pde2d, qtensor, splitting
+from qflow import cli, energy, pde2d, qtensor, radial, splitting
 from qflow.cli import (
     CSV_HEADER,
     ConfigError,
@@ -204,7 +204,7 @@ class TestShippedConfigs:
         data = (tmp_path / "trace.csv").read_bytes()
         assert len(data.splitlines()) == 136
         assert hashlib.sha256(data).hexdigest() == (
-            "edbc8d98ef39fcaefebe9abba248540df362fd07e87274fd44e01649defeb019"
+            "a87a1cbc5f928b851352b47c4e56f60c8ea6c1b100d681bbddc6e98221b04d8f"
         )
 
     def test_physicality_trace_csv_pinned(self, tmp_path):
@@ -213,7 +213,7 @@ class TestShippedConfigs:
         data = (tmp_path / "trace.csv").read_bytes()
         assert len(data.splitlines()) == 52
         assert hashlib.sha256(data).hexdigest() == (
-            "c4644b60d20b7429a68ec22f5fe555308cda26981f046442dbdc8e8511c698d4"
+            "91a4a9fa5430304238c5c1efee40cc9e6c0d17b6bd8c11e16a584601e4a43d20"
         )
         assert report.summary["results"]["equivariance_error"] == 1.9984014443252818e-15
 
@@ -349,6 +349,37 @@ class TestSplitSpans:
         assert sum(rhs for rhs, _ in per_step) == calls["bulk_ode_rhs"]
 
 
+def _edited(name, edits):
+    """The text of a shipped config with each edit (old -> new) applied."""
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+def _count_span_calls(monkeypatch, spans):
+    """Wrap every binding in qflow of each span (name -> module) with a call
+    counter; return the counts."""
+    calls = dict.fromkeys(spans, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "qflow"]
+    for span, module in spans.items():
+        original = getattr(module, span)
+        wrapper = counting(span, original)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    return calls
+
+
 # the rectangle path's spans in the benchmark, by module
 RECT_SPANS = {"run": pde2d, "step": pde2d, "rhs_pq": pde2d, "discrete_energy": pde2d,
               "field_distance": pde2d, "smooth_random_field": pde2d,
@@ -376,28 +407,54 @@ class TestRectSpans:
           "smooth_random_field": 2, "derived_constants": 2}),
     ])
     def test_spans_called(self, tmp_path, monkeypatch, name, edits, counts):
-        text = (CONFIGS / f"{name}.cfg").read_text()
-        for old, new in edits.items():
-            assert old in text
-            text = text.replace(old, new)
-        calls = dict.fromkeys(RECT_SPANS, 0)
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "qflow"]
-        for span, module in RECT_SPANS.items():
-            original = getattr(module, span)
-            wrapper = counting(span, original)
-            for mod in modules:
-                for key, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, key, wrapper)
+        text = _edited(name, edits)
+        calls = _count_span_calls(monkeypatch, RECT_SPANS)
         # the from-imports are wrapped too
         assert cli.derived_constants is pde2d.derived_constants is energy.derived_constants
+        assert run_experiment(parse_config(text), str(tmp_path), emit_svg=False).passed
+        assert calls == counts
+
+
+# the radial path's spans in the benchmark, by module
+RADIAL_SPANS = {"run_radial": radial, "theta_rhs": radial, "blowup_functional": radial,
+                "blowup_certificate": radial, "comparison_lower_bound": radial,
+                "dominates_comparison": radial, "hedgehog_consistency_check": radial,
+                "solve_banded": radial, "rhs_pq": pde2d}
+
+
+class TestRadialSpans:
+    """The radial experiments call every span the benchmark times on them,
+    whichever binding they call it through."""
+
+    BLOWUP = {"nr = 200": "nr = 20"}
+    SEARCH = {"nr = 100": "nr = 20", "T = 0.5": "T = 0.05"}
+    HEDGEHOG = {"n_samples = 20": "n_samples = 3"}
+
+    @pytest.mark.parametrize("name, edits, counts", [
+        # 135 steps of one solve each; the RHS and F(t) are recorded at t = 0
+        # and after every step, and the certificate evaluates F(0) once more
+        ("blowup", BLOWUP,
+         {"run_radial": 1, "theta_rhs": 136, "blowup_functional": 137,
+          "blowup_certificate": 1, "comparison_lower_bound": 2, "dominates_comparison": 1,
+          "hedgehog_consistency_check": 0, "solve_banded": 135, "rhs_pq": 0}),
+        # the flags only: one solve per lock-step step, no monitor
+        ("blowup-threshold-search", SEARCH,
+         {"run_radial": 0, "theta_rhs": 0, "blowup_functional": 0, "blowup_certificate": 0,
+          "comparison_lower_bound": 0, "dominates_comparison": 0,
+          "hedgehog_consistency_check": 0, "solve_banded": 2643, "rhs_pq": 0}),
+        # 3 profiles at 2 spacings, one 2D stencil RHS per sample
+        ("hedgehog-consistency", HEDGEHOG,
+         {"run_radial": 0, "theta_rhs": 0, "blowup_functional": 0, "blowup_certificate": 0,
+          "comparison_lower_bound": 0, "dominates_comparison": 0,
+          "hedgehog_consistency_check": 6, "solve_banded": 0, "rhs_pq": 18}),
+    ])
+    def test_spans_called(self, tmp_path, monkeypatch, name, edits, counts):
+        text = _edited(name, edits)
+        calls = _count_span_calls(monkeypatch, RADIAL_SPANS)
+        # the from-imports are wrapped too
+        assert cli.blowup_certificate is radial.blowup_certificate
+        assert cli.comparison_lower_bound is radial.comparison_lower_bound
+        assert radial.rhs_pq is pde2d.rhs_pq
         assert run_experiment(parse_config(text), str(tmp_path), emit_svg=False).passed
         assert calls == counts
 

@@ -526,33 +526,30 @@ class TestContinuousDependence:
 
     def test_zero_perturbation(self):
         res = continuous_dependence_experiment(
-            self.base, Field2D.zeros(self.grid), self.params, 0.05, 1e-3
+            self.base, [Field2D.zeros(self.grid)], self.params, 0.05, 1e-3
         )
         assert np.all(res.distances == 0.0)
-        assert math.isnan(res.slope)
+        assert math.isnan(res.slope[0])
 
     def test_slope_bounded_by_linear_rate(self):
         res = continuous_dependence_experiment(
-            self.base, self._pert(1e-8), self.params, 0.2, 2e-3
+            self.base, [self._pert(1e-8)], self.params, 0.2, 2e-3
         )
-        assert math.isfinite(res.slope)
-        assert res.slope <= abs(self.params.a) + 1.0
-        assert res.bound_margin(tol=1e-6) <= 0.05
+        assert math.isfinite(res.slope[0])
+        assert res.slope[0] <= abs(self.params.a) + 1.0
 
     def test_first_order_perturbation_scaling(self):
-        r1 = continuous_dependence_experiment(
-            self.base, self._pert(1e-6), self.params, 0.2, 2e-3
+        # any iterable of perturbations, a generator too
+        res = continuous_dependence_experiment(
+            self.base, (self._pert(eps) for eps in (1e-6, 1e-7)), self.params, 0.2, 2e-3
         )
-        r2 = continuous_dependence_experiment(
-            self.base, self._pert(1e-7), self.params, 0.2, 2e-3
-        )
-        ratio = r1.distances / r2.distances
+        ratio = res.distances[0] / res.distances[1]
         assert np.all(np.abs(ratio / 10.0 - 1.0) <= 0.2)
 
     def test_rejects_oversized_data(self):
         big = smooth_random_field(self.grid, 10.0, seed=11)
         with pytest.raises(ValueError):
-            continuous_dependence_experiment(big, self._pert(1e-8), self.params, 0.1, 1e-3)
+            continuous_dependence_experiment(big, [self._pert(1e-8)], self.params, 0.1, 1e-3)
         # a perturbed state above eta2, and one that is not a number
         nan = self._pert(1e-8)
         nan.p[1:-1, 1:-1] = np.nan
@@ -594,9 +591,11 @@ class TestContinuousDependence:
         monkeypatch.undo()
         assert res.distances.shape == (2, 4) and np.array_equal(res.times, [0.0, 3e-3, 6e-3, 8e-3])
         for i, pert in enumerate(perts):
-            alone = continuous_dependence_experiment(base, pert, self.params, T, dt, record_every=3)
-            assert np.array_equal(res.distances[i], alone.distances)
-            assert res.slope[i] == alone.slope and res.initial_distance[i] == alone.initial_distance
+            alone = continuous_dependence_experiment(base, [pert], self.params, T, dt,
+                                                     record_every=3)
+            assert np.array_equal(res.distances[i], alone.distances[0])
+            assert res.slope[i] == alone.slope[0]
+            assert res.initial_distance[i] == alone.initial_distance[0]
         # the base monitors are those of run
         trace = run(base, self.params, T, dt, record_every=3)
         for name in ("energy", "max_h2", "l2_q", "smallness"):

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qflow import radial
+from qflow.cli import parse_config
 from qflow.energy import LdGParams, derived_constants
 from qflow.radial import (
     STOP_BACKWARD_DIFFUSION,
@@ -26,6 +28,9 @@ from qflow.radial import (
     solve_banded,
     theta_rhs,
 )
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def params(a=0.0, c=1.0, L1=0.5, L2=0.0, L3=0.0, L4=-1.0):
@@ -83,6 +88,62 @@ class TestThetaRhs:
         r = prof.r[1:-1]
         idx = int(np.argmin(np.abs(r - 2.0)))
         assert rhs[idx] == pytest.approx(0.0, abs=1e-8)
+
+
+class _FirstStepTaken(Exception):
+    pass
+
+
+class TestStepperRhs:
+    """theta_rhs gives, bit for bit, the RHS the stepper evaluates."""
+
+    @staticmethod
+    def _check_first_step(profile, p):
+        calls, times = [], []
+        real = radial._rhs_parts
+
+        def recording(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        def record(t, theta, y):
+            times.append(t)
+            if t > 0.0:
+                raise _FirstStepTaken
+
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(radial, "_rhs_parts", recording)
+            try:
+                radial._march([profile], p, 1e300, 1e300, math.inf, record)
+            except _FirstStepTaken:
+                pass
+        assert calls, "the stepper evaluated no RHS"
+        full = calls[0][3]
+        with np.errstate(all="ignore"):
+            rhs = theta_rhs(profile, p)
+        assert rhs.tobytes() == full.tobytes()
+        if len(times) == 2:  # the step was taken: its size is set by max|rhs|
+            scale = max(float(np.abs(profile.theta).max()), 1e-12)
+            assert times[1] == STEP_FRACTION * scale / max(float(np.abs(rhs).max()), 1e-15)
+
+    @pytest.mark.parametrize("name, amplitudes", [
+        ("blowup", None),
+        ("blowup-threshold-search", (-0.2, -60.0, -30.1)),
+    ])
+    def test_shipped_profiles(self, name, amplitudes):
+        cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+        for amp in amplitudes or (cfg.amplitude,):
+            self._check_first_step(RadialProfile.sine_bump(cfg.R0, cfg.R1, cfg.nr, amp),
+                                   cfg.params())
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(L4=st.floats(0.05, 3.0), sign=st.sampled_from([-1.0, 1.0]), a=st.floats(-1e3, 1e3),
+           c=st.floats(1e-8, 10.0), L1=st.floats(0.1, 2.0), amp=st.floats(-5.0, 5.0),
+           theta_b=st.floats(0.01, 2.0), R0=st.floats(0.2, 5.0), nr=st.integers(3, 40))
+    def test_sweep(self, L4, sign, a, c, L1, amp, theta_b, R0, nr):
+        profile = RadialProfile.sine_bump(R0, R0 + 1.0, nr, amp)
+        profile.theta[[0, -1]] = theta_b  # a nonzero boundary value
+        self._check_first_step(profile, params(a=a, c=c, L1=L1, L4=sign * L4))
 
 
 class TestBlowupCertificate:
@@ -919,10 +980,11 @@ class TestHedgehogConsistency:
         from scipy.interpolate import CubicSpline
 
         rs = np.linspace(3.0, 4.0, 200)
-        spline = CubicSpline(rs, np.sin(rs))
+        s = CubicSpline(rs, np.sin(rs))
         p = LdGParams(a=0.1, b=0.0, c=1.0, L1=1.0, L2=0.0, L3=0.0, L4=0.5)
         pts = np.array([[3.5, 0.1]])
-        mism = hedgehog_consistency_check(spline, p, pts, 1e-3, r_bounds=(3.0, 4.0))
+        mism = hedgehog_consistency_check((s, s.derivative(1), s.derivative(2)), p, pts, 1e-3,
+                                          r_bounds=(3.0, 4.0))
         assert mism < 1e-2
 
     def test_rejects_samples_near_boundary(self):
