@@ -207,6 +207,14 @@ def _validate(cfg: ExperimentConfig) -> None:
     for key in ("nx", "ny", "nr", "n_grid", "n_cells", "n_samples"):
         if key in v and v[key] < 3:
             raise ConfigError(f"{key} must be at least 3")
+    # kmax = 0 leaves no mode to scale, record_every = 0 no step to record,
+    # and n_rotations = 0 no sample for the equivariance check
+    for key in ("kmax", "record_every", "n_rotations"):
+        if key in v and v[key] < 1:
+            raise ConfigError(f"{key} must be at least 1")
+    for key in ("eps1", "eps2"):  # a zero perturbation has no growth to compare
+        if key in v and v[key] == 0.0:
+            raise ConfigError(f"{key} must be nonzero")
     if cfg.experiment == "trotter-convergence":
         if not 1 <= v["n_lo"] <= v["n_hi"]:
             raise ConfigError("1 <= n_lo <= n_hi required")

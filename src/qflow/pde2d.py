@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .energy import LdGParams, bulk_from_traces, derived_constants
+from .energy import LdGParams, bulk_from_traces, derived_constants, trapezoid
 
 # Explicit-Euler stability fraction: dt <= CFL_FRACTION * min(hx,hy)^2 / zeta.
 # The cubic term's stiffness is data-dependent; a runtime non-finite guard
@@ -142,13 +142,6 @@ class Field2D:
     def l2_norm(self) -> float:
         """||Q||_L2 over the rectangle."""
         return _l2_norm(self.grid, self.p * self.p + self.q * self.q)
-
-
-def trapezoid(f: np.ndarray, d) -> np.ndarray:
-    """Trapezoid sum of f along its last axis with spacing d (a scalar, or
-    the spacings np.diff of the nodes): np.trapezoid's expression, without
-    its argument handling."""
-    return (d * (f[..., 1:] + f[..., :-1]) / 2.0).sum(-1)
 
 
 def _l2_norm(grid: Grid2D, h2: np.ndarray) -> float:

@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .energy import LdGParams, derived_constants
-from .pde2d import Field2D, Grid2D, rhs_pq, trapezoid
+from .energy import LdGParams, derived_constants, trapezoid
+from .pde2d import Field2D, Grid2D, rhs_pq
 
 # Blow-up threshold on y = int theta^2 r dr.
 BLOWUP_Y_THRESHOLD = 1e6
@@ -428,10 +428,9 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Batch(NamedTuple):
     """What one lock-step march gives back.
 
-    outcomes[i] is row i's RadialFlag, the exception that ended it, or None
-    if the row was dropped; theta[i] is its theta when it stopped.
-    iterations counts the lock-step steps and row_steps the steps summed
-    over the rows.
+    outcomes[i] is row i's RadialFlag or the exception that ended it;
+    theta[i] is its theta when it stopped.  iterations counts the
+    lock-step steps and row_steps the steps summed over the rows.
     """
 
     outcomes: list
@@ -441,7 +440,7 @@ class _Batch(NamedTuple):
 
 
 def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
-           record=None, theta_small: float = -math.inf, on_stop=None) -> _Batch:
+           record=None, theta_small: float = -math.inf) -> _Batch:
     """The adaptive semi-implicit stepper, in lock step over profiles on one grid.
 
     Every row takes the steps and stops of its own run, bit for bit (README,
@@ -451,9 +450,8 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
     stepper updates in place.  Without record, y is computed only where
     y <= max theta^2 (R1^2 - R0^2)/2 does not keep it below y_threshold.  A
     step that leaves max|theta| <= theta_small stops the run with
-    STOP_SMALL.  When row i stops, on_stop(i, outcome), if given, returns
-    rows to drop.  A row whose boundary check fails has the ValueError as
-    its outcome.
+    STOP_SMALL.  A row whose boundary check fails has the ValueError as its
+    outcome.
     """
     if params.zeta <= 0.0:
         raise ValueError("radial flow needs zeta > 0")
@@ -493,30 +491,19 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
 
     outcomes = [None] * m0
     final = np.array([p.theta for p in profiles], dtype=float)
-    dropped = np.zeros(m0, dtype=bool)
-    changed = True  # a row stopped or was dropped since the last compaction
-
-    def finish(i, outcome):
-        nonlocal changed
-        outcomes[i] = outcome
-        changed = True
-        for j in on_stop(i, outcome) if on_stop is not None else ():
-            dropped[j] |= outcomes[j] is None
 
     live = []
     for i, prof in enumerate(profiles):
-        if dropped[i]:
-            continue
         try:
             prof.check_boundary()
         except ValueError as exc:
-            finish(i, exc)
+            outcomes[i] = exc
             continue
         y = float(trapezoid(final[i] * final[i] * r, dx))
         if record is not None:
             record(0.0, final[i], y)
         if y > y_threshold:
-            finish(i, RadialFlag(STOP_THRESHOLD, 0.0, 0))
+            outcomes[i] = RadialFlag(STOP_THRESHOLD, 0.0, 0)
         else:
             live.append(i)
 
@@ -528,12 +515,15 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
     amax = np.abs(th).max(axis=1)
     edge = np.maximum(np.abs(th[:, 0]), np.abs(th[:, -1]))
     alive = np.ones(ids.size, dtype=bool)
-    steps = iterations = row_steps = 0
+    changed = True  # a row stopped since the last compaction
+    steps = row_steps = 0
 
     def halt(k, outcome):
+        nonlocal changed
         alive[k] = False
         final[ids[k]] = th[k]
-        finish(ids[k], outcome)
+        outcomes[ids[k]] = outcome
+        changed = True
 
     def stop(rows, reason):
         for k in np.flatnonzero(alive & rows):
@@ -553,11 +543,9 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
         np.add(b_first, h * co_down[::W] * th_left, out=b_first)
         np.add(b_last, h * co_up[nr - 1::W] * th_right, out=b_last)
 
-    m = 0
     while True:
         if changed:
-            keep = alive & ~dropped[ids]
-            ids, th, t, amax, edge = ids[keep], th[keep], t[keep], amax[keep], edge[keep]
+            ids, th, t, amax, edge = ids[alive], th[alive], t[alive], amax[alive], edge[alive]
             m = ids.size
             if m == 0:
                 break
@@ -605,7 +593,6 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
         co_down = co_d2 - co_d1
         diag = -2.0 * co_d2 - react
         fill()
-        iterations += 1
         try:
             x = solve_banded(ab, b)
             new_amax = np.maximum(np.maximum.reduceat(np.abs(x), bounds)[::2], edge)
@@ -652,7 +639,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
             stop(amax <= theta_small, STOP_SMALL)
         if np.maximum.reduce(t) >= T:
             stop(t >= T, STOP_REACHED_T)
-    return _Batch(outcomes, final, iterations, row_steps)
+    return _Batch(outcomes, final, steps, row_steps)
 
 
 def _single(batch: _Batch):
@@ -663,15 +650,14 @@ def _single(batch: _Batch):
     return outcome, batch.theta[0]
 
 
-def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
-               y_threshold: float = BLOWUP_Y_THRESHOLD) -> RadialTrace:
+def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float) -> RadialTrace:
     """March the radial flow to time T and record every monitor on every step.
 
     The stepper is adaptive and semi-implicit: dt is the largest step taken,
     and steps shrink so no update moves theta by more than 2% of its current
     amplitude.  The run stops before T in these cases:
 
-    - y = int theta^2 r dr exceeds y_threshold (or is not finite):
+    - y = int theta^2 r dr exceeds BLOWUP_Y_THRESHOLD (or is not finite):
       blown_up is set and blowup_time is the time of that record, 0.0 when
       the initial profile is already above the threshold;
     - theta or the linear system of a step turns non-finite, or the
@@ -704,7 +690,7 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
         full = np.concatenate(([0.0], rhs_full, [0.0]))
         rates.append(math.sqrt(max(trapezoid(full * full * r, dx), 0.0)))
 
-    flag, th = _single(_march([profile0], params, T, dt, y_threshold, record))
+    flag, th = _single(_march([profile0], params, T, dt, BLOWUP_Y_THRESHOLD, record))
     return RadialTrace(
         t=np.array(ts), y=np.array(ys), y_minus=np.array(yms), y_plus=np.array(yps),
         max_abs_theta=np.array(mxs), F=np.array(Fs), rate=np.array(rates),
@@ -714,7 +700,7 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float,
     )
 
 
-def _flag_march(profiles, params: LdGParams, T: float, dt: float, on_stop=None) -> _Batch:
+def _flag_march(profiles, params: LdGParams, T: float, dt: float) -> _Batch:
     """_march for flags only: no monitors, and the smallness stop where it applies."""
     try:
         eta1 = derived_constants(params, strict=True).eta1
@@ -724,8 +710,7 @@ def _flag_march(profiles, params: LdGParams, T: float, dt: float, on_stop=None) 
     y_small = 2.0 * eta1 * (profiles[0].R1**2 - profiles[0].R0**2) * (1.0 + 1e-9)
     decided = abs(params.a) <= 2.0 * params.c * eta1 and y_small <= BLOWUP_Y_THRESHOLD
     return _march(profiles, params, T, dt, BLOWUP_Y_THRESHOLD,
-                  theta_small=2.0 * math.sqrt(eta1) if decided else -math.inf,
-                  on_stop=on_stop)
+                  theta_small=2.0 * math.sqrt(eta1) if decided else -math.inf)
 
 
 def run_radial_flag(profile0: RadialProfile, params: LdGParams, T: float,
@@ -744,7 +729,7 @@ def run_radial_flag(profile0: RadialProfile, params: LdGParams, T: float,
 
 
 # Bisection levels of threshold_search, and the levels one lock-step batch
-# marches: depth 4 measured fastest (README, numerical notes).
+# marches (the last the rest): depth 4 measured fastest (README, numerical notes).
 SEARCH_LEVELS = 16
 SEARCH_DEPTH = 4
 
@@ -757,8 +742,7 @@ class ThresholdSearch:
     in its order: amp_lo, amp_hi, then the midpoints.  It ends early at a
     run that aborted, or when the two ends flag the same.  [lo, hi] (in
     either order) is the bracket, lo on amp_lo's side.  iterations counts
-    the lock-step steps and row_steps the steps of all rows marched,
-    dropped candidates included.
+    the lock-step steps and row_steps the steps of all rows marched.
     """
 
     runs: tuple
@@ -789,17 +773,17 @@ def threshold_search(R0: float, R1: float, nr: int, params: LdGParams, T: float,
     The result is that of the sequential search, which flags amp_lo and
     amp_hi with run_radial_flag and then bisects: the midpoint replaces
     the end whose flag it shares.  Here the midpoints of SEARCH_DEPTH
-    levels march as one lock-step batch (2^SEARCH_DEPTH - 1 candidates);
-    a candidate is dropped once a finished ancestor rules it out.  The
-    sequential path is then read off the batch: an exception of a run on
-    it is raised, and the runs off it are never read.
+    levels march as one lock-step batch (2^SEARCH_DEPTH - 1 candidates),
+    each to its own stop (why none leaves early: README, numerical notes).
+    The sequential path is then read off the batch: an exception of a run
+    on it is raised, and the runs off it are never read.
     """
     runs = []
     counts = [0, 0]
 
-    def march(amps, on_stop=None):
+    def march(amps):
         batch = _flag_march([RadialProfile.sine_bump(R0, R1, nr, amp) for amp in amps],
-                            params, T, dt, on_stop)
+                            params, T, dt)
         counts[0] += batch.iterations
         counts[1] += batch.row_steps
         return batch.outcomes
@@ -821,8 +805,8 @@ def threshold_search(R0: float, R1: float, nr: int, params: LdGParams, T: float,
     hi_blows = runs[1][1].blown_up
     if runs[0][1].blown_up == hi_blows:
         return result(lo, hi)
-    n = 2**SEARCH_DEPTH - 1
-    for _ in range(SEARCH_LEVELS // SEARCH_DEPTH):
+    for level in range(0, SEARCH_LEVELS, SEARCH_DEPTH):
+        n = 2**min(SEARCH_DEPTH, SEARCH_LEVELS - level) - 1
         # the subtree in heap order: node j bisects brackets[j]; its child
         # 2j+1 bisects the lower half (taken when j flags as hi does) and
         # 2j+2 the upper half
@@ -831,19 +815,7 @@ def threshold_search(R0: float, R1: float, nr: int, params: LdGParams, T: float,
             l, h = brackets[j]
             amps.append(0.5 * (l + h))
             brackets += [(l, amps[j]), (amps[j], h)]
-
-        def ruled_out(j, outcome):
-            if isinstance(outcome, Exception) or outcome.nonfinite:
-                heads = [2 * j + 1, 2 * j + 2]  # the search would end at j
-            else:
-                heads = [2 * j + 2 if outcome.blown_up == hi_blows else 2 * j + 1]
-            while heads:
-                k = heads.pop()
-                if k < n:
-                    yield k
-                    heads += [2 * k + 1, 2 * k + 2]
-
-        outcomes = march(amps, ruled_out)
+        outcomes = march(amps)
         j = 0
         while j < n:
             if not take(amps[j], outcomes[j]):

@@ -562,9 +562,22 @@ class TestMainEntry:
         # the default dt's min(hx, hy)^2 used to raise OverflowError
         ("energy-decay", "ny = 64", "ny = 64\nLx = 1e300\nLy = 1e300",
          "stability bound overflows"),
+        # these divided by zero in smooth_random_field, pde2d.run's record test
+        # and the expected slope ratio eps1 / eps2
+        ("smallness", "nx = 64", "nx = 64\nkmax = 0", "kmax must be at least 1"),
+        ("energy-decay", "nx = 64", "nx = 64\nkmax = 0", "kmax must be at least 1"),
+        ("continuous-dependence", "nx = 32", "nx = 32\nkmax = 0", "kmax must be at least 1"),
+        ("smallness", "nx = 64", "nx = 64\nrecord_every = 0", "record_every must be at least 1"),
+        ("continuous-dependence", "eps2 = 1e-7", "eps2 = 0", "eps2 must be nonzero"),
+        # a zero perturbation read FAIL, and no rotation passed equivariance vacuously
+        ("continuous-dependence", "eps1 = 1e-6", "eps1 = 0", "eps1 must be nonzero"),
+        ("physicality", "n_rotations = 20", "n_rotations = 0", "n_rotations must be at least 1"),
     ], ids=["physicality_T_inf", "smallness_T_1e300", "smallness_dt_nan", "energy_decay_T_1e300",
             "physicality_T_1e300", "trotter_convergence_T_1e300", "smallness_C1_0",
-            "smallness_L4_1e-300", "energy_decay_L_1e300"])
+            "smallness_L4_1e-300", "energy_decay_L_1e300", "smallness_kmax_0",
+            "energy_decay_kmax_0", "continuous_dependence_kmax_0", "smallness_record_every_0",
+            "continuous_dependence_eps2_0", "continuous_dependence_eps1_0",
+            "physicality_n_rotations_0"])
     def test_unusable_time_exit_1(self, tmp_path, capsys, name, old, new, message):
         text = (CONFIGS / f"{name}.cfg").read_text()
         assert old in text

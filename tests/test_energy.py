@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qflow import energy
 from qflow.energy import (
     LdGParams,
     bulk_density,
@@ -206,15 +207,27 @@ class TestTotalEnergy:
         expected = bulk_density(QTensor2(0.3, 0.0), p)  # area = 1
         assert total_energy(fld, p) == pytest.approx(expected, rel=1e-12)
 
-    def test_grid_refinement_oracle(self):
+    def test_grid_refinement_oracle(self, monkeypatch):
         # p = sin(pi x) sin(pi y): compare a coarse grid against a 10x finer one
         p = LdGParams(a=1e-9, b=0, c=1e-9, L1=1, L2=0, L3=0, L4=0)
+        densities, trapezoid = [], energy.trapezoid
+
+        def recording(f, d):
+            densities.append(f)
+            return trapezoid(f, d)
+
+        monkeypatch.setattr(energy, "trapezoid", recording)
 
         def energy_at(n):
             grid = Grid2D.from_extent(n, n, 1.0, 1.0)
             x, y = grid.nodes()
             pf = np.sin(np.pi * x)[:, None] * np.sin(np.pi * y)[None, :]
-            return total_energy(Field2D(grid, pf, np.zeros_like(pf)), p)
+            densities.clear()
+            value = total_energy(Field2D(grid, pf, np.zeros_like(pf)), p)
+            # the bits of np.trapezoid on the density, one axis after the other
+            inner = np.trapezoid(densities[0], dx=grid.hy, axis=1)
+            assert value.hex() == float(np.trapezoid(inner, dx=grid.hx, axis=0)).hex()
+            return value
 
         coarse, fine = energy_at(64), energy_at(640)
         assert abs(coarse - fine) <= 1e-3 * abs(fine)

@@ -903,6 +903,16 @@ class TestThresholdSearch:
         assert amp == 2.0 and flag.stop == STOP_BACKWARD_DIFFUSION
         assert len(search.runs) == 2 and not search.history
 
+    @pytest.mark.parametrize("depth", [3, 5])
+    def test_last_batch_marches_the_remaining_levels(self, monkeypatch, depth):
+        # 16 levels in batches of 3 or 5 end with a 1-level batch
+        monkeypatch.setattr(radial, "SEARCH_DEPTH", depth)
+        runs, lo, hi = sequential_search(*SEARCH_SETUP, -0.2, -40.0)
+        search = radial.threshold_search(*SEARCH_SETUP, -0.2, -40.0)
+        assert len(search.history) == radial.SEARCH_LEVELS
+        assert search.runs == tuple(runs)
+        assert (search.lo, search.hi) == (lo, hi)
+
     def test_shipped_search_work_counts(self):
         # configs/blowup-threshold-search.cfg: 16 levels in 4 batches of 15
         # candidates take 13,757 lock-step steps and 143,953 row steps,
