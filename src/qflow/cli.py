@@ -215,6 +215,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     for key in ("eps1", "eps2"):  # a zero perturbation has no growth to compare
         if key in v and v[key] == 0.0:
             raise ConfigError(f"{key} must be nonzero")
+    # zero data stay zero, and the energy and sup-norm checks then test nothing
+    amp_key = {"smallness": "amplitude_frac", "energy-decay": "amplitude"}.get(cfg.experiment)
+    if v.get(amp_key) == 0.0:
+        raise ConfigError(f"{amp_key} must be nonzero")
     if cfg.experiment == "trotter-convergence":
         if not 1 <= v["n_lo"] <= v["n_hi"]:
             raise ConfigError("1 <= n_lo <= n_hi required")
@@ -422,7 +426,7 @@ def _exp_smallness(cfg):
     field = pde2d.smooth_random_field(grid, amplitude, seed=cfg.seed, kmax=cfg.kmax)
     trace = pde2d.run(field, params, cfg.T, cfg.dt, scheme=cfg.scheme,
                       record_every=cfg.record_every)
-    if trace.nonfinite or trace.blown_up:
+    if trace.stop.reason != pde2d.STOP_REACHED_T:
         raise NumericalFailure("solution left the bounded regime during a smallness run")
     sup = math.sqrt(2.0 * float(trace.max_h2.max()))
     bound = math.sqrt(2.0 * eta1) * (1.0 + 1e-3)
@@ -457,7 +461,7 @@ def _exp_energy_decay(cfg):
     field = pde2d.smooth_random_field(grid, amplitude, seed=cfg.seed, kmax=cfg.kmax)
     trace = pde2d.run(field, params, cfg.T, dt, scheme=cfg.scheme,
                       record_every=cfg.record_every)
-    if trace.nonfinite or trace.blown_up:
+    if trace.stop.reason != pde2d.STOP_REACHED_T:
         raise NumericalFailure("solution left the bounded regime during an energy-decay run")
     dE = np.diff(trace.energy)
     monotone = bool(np.all(dE <= 1e-9))
@@ -476,17 +480,16 @@ def _exp_blowup(cfg):
     profile = RadialProfile.sine_bump(cfg.R0, cfg.R1, cfg.nr, cfg.amplitude)
     cert = blowup_certificate(profile, params)
     trace = radial.run_radial(profile, params, cfg.T, cfg.dt)
-    if trace.nonfinite:
-        raise NumericalFailure(
-            f"the blowup run stopped on {trace.stop} at t = {trace.stop_time!r}"
-        )
+    stop = trace.stop
+    if stop.nonfinite:
+        raise NumericalFailure(f"the blowup run stopped on {stop.reason} at t = {stop.t!r}")
     dominated = radial.dominates_comparison(trace, params, cert, rtol=0.01)
     rec = trace.y_minus if params.L4 < 0 else trace.y_plus
     comp, comp_div = comparison_lower_bound(cert.M0, params.a, cert.F0, cert.y0, trace.t)
     checks = [
         _check("geometric criterion R0^2 pi^2 / (9 (R1-R0)^2) > 1",
                cert.criterion_ok, cert.criterion_value, 1.0),
-        _check("blow-up flag raised before T", trace.blown_up, trace.blowup_time, cfg.T),
+        _check("blow-up flag raised before T", stop.blown_up, stop.blowup_time, cfg.T),
         _check("recorded y dominates comparison solution (1% rel)", dominated, None, 0.01),
     ]
     results = {
@@ -496,8 +499,8 @@ def _exp_blowup(cfg):
         "y0": cert.y0,
         "certificate": cert.reason,
         "predicted_blowup_time": cert.predicted_blowup_time,
-        "blowup_time": trace.blowup_time,
-        "blown_up": trace.blown_up,
+        "blowup_time": stop.blowup_time,
+        "blown_up": stop.blown_up,
         "final_y": float(trace.y[-1]),
         "comparison_divergence_time": comp_div,
         "y_series": trace.y,
@@ -523,9 +526,9 @@ def _exp_blowup_threshold_search(cfg):
                                      cfg.amp_lo, cfg.amp_hi)
     if search.aborted is not None:
         # an aborted run says nothing about the threshold, so no bracket
-        amp, flag = search.aborted
+        amp, stop = search.aborted
         raise NumericalFailure(
-            f"the run at amplitude {amp!r} stopped on {flag.stop} at t = {flag.t!r}"
+            f"the run at amplitude {amp!r} stopped on {stop.reason} at t = {stop.t!r}"
         )
     lo_blows, hi_blows = (flag.blown_up for _, flag in search.runs[:2])
     if lo_blows == hi_blows:

@@ -48,6 +48,41 @@ SCHEMES = ("explicit-euler", "imex")
 STACK_NODES = 66 * 66
 
 
+# Why a rectangle or radial run stopped (Stop.reason); the last two end
+# radial runs only.
+STOP_REACHED_T = "reached T"
+STOP_THRESHOLD = "crossed the blow-up threshold"
+STOP_NONFINITE = "non-finite values"
+STOP_BACKWARD_DIFFUSION = "locally backward diffusion (zeta + L4 theta <= 0)"
+STOP_SMALL = "entered the smallness regime"  # radial.run_radial_flag only
+
+
+@dataclass(frozen=True)
+class Stop:
+    """How a run ended: the reason (one of the STOP_* strings), the time it
+    stopped at and the number of steps it took.
+
+    blown_up only when the monitored threshold was crossed; nonfinite on an
+    abort on non-finite values or backward diffusion.
+    """
+
+    reason: str
+    t: float
+    steps: int
+
+    @property
+    def nonfinite(self) -> bool:
+        return self.reason in (STOP_NONFINITE, STOP_BACKWARD_DIFFUSION)
+
+    @property
+    def blown_up(self) -> bool:
+        return self.reason == STOP_THRESHOLD
+
+    @property
+    def blowup_time(self) -> float | None:
+        return self.t if self.blown_up else None
+
+
 class UnstableStepError(RuntimeError):
     """Raised when a step produces non-finite values."""
 
@@ -368,7 +403,7 @@ class RunTrace:
     energy is the scheme-matched discrete energy; max_h2 = max(p^2+q^2);
     l2_dqdt is the L2 norm of the instantaneous RHS; defect is the
     dissipation-identity residual |dE + dt ||dQ/dt||^2| accumulated between
-    recordings.
+    recordings; stop says why and when the run ended.
     """
 
     t: np.ndarray
@@ -378,10 +413,7 @@ class RunTrace:
     l2_dqdt: np.ndarray
     defect: np.ndarray
     smallness: np.ndarray
-    eta1: float
-    blown_up: bool = False
-    nonfinite: bool = False
-    blowup_time: float | None = None
+    stop: Stop
     final_field: "Field2D | None" = dc_field(default=None, repr=False)
 
     def smallness_held(self) -> bool:
@@ -402,14 +434,14 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
         scheme: str = "imex", record_every: int = 1) -> RunTrace:
     """Evolve to time T recording the monitored quantities.
 
-    Terminates early with the blow-up flag when ||Q||_L2 exceeds 1e6 or any
-    value turns non-finite; a step between records that crosses 1e6 is
-    recorded.  The smallness flag per record is max h^2 <= eta1 (1 + 1e-3)^2.
+    The stop is STOP_THRESHOLD when ||Q||_L2 exceeds 1e6 (a step between
+    records that crosses it is recorded), STOP_NONFINITE when a step turns
+    a value non-finite, else STOP_REACHED_T; stop.t is n dt after step n.
+    The smallness flag per record is max h^2 <= eta1 (1 + 1e-3)^2.
     """
     params.validate(strict=True)
     _check_step_args(dt, scheme)
-    eta1 = derived_constants(params).eta1
-    small_cap = _smallness_cap(eta1)
+    small_cap = _smallness_cap(derived_constants(params).eta1)
     grid = field0.grid
     if len(field0.p) != grid.nx + 2:
         raise ValueError("run takes one field, not a lock-step stack")
@@ -436,9 +468,7 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
 
     # the RHS of the field last recorded is the one the next step needs
     energy, rhs = record(0.0, fld, fld.p * fld.p + fld.q * fld.q, None, 0.0)
-    blown = False
-    nonfinite = False
-    blowup_time = None
+    stop = Stop(STOP_REACHED_T, nsteps * dt, nsteps)
     acc_dissipation = 0.0
     # overflow on the way to a detected blow-up is expected, not an error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -448,9 +478,7 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
             try:
                 new = _advance(fld, *rhs, dt, params, scheme)
             except UnstableStepError:
-                nonfinite = True
-                blown = True
-                blowup_time = n * dt
+                stop = Stop(STOP_NONFINITE, n * dt, n)
                 break
             rhs = None
             # fld still holds the pre-step field
@@ -465,11 +493,9 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
             energy, rhs = record(n * dt, fld, h2, energy, acc_dissipation)
             acc_dissipation = 0.0
             if rows[-1][3] > BLOWUP_L2_THRESHOLD:
-                blown = True
-                blowup_time = n * dt
+                stop = Stop(STOP_THRESHOLD, n * dt, n)
                 break
-    return RunTrace(*(np.array(series) for series in zip(*rows)), eta1=eta1, blown_up=blown,
-                    nonfinite=nonfinite, blowup_time=blowup_time, final_field=fld)
+    return RunTrace(*(np.array(series) for series in zip(*rows)), stop=stop, final_field=fld)
 
 
 @dataclass

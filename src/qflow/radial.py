@@ -18,14 +18,15 @@ diffusion).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 from .energy import LdGParams, derived_constants, trapezoid
-from .pde2d import Field2D, Grid2D, rhs_pq
+from .pde2d import (STOP_BACKWARD_DIFFUSION, STOP_NONFINITE, STOP_REACHED_T, STOP_SMALL,
+                    STOP_THRESHOLD, Field2D, Grid2D, Stop, rhs_pq)
 
 # Blow-up threshold on y = int theta^2 r dr.
 BLOWUP_Y_THRESHOLD = 1e6
@@ -332,22 +333,13 @@ def comparison_lower_bound(M0: float, a: float, F0: float, y0: float, t):
     return (float(vals[0]) if np.ndim(t) == 0 else vals), crossing
 
 
-# Why a radial run stopped (RadialFlag.stop, RadialTrace.stop).
-STOP_REACHED_T = "reached T"
-STOP_THRESHOLD = "y crossed the blow-up threshold"
-STOP_NONFINITE = "non-finite values"
-STOP_BACKWARD_DIFFUSION = "locally backward diffusion (zeta + L4 theta <= 0)"
-STOP_SMALL = "entered the smallness regime"  # run_radial_flag only
-
-
 @dataclass
 class RadialTrace:
     """Time series of the radial monitors.
 
     y = int theta^2 r dr with the sign-split parts y_minus, y_plus; F is the
     comparison functional; rate is the L2(r dr) norm of dtheta/dt; stop
-    says why the run ended and stop_time when.  blown_up and blowup_time
-    are set only when y crossed the threshold; an abort sets nonfinite.
+    says why and when the run ended.
     """
 
     t: np.ndarray
@@ -357,39 +349,7 @@ class RadialTrace:
     max_abs_theta: np.ndarray
     F: np.ndarray
     rate: np.ndarray
-    blown_up: bool = False
-    nonfinite: bool = False
-    blowup_time: float | None = None
-    final_profile: "RadialProfile | None" = dc_field(default=None, repr=False)
-    stop: str = STOP_REACHED_T
-    stop_time: float = 0.0
-
-
-@dataclass(frozen=True)
-class RadialFlag:
-    """How a radial run ended: the stop reason, the time it stopped at and
-    the number of steps it took.
-
-    blown_up, nonfinite and blowup_time mean what the RadialTrace fields of
-    the same name mean: blown_up only when y crossed the threshold, and
-    nonfinite on an abort on non-finite values or backward diffusion.
-    """
-
-    stop: str
-    t: float
-    steps: int
-
-    @property
-    def nonfinite(self) -> bool:
-        return self.stop in (STOP_NONFINITE, STOP_BACKWARD_DIFFUSION)
-
-    @property
-    def blown_up(self) -> bool:
-        return self.stop == STOP_THRESHOLD
-
-    @property
-    def blowup_time(self) -> float | None:
-        return self.t if self.blown_up else None
+    stop: Stop
 
 
 # LAPACK gtsv from scipy, bound by the first solve so that importing qflow
@@ -428,7 +388,7 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Batch(NamedTuple):
     """What one lock-step march gives back.
 
-    outcomes[i] is row i's RadialFlag or the exception that ended it;
+    outcomes[i] is row i's Stop or the exception that ended it;
     theta[i] is its theta when it stopped.  iterations counts the
     lock-step steps and row_steps the steps summed over the rows.
     """
@@ -503,7 +463,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
         if record is not None:
             record(0.0, final[i], y)
         if y > y_threshold:
-            outcomes[i] = RadialFlag(STOP_THRESHOLD, 0.0, 0)
+            outcomes[i] = Stop(STOP_THRESHOLD, 0.0, 0)
         else:
             live.append(i)
 
@@ -527,7 +487,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
 
     def stop(rows, reason):
         for k in np.flatnonzero(alive & rows):
-            halt(k, RadialFlag(reason, float(t[k]), steps))
+            halt(k, Stop(reason, float(t[k]), steps))
 
     def fill():
         # the one-row system of each row, with h = h[k] on its nodes
@@ -615,7 +575,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
                 except ValueError:
                     # the explicit term overflowed and the system is not
                     # finite, or (a LinAlgError) it is singular
-                    halt(k, RadialFlag(STOP_NONFINITE, float(t[k]), steps))
+                    halt(k, Stop(STOP_NONFINITE, float(t[k]), steps))
             new_amax = np.abs(th).max(axis=1)
         t += h
         steps += 1
@@ -634,7 +594,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
                 if record is not None:
                     record(float(t[k]), th[k], y)
                 if not math.isfinite(y) or y > y_threshold:
-                    halt(k, RadialFlag(STOP_THRESHOLD, float(t[k]), steps))
+                    halt(k, Stop(STOP_THRESHOLD, float(t[k]), steps))
         if not np.minimum.reduce(amax) > theta_small:
             stop(amax <= theta_small, STOP_SMALL)
         if np.maximum.reduce(t) >= T:
@@ -642,12 +602,12 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
     return _Batch(outcomes, final, steps, row_steps)
 
 
-def _single(batch: _Batch):
-    """The flag and final theta of a one-row march; its exception is raised."""
+def _single(batch: _Batch) -> Stop:
+    """The stop of a one-row march; its exception is raised."""
     outcome = batch.outcomes[0]
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome, batch.theta[0]
+    return outcome
 
 
 def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float) -> RadialTrace:
@@ -658,15 +618,13 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float) 
     amplitude.  The run stops before T in these cases:
 
     - y = int theta^2 r dr exceeds BLOWUP_Y_THRESHOLD (or is not finite):
-      blown_up is set and blowup_time is the time of that record, 0.0 when
-      the initial profile is already above the threshold;
-    - theta or the linear system of a step turns non-finite, or the
-      quasilinear diffusivity zeta + L4 theta is <= 0 somewhere (locally
-      backward diffusion): nonfinite is set; blown_up stays False and
-      blowup_time None, because the threshold was not crossed.
-
-    stop names the reason (one of the STOP_* strings) and stop_time the
-    time the run stopped at.
+      STOP_THRESHOLD at the time of that record, 0.0 when the initial
+      profile is already above the threshold;
+    - theta or the linear system of a step turns non-finite
+      (STOP_NONFINITE), or the quasilinear diffusivity zeta + L4 theta is
+      <= 0 somewhere (STOP_BACKWARD_DIFFUSION): stop.nonfinite is True;
+      stop.blown_up stays False and stop.blowup_time None, because the
+      threshold was not crossed.
 
     Callers that only need the flag use run_radial_flag, which takes the
     same steps without the per-step monitors and may stop sooner.
@@ -690,13 +648,10 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float) 
         full = np.concatenate(([0.0], rhs_full, [0.0]))
         rates.append(math.sqrt(max(trapezoid(full * full * r, dx), 0.0)))
 
-    flag, th = _single(_march([profile0], params, T, dt, BLOWUP_Y_THRESHOLD, record))
+    stop = _single(_march([profile0], params, T, dt, BLOWUP_Y_THRESHOLD, record))
     return RadialTrace(
         t=np.array(ts), y=np.array(ys), y_minus=np.array(yms), y_plus=np.array(yps),
-        max_abs_theta=np.array(mxs), F=np.array(Fs), rate=np.array(rates),
-        blown_up=flag.blown_up, nonfinite=flag.nonfinite, blowup_time=flag.blowup_time,
-        final_profile=RadialProfile(profile0.R0, profile0.R1, profile0.nr, th),
-        stop=flag.stop, stop_time=flag.t,
+        max_abs_theta=np.array(mxs), F=np.array(Fs), rate=np.array(rates), stop=stop,
     )
 
 
@@ -714,18 +669,18 @@ def _flag_march(profiles, params: LdGParams, T: float, dt: float) -> _Batch:
 
 
 def run_radial_flag(profile0: RadialProfile, params: LdGParams, T: float,
-                    dt: float) -> RadialFlag:
+                    dt: float) -> Stop:
     """Take the steps of run_radial but compute only what the flag needs.
 
-    The returned blown_up, nonfinite and blowup_time equal those of
-    run_radial(profile0, params, T, dt); its stop says why the run ended.
+    The returned stop's blown_up, nonfinite and blowup_time equal those of
+    run_radial(profile0, params, T, dt).stop; its reason may differ.
     Under the smallness experiment's hypotheses (L4 != 0, the strict bulk
     and coercivity assumptions, |a| <= 2 c eta1), max|theta| <= 2 sqrt(eta1),
     boundary values included, holds at all later times once it holds.  A
     run that gets there can then neither abort nor, if 4 eta1 (R1^2 - R0^2)/2
     lies below the threshold, cross it, so it stops with STOP_SMALL.
     """
-    return _single(_flag_march([profile0], params, T, dt))[0]
+    return _single(_flag_march([profile0], params, T, dt))
 
 
 # Bisection levels of threshold_search, and the levels one lock-step batch

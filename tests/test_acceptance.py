@@ -61,7 +61,7 @@ def test_02_energy_dissipation():
         dt = 0.5 * pde2d.stability_dt(grid, params)
         field = pde2d.smooth_random_field(grid, 0.05, seed=102, kmax=2)
         trace = pde2d.run(field, params, 1500 * dt, dt, scheme="explicit-euler")
-        assert not trace.nonfinite
+        assert not trace.stop.nonfinite
         assert np.all(np.diff(trace.energy) <= 1e-9)
         rel = trace.defect[1:] / (1.0 + np.abs(trace.energy[1:]))
         assert rel.max() <= 1e-6
@@ -78,7 +78,7 @@ def test_03_smallness_preservation():
         grid = pde2d.Grid2D.from_extent(64, 64, 1.0, 1.0)
         field = pde2d.smooth_random_field(grid, 0.9 * math.sqrt(2 * eta1), seed=103)
         trace = pde2d.run(field, params, 5.0, 5e-3, scheme="imex")
-        assert not trace.nonfinite and not trace.blown_up
+        assert not trace.stop.nonfinite and not trace.stop.blown_up
         sup = math.sqrt(2.0 * float(trace.max_h2.max()))
         assert sup <= math.sqrt(2.0 * eta1) * 1.001
         assert trace.smallness_held()
@@ -99,9 +99,9 @@ def test_04_blowup_reproduction():
             assert cert.criterion_value == pytest.approx(math.pi**2, rel=1e-12)
             assert cert.criterion_ok
             trace = radial.run_radial(profile, params, 0.01, 1e-5)
-            assert trace.blown_up and not trace.nonfinite
+            assert trace.stop.blown_up and not trace.stop.nonfinite
             assert radial.dominates_comparison(trace, params, cert, rtol=0.01)
-            times[nr] = trace.blowup_time
+            times[nr] = trace.stop.blowup_time
         assert abs(times[200] - times[400]) <= 0.10 * times[400]
 
 

@@ -129,10 +129,14 @@ class TestRunExperiment:
         assert first == CSV_HEADER
 
     def test_smallness_zero_amplitude(self, tmp_path):
-        cfg = parse_config(
-            "experiment = smallness\nL1 = 1\nL4 = 1\nT = 0.02\ndt = 2e-3\n"
-            "nx = 12\nny = 12\namplitude_frac = 0\n"
-        )
+        # zero data stay zero, so the checks pass on a field that never
+        # moves: the config is rejected, and the run past the check shows why
+        text = ("experiment = smallness\nL1 = 1\nL4 = 1\nT = 0.02\ndt = 2e-3\n"
+                "nx = 12\nny = 12\namplitude_frac = 0\n")
+        with pytest.raises(ConfigError, match="amplitude_frac must be nonzero"):
+            parse_config(text)
+        cfg = parse_config(text.replace("amplitude_frac = 0", "amplitude_frac = 0.5"))
+        cfg.values["amplitude_frac"] = 0.0
         report = run_experiment(cfg, str(tmp_path))
         assert report.passed
         rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
@@ -195,6 +199,23 @@ class TestRunExperiment:
         assert res["interval_lo"] < res["interval_hi"]
 
 
+@pytest.fixture(scope="module")
+def shipped_run(tmp_path_factory):
+    """run(name): the trace.csv bytes and summary results of the shipped
+    config, each run once per module."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            out = tmp_path_factory.mktemp(name)
+            cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+            report = run_experiment(cfg, str(out), emit_svg=False)
+            runs[name] = (out / "trace.csv").read_bytes(), report.summary["results"]
+        return runs[name]
+
+    return run
+
+
 class TestShippedConfigs:
     """Outputs of shipped configs, pinned bit for bit."""
 
@@ -232,17 +253,14 @@ class TestShippedConfigs:
         ("continuous-dependence", 502,
          "74f3bc25b02c1c957ae3c74549eacd80718d951b9e530d60b97c591089e855a4"),
     ])
-    def test_rectangle_trace_csv_pinned(self, tmp_path, name, lines, digest):
-        cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
-        run_experiment(cfg, str(tmp_path), emit_svg=False)
-        data = (tmp_path / "trace.csv").read_bytes()
+    def test_rectangle_trace_csv_pinned(self, shipped_run, name, lines, digest):
+        data = shipped_run(name)[0]
         assert len(data.splitlines()) == lines
         assert hashlib.sha256(data).hexdigest() == digest
 
-    def test_rectangle_results_pinned(self, tmp_path):
+    def test_rectangle_results_pinned(self, shipped_run):
         def results(name):
-            cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
-            return run_experiment(cfg, str(tmp_path / name), emit_svg=False).summary["results"]
+            return shipped_run(name)[1]
 
         res = results("continuous-dependence")
         assert res["slope"] == -38.539681342148064
@@ -572,12 +590,17 @@ class TestMainEntry:
         # a zero perturbation read FAIL, and no rotation passed equivariance vacuously
         ("continuous-dependence", "eps1 = 1e-6", "eps1 = 0", "eps1 must be nonzero"),
         ("physicality", "n_rotations = 20", "n_rotations = 0", "n_rotations must be at least 1"),
+        # zero data stay zero: the energy and sup-norm checks passed on nothing
+        ("energy-decay", "amplitude = 0.05", "amplitude = 0", "amplitude must be nonzero"),
+        ("smallness", "amplitude_frac = 0.9", "amplitude_frac = 0",
+         "amplitude_frac must be nonzero"),
     ], ids=["physicality_T_inf", "smallness_T_1e300", "smallness_dt_nan", "energy_decay_T_1e300",
             "physicality_T_1e300", "trotter_convergence_T_1e300", "smallness_C1_0",
             "smallness_L4_1e-300", "energy_decay_L_1e300", "smallness_kmax_0",
             "energy_decay_kmax_0", "continuous_dependence_kmax_0", "smallness_record_every_0",
             "continuous_dependence_eps2_0", "continuous_dependence_eps1_0",
-            "physicality_n_rotations_0"])
+            "physicality_n_rotations_0", "energy_decay_amplitude_0",
+            "smallness_amplitude_frac_0"])
     def test_unusable_time_exit_1(self, tmp_path, capsys, name, old, new, message):
         text = (CONFIGS / f"{name}.cfg").read_text()
         assert old in text

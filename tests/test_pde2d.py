@@ -10,8 +10,12 @@ from qflow.energy import LdGParams, derived_constants
 from qflow.pde2d import (
     BLOWUP_L2_THRESHOLD,
     SCHEMES,
+    STOP_NONFINITE,
+    STOP_REACHED_T,
+    STOP_THRESHOLD,
     Field2D,
     Grid2D,
+    Stop,
     UnstableStepError,
     continuous_dependence_experiment,
     discrete_energy,
@@ -335,7 +339,7 @@ class TestRun:
         trace = run(Field2D.zeros(grid), coercive_params(L4=1.0), 0.05, 1e-2)
         assert np.all(trace.energy == 0.0)
         assert np.all(trace.l2_q == 0.0)
-        assert not trace.blown_up
+        assert not trace.stop.blown_up
         assert trace.smallness_held()
 
     def test_energy_dissipation_l4_zero(self):
@@ -389,8 +393,8 @@ class TestRun:
         params = LdGParams(a=-300.0, b=0.0, c=1e-12, L1=1.0, L2=0.0, L3=0.0, L4=0.0)
         f0 = smooth_random_field(grid, 0.5, seed=7)
         trace = run(f0, params, 1.0, 1e-3, scheme="imex")
-        assert trace.blown_up
-        assert trace.blowup_time is not None and trace.blowup_time < 1.0
+        assert trace.stop.blown_up
+        assert trace.stop.blowup_time is not None and trace.stop.blowup_time < 1.0
 
     def test_blowup_time_does_not_wait_for_a_record(self):
         # the same runaway: a step between records that crosses the
@@ -399,15 +403,46 @@ class TestRun:
         params = LdGParams(a=-300.0, b=0.0, c=1e-12, L1=1.0, L2=0.0, L3=0.0, L4=0.0)
         f0 = smooth_random_field(grid, 0.5, seed=7)
         ref = run(f0, params, 1.0, 1e-3, scheme="imex")
-        assert ref.blown_up and not ref.nonfinite and ref.blowup_time == ref.t[-1]
+        assert ref.stop.blown_up and not ref.stop.nonfinite and ref.stop.blowup_time == ref.t[-1]
         for record_every in (10, 50):
             trace = run(f0, params, 1.0, 1e-3, scheme="imex", record_every=record_every)
-            assert trace.blown_up and not trace.nonfinite
-            assert trace.blowup_time == ref.blowup_time == trace.t[-1]
+            assert trace.stop.blown_up and not trace.stop.nonfinite
+            assert trace.stop.blowup_time == ref.stop.blowup_time == trace.t[-1]
             assert trace.l2_q[-1] == ref.l2_q[-1] > BLOWUP_L2_THRESHOLD
             assert trace.energy[-1] == ref.energy[-1]
             assert np.array_equal(trace.final_field.p, ref.final_field.p)
             assert np.all(trace.l2_q[:-1] <= BLOWUP_L2_THRESHOLD)
+
+    def test_stop_reached_t(self):
+        # the run ends at round(T/dt) dt = 0.05, not at T
+        grid = Grid2D.from_extent(8, 8, 1.0, 1.0)
+        trace = run(smooth_random_field(grid, 0.02, seed=5), coercive_params(), 0.053, 1e-2)
+        assert trace.stop == Stop(STOP_REACHED_T, trace.t[-1], 5)
+        assert trace.stop.t == 5 * 1e-2
+        assert not trace.stop.blown_up and not trace.stop.nonfinite
+        assert trace.stop.blowup_time is None
+
+    def test_stop_threshold(self):
+        # the runaway of test_blowup_flag_on_runaway
+        grid = Grid2D.from_extent(16, 16, 1.0, 1.0)
+        params = LdGParams(a=-300.0, b=0.0, c=1e-12, L1=1.0, L2=0.0, L3=0.0, L4=0.0)
+        trace = run(smooth_random_field(grid, 0.5, seed=7), params, 1.0, 1e-3, scheme="imex")
+        stop = trace.stop
+        assert stop.reason == STOP_THRESHOLD and stop.blown_up and not stop.nonfinite
+        assert stop.t == trace.t[-1] == stop.steps * 1e-3 == stop.blowup_time
+        assert 0 < stop.steps < 1000
+
+    def test_stop_nonfinite_is_not_a_blowup(self):
+        # -a p overflows in the first explicit step: the run aborts on
+        # non-finite values, which says nothing about the threshold
+        grid = Grid2D.from_extent(16, 16, 1.0, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(smooth_random_field(grid, 0.5, seed=7), coercive_params(a=-1e308),
+                        100.0, 10.0, scheme="explicit-euler")
+        assert trace.stop == Stop(STOP_NONFINITE, 10.0, 1)
+        assert trace.stop.nonfinite and not trace.stop.blown_up
+        assert trace.stop.blowup_time is None
+        assert list(trace.t) == [0.0]
 
     def test_blowup_flag_on_unstable_dt(self):
         # far above the stability bound the L2 threshold trips within steps
@@ -416,7 +451,7 @@ class TestRun:
         dt = 200 * stability_dt(grid, params)
         trace = run(smooth_random_field(grid, 0.3, seed=8), params, 50 * dt, dt,
                     scheme="explicit-euler")
-        assert trace.blown_up
+        assert trace.stop.blown_up
 
     @pytest.mark.parametrize("scheme", ["explicit-euler", "imex"])
     @pytest.mark.parametrize("record_every", [1, 3])

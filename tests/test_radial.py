@@ -373,12 +373,12 @@ class TestRunRadial:
         prof = RadialProfile(3.0, 4.0, 30, np.zeros(32))
         trace = run_radial(prof, params(), 0.1, 1e-3)
         assert np.all(trace.y == 0.0)
-        assert not trace.blown_up
+        assert not trace.stop.blown_up
 
     def test_small_data_decays(self):
         prof = RadialProfile.sine_bump(3.0, 4.0, 60, 0.01)
         trace = run_radial(prof, params(a=1.0, c=1.0), 2.0, 1e-2)
-        assert not trace.blown_up
+        assert not trace.stop.blown_up
         assert trace.y[-1] < 1e-4 * trace.y[0]
 
     def test_times_strictly_increasing(self):
@@ -404,15 +404,15 @@ class TestRunRadial:
         prof = RadialProfile.sine_bump(3.0, 4.0, 100, -50.0)
         cert = blowup_certificate(prof, p)
         trace = run_radial(prof, p, 0.01, 1e-5)
-        assert trace.blown_up and not trace.nonfinite
-        assert trace.blowup_time < 0.01
+        assert trace.stop.blown_up and not trace.stop.nonfinite
+        assert trace.stop.blowup_time < 0.01
         assert dominates_comparison(trace, p, cert, rtol=0.01)
 
     def test_backward_diffusion_flagged(self):
         # L4 = -1 with large positive theta makes zeta + L4 theta < 0
         prof = RadialProfile.sine_bump(3.0, 4.0, 40, 5.0)
         trace = run_radial(prof, params(L4=-1.0), 0.1, 1e-3)
-        assert trace.nonfinite
+        assert trace.stop.nonfinite
 
 
 class TestRunRadialFlag:
@@ -434,10 +434,10 @@ class TestRunRadialFlag:
         prof = RadialProfile.sine_bump(R0, R1, nr, amp)
         trace = run_radial(prof, p, T, dt)
         flag = run_radial_flag(prof, p, T, dt)
-        assert flag.stop == stop
-        assert flag.blown_up == trace.blown_up
-        assert flag.nonfinite == trace.nonfinite
-        assert flag.blowup_time == trace.blowup_time
+        assert flag.reason == stop
+        assert flag.blown_up == trace.stop.blown_up
+        assert flag.nonfinite == trace.stop.nonfinite
+        assert flag.blowup_time == trace.stop.blowup_time
         # both runs stop at the time of the last record
         assert flag.t == trace.t[-1]
         if name in ("above_threshold_at_t0", "backward_diffusion"):
@@ -451,8 +451,8 @@ class TestRunRadialFlag:
         with np.errstate(over="ignore", invalid="ignore"):
             flag = run_radial_flag(prof, p, 0.1, 1e-3)
             trace = run_radial(prof, p, 0.1, 1e-3)
-        assert flag.stop == STOP_NONFINITE and flag.t == 0.0
-        assert trace.stop == STOP_NONFINITE and trace.nonfinite
+        assert flag.reason == STOP_NONFINITE and flag.t == 0.0
+        assert trace.stop.reason == STOP_NONFINITE and trace.stop.nonfinite
 
     @pytest.mark.parametrize("amp, p, stop", [
         (5.0, params(L4=-1.0), STOP_BACKWARD_DIFFUSION),
@@ -464,15 +464,15 @@ class TestRunRadialFlag:
         with np.errstate(over="ignore", invalid="ignore"):
             flag = run_radial_flag(prof, p, 0.1, 1e-3)
             trace = run_radial(prof, p, 0.1, 1e-3)
-        for run in (flag, trace):
-            assert run.stop == stop and run.nonfinite
+        for run in (flag, trace.stop):
+            assert run.reason == stop and run.nonfinite
             assert not run.blown_up and run.blowup_time is None
-        assert trace.stop_time == flag.t == 0.0
+        assert trace.stop.t == flag.t == 0.0
 
     def test_stop_time_of_a_threshold_crossing(self):
         R0, R1, nr, amp, p, T, dt, _ = self.CASES["above_threshold"]
         trace = run_radial(RadialProfile.sine_bump(R0, R1, nr, amp), p, T, dt)
-        assert trace.blown_up and trace.stop_time == trace.blowup_time == trace.t[-1]
+        assert trace.stop.blown_up and trace.stop.t == trace.stop.blowup_time == trace.t[-1]
 
     def test_leaves_the_initial_profile_alone(self):
         prof = RadialProfile.sine_bump(0.3, 1.3, 20, -10.0)
@@ -587,15 +587,15 @@ class TestStopSmall:
         return small[0] + 1 if small.size else None
 
     def _check_flags(self, trace, flag, cap):
-        assert flag.blown_up == trace.blown_up
-        assert flag.nonfinite == trace.nonfinite
-        assert flag.blowup_time == trace.blowup_time
+        assert flag.blown_up == trace.stop.blown_up
+        assert flag.nonfinite == trace.stop.nonfinite
+        assert flag.blowup_time == trace.stop.blowup_time
         k = self._entry(trace, cap)
         if k is None:
-            assert flag.stop == trace.stop and flag.t == trace.stop_time
+            assert flag.reason == trace.stop.reason and flag.t == trace.stop.t
         else:
-            assert trace.stop == STOP_REACHED_T
-            assert flag.stop == STOP_SMALL and flag.t == trace.t[k]
+            assert trace.stop.reason == STOP_REACHED_T
+            assert flag.reason == STOP_SMALL and flag.t == trace.t[k]
         return k
 
     @SWEEP
@@ -627,14 +627,14 @@ class TestStopSmall:
     def test_not_taken_outside_the_hypotheses(self, R1, p):
         prof = RadialProfile.sine_bump(3.0, R1, 20, 0.01)
         trace, flag = self._both(prof, p)
-        assert flag.stop == trace.stop == STOP_REACHED_T
+        assert flag.reason == trace.stop.reason == STOP_REACHED_T
         assert flag.t == trace.t[-1]
 
     def test_run_radial_never_stops_small(self):
         prof = RadialProfile.sine_bump(3.0, 4.0, 20, 0.01)
         trace, flag = self._both(prof, params(c=1.0))
-        assert flag.stop == STOP_SMALL and flag.t == trace.t[1]
-        assert trace.stop == STOP_REACHED_T and trace.t[-1] == 0.1
+        assert flag.reason == STOP_SMALL and flag.t == trace.t[1]
+        assert trace.stop.reason == STOP_REACHED_T and trace.t[-1] == 0.1
 
 
 def _sine_theta(amp, nr):
@@ -692,7 +692,7 @@ class TestLockStep:
             singles = [radial._march([prof], p, T, dt, y_threshold, theta_small=theta_small)
                        for prof in profiles]
         assert batch.iterations == max(s.iterations for s in singles)
-        flags = [o for o in batch.outcomes if isinstance(o, radial.RadialFlag)]
+        flags = [o for o in batch.outcomes if isinstance(o, radial.Stop)]
         assert batch.row_steps == sum(flag.steps for flag in flags)
         for i, single in enumerate(singles):
             assert _outcome_key(batch.outcomes[i]) == _outcome_key(single.outcomes[0])
@@ -709,7 +709,7 @@ class TestLockStep:
         thin = [_sine_theta(a, nr) for a in (-10.0, -3e3, -2.0, 5.0, -0.5)]
         batch = self._check_rows([RadialProfile(0.3, 1.3, nr, th) for th in thin],
                                  params(c=1e-6), 0.05, 1e-3, 1e6, 0.3)
-        stops = [o.stop for o in batch.outcomes]
+        stops = [o.reason for o in batch.outcomes]
         assert stops == [STOP_THRESHOLD, STOP_THRESHOLD, STOP_REACHED_T,
                          STOP_BACKWARD_DIFFUSION, STOP_SMALL]
         assert len({o.t for o in batch.outcomes}) == 4  # t = 0 twice
@@ -717,7 +717,7 @@ class TestLockStep:
         batch = self._check_rows([RadialProfile(1.0, 2.0, nr, th) for th in grow],
                                  params(a=-100.0, c=1e-300, L4=0.0), 0.02, 1e-3, math.inf,
                                  -math.inf)
-        assert [o.stop for o in batch.outcomes] == [STOP_NONFINITE] * 2 + [STOP_REACHED_T]
+        assert [o.reason for o in batch.outcomes] == [STOP_NONFINITE] * 2 + [STOP_REACHED_T]
         assert 0.0 < batch.outcomes[1].t < batch.outcomes[0].t < 0.02
 
     def test_step_solves_the_semi_implicit_system(self):
@@ -789,7 +789,7 @@ class TestLockStep:
         monkeypatch.setattr(radial, "solve_banded", singular)
         batch = radial._march(profiles, params(c=1e-6), 0.05, 1e-3, 1e6)
         flag = run_radial_flag(profiles[1], params(c=1e-6), 0.05, 1e-3)
-        assert batch.outcomes[1] == flag == radial.RadialFlag(STOP_NONFINITE, 0.0, 0)
+        assert batch.outcomes[1] == flag == radial.Stop(STOP_NONFINITE, 0.0, 0)
         for i in (0, 2):
             assert batch.outcomes[i] == expected[i].outcomes[0]
             assert batch.theta[i].tobytes() == expected[i].theta[0].tobytes()
@@ -870,8 +870,8 @@ class TestThresholdSearch:
         runs, lo, hi = sequential_search(*SEARCH_SETUP, *bracket)
         nr = SEARCH_SETUP[2]
         path = {RadialProfile.sine_bump(0.3, 1.3, nr, amp).theta.tobytes() for amp, _ in runs}
-        bad = {"nonfinite": radial.RadialFlag(STOP_NONFINITE, 0.0, 1),
-               "backward": radial.RadialFlag(STOP_BACKWARD_DIFFUSION, 0.0, 0),
+        bad = {"nonfinite": radial.Stop(STOP_NONFINITE, 0.0, 1),
+               "backward": radial.Stop(STOP_BACKWARD_DIFFUSION, 0.0, 0),
                "singular": np.linalg.LinAlgError("singular matrix"),
                "boundary": ValueError("boundary values must agree")}[fault]
         flag_march = radial._flag_march
@@ -900,7 +900,7 @@ class TestThresholdSearch:
         assert not search.aborted and len(search.history) == radial.SEARCH_LEVELS
         search = radial.threshold_search(*SEARCH_SETUP, -0.2, 2.0)
         amp, flag = search.aborted
-        assert amp == 2.0 and flag.stop == STOP_BACKWARD_DIFFUSION
+        assert amp == 2.0 and flag.reason == STOP_BACKWARD_DIFFUSION
         assert len(search.runs) == 2 and not search.history
 
     @pytest.mark.parametrize("depth", [3, 5])
