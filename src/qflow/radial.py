@@ -92,7 +92,7 @@ class RadialProfile:
         )
 
 
-def _rhs_parts(theta, d1, d2, r, r2, zeta_r, half_c, params: LdGParams):
+def _rhs_parts(theta, d1, d2, r, r2, zeta_r, half_c, params: LdGParams, *out):
     """The radial RHS expl + D d2 + adv d1 - 4 zeta theta/r^2 from theta and
     its derivatives d1, d2 at the radii r, and its parts (D, adv, expl, rhs).
 
@@ -101,20 +101,43 @@ def _rhs_parts(theta, d1, d2, r, r2, zeta_r, half_c, params: LdGParams):
     (c/2) theta^3; the stepper takes D d2 + adv d1 - 4 zeta theta/r^2
     implicitly and expl explicitly.  r2 = r**2, zeta_r = zeta/r and
     half_c = 0.5 c are passed in, so that the stepper forms them once.
+
+    out is (D, adv, expl, rhs, scratch), five float arrays shaped as theta
+    that the parts are written into (scratch holds products on the way);
+    without it they are allocated.  Each part is computed in the operation
+    order of the formula above, one ufunc at a time.
     """
+    if not out:
+        out = np.empty((5,) + theta.shape)
+    D, adv, expl, rhs, tmp = out
     zeta, L4 = params.zeta, params.L4
-    L4_theta = L4 * theta
-    D = zeta + L4_theta
-    adv = zeta_r + L4_theta / r
-    expl = (L4 * (0.5 * d1 * d1 + 6.0 * theta * theta / r2) - params.a * theta
-            - half_c * (theta * theta * theta))
-    return D, adv, expl, expl + D * d2 + adv * d1 - 4.0 * zeta * theta / r2
-
-
-def theta_rhs_pointwise(theta, dtheta, ddtheta, r, params: LdGParams):
-    """The radial RHS from pointwise values of theta and its derivatives."""
-    return _rhs_parts(theta, dtheta, ddtheta, r, r**2, params.zeta / r, 0.5 * params.c,
-                      params)[3]
+    np.multiply(L4, theta, out=D)
+    np.divide(D, r, out=adv)
+    np.add(zeta_r, adv, out=adv)
+    np.add(zeta, D, out=D)
+    # expl = L4 (0.5 d1 d1 + 6 theta theta / r2) - a theta - half_c (theta theta theta)
+    np.multiply(0.5, d1, out=expl)
+    np.multiply(expl, d1, out=expl)
+    np.multiply(6.0, theta, out=tmp)
+    np.multiply(tmp, theta, out=tmp)
+    np.divide(tmp, r2, out=tmp)
+    np.add(expl, tmp, out=expl)
+    np.multiply(L4, expl, out=expl)
+    np.multiply(params.a, theta, out=tmp)
+    np.subtract(expl, tmp, out=expl)
+    np.multiply(theta, theta, out=tmp)
+    np.multiply(tmp, theta, out=tmp)
+    np.multiply(half_c, tmp, out=tmp)
+    np.subtract(expl, tmp, out=expl)
+    # rhs = expl + D d2 + adv d1 - 4 zeta theta / r2
+    np.multiply(D, d2, out=rhs)
+    np.add(expl, rhs, out=rhs)
+    np.multiply(adv, d1, out=tmp)
+    np.add(rhs, tmp, out=rhs)
+    np.multiply(4.0 * zeta, theta, out=tmp)
+    np.divide(tmp, r2, out=tmp)
+    np.subtract(rhs, tmp, out=rhs)
+    return D, adv, expl, rhs
 
 
 def theta_rhs(profile: RadialProfile, params: LdGParams) -> np.ndarray:
@@ -126,7 +149,8 @@ def theta_rhs(profile: RadialProfile, params: LdGParams) -> np.ndarray:
     dr = profile.dr
     d1 = (th[2:] - th[:-2]) / (2.0 * dr)
     d2 = (th[2:] - 2.0 * th[1:-1] + th[:-2]) / (dr * dr)
-    return theta_rhs_pointwise(th[1:-1], d1, d2, profile.r[1:-1], params)
+    r = profile.r[1:-1]
+    return _rhs_parts(th[1:-1], d1, d2, r, r**2, params.zeta / r, 0.5 * params.c, params)[3]
 
 
 def _signed_part(theta: np.ndarray, L4: float) -> np.ndarray:
@@ -490,15 +514,20 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
             halt(k, Stop(reason, float(t[k]), steps))
 
     def fill():
-        # the one-row system of each row, with h = h[k] on its nodes
-        h_run = h.repeat(W)[1:-1]
-        minus_h = -h_run
-        np.multiply(minus_h[:-1], co_up[:-1], out=ab[0, 1:])
-        np.subtract(1.0, h_run * diag, out=ab[1])
-        np.multiply(minus_h[1:], co_down[1:], out=ab[2, :-1])
-        np.add(thi, h_run * expl, out=b)
-        for band, value in ring_band:
-            band[...] = value
+        # the one-row system of each row, with h = h[k] on its nodes; h is
+        # 0 on the ring nodes and so is the coupling of every node pair
+        # with a ring node in it (h_pair is minus the pair's smaller h),
+        # which leaves a ring node the equation x = theta, uncoupled from
+        # its neighbours
+        np.copyto(h_in, h[:, None])
+        np.minimum(h_run[:-1], h_run[1:], out=h_pair)
+        np.negative(h_pair, out=h_pair)
+        np.multiply(h_pair, co_up[:-1], out=ab[0, 1:])
+        np.multiply(h_run, diag, out=ab[1])
+        np.subtract(1.0, ab[1], out=ab[1])
+        np.multiply(h_pair, co_down[1:], out=ab[2, :-1])
+        np.multiply(h_run, expl, out=b)
+        np.add(thi, b, out=b)
         # boundary contributions from the fixed ring values
         np.add(b_first, h * co_down[::W] * th_left, out=b_first)
         np.add(b_last, h * co_up[nr - 1::W] * th_right, out=b_last)
@@ -519,23 +548,30 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
             # right-hand side, which gtsv overwrites with the solution.  Row
             # k's block is the one-row system of its run, and the blocks are
             # uncoupled: gtsv's elimination factor at a block edge is 0/d.
-            # (The rows are m W long, so that each is an (m, W) array too.)
+            # (The rows are m W long, so that each is an (m, W) array too,
+            # whose first nr columns are the rows' interiors.)
             system = np.zeros((4, m * W))
             ab, b = system[:3, :n], system[3, :n]
             b_first, b_last = b[::W], b[nr - 1::W]
-            # the equations of the two ring nodes after each row: 1 on the
-            # diagonal, 0 off it, which uncouples them from each other and
-            # from the rows' end nodes
-            rows = system[:3].reshape(3, m, W)
-            ring_band = [(rows[0, :-1, nr:], 0.0), (rows[0, 1:, 0], 0.0),
-                         (rows[1, :-1, nr:], 1.0), (rows[2, :-1, nr - 1:], 0.0)] if m > 1 else []
+            b_in = system[3].reshape(m, W)[:, :nr]
+            # One workspace for the step's per-node arrays over the run,
+            # each written in place on every step, and h per node, whose
+            # ring entries stay 0.
+            work = np.zeros((13, m * W))
+            (d1, d2, D, adv, expl, full, scratch, co_d2, co_up, co_down, diag,
+             h_run) = work[:12, :n]
+            h_in, h_pair = work[11].reshape(m, W)[:, :nr], work[12, :n - 1]
             f = th.ravel()
             thi, th_up, th_down = f[1:-1], f[2:], f[:-2]
-            th_left, th_right = th[:, 0], th[:, -1]
-            ring = th[1:, 0].copy(), th[:-1, -1].copy()
-        d1 = (th_up - th_down) / two_dr
-        d2 = (th_up - 2.0 * thi + th_down) / dr_mul
-        D, adv, expl, full = _rhs_parts(thi, d1, d2, ri, ri2, zeta_ri, half_c, params)
+            th_in, th_left, th_right = th[:, 1:-1], th[:, 0], th[:, -1]
+        # d1 = (th_up - th_down) / two_dr and d2 = (th_up - 2 thi + th_down) / dr_mul
+        np.subtract(th_up, th_down, out=d1)
+        np.divide(d1, two_dr, out=d1)
+        np.multiply(2.0, thi, out=d2)
+        np.subtract(th_up, d2, out=d2)
+        np.add(d2, th_down, out=d2)
+        np.divide(d2, dr_mul, out=d2)
+        _rhs_parts(thi, d1, d2, ri, ri2, zeta_ri, half_c, params, D, adv, expl, full, scratch)
         # min over the non-NaN entries: (D <= 0).any(), also true if only a
         # ring node between rows has D <= 0
         if np.fmin.reduce(D) <= 0.0:
@@ -543,26 +579,30 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
             if changed:
                 continue
         scale = np.maximum(amax, 1e-12)
-        fmax = np.maximum(np.maximum.reduceat(np.abs(full), bounds)[::2], 1e-15)
+        fmax = np.maximum(np.maximum.reduceat(np.abs(full, out=scratch), bounds)[::2], 1e-15)
         # min(dt, x, T - t) of one run: fmin, like Python's min, passes a NaN x over
         h = np.fmin(STEP_FRACTION * scale / fmax, np.minimum(dt, T - t))
-        co_d2 = D / dr_pow
-        co_d1 = adv / two_dr
-        # coefficients of theta_{i+1} and theta_{i-1} in row i
-        co_up = co_d2 + co_d1
-        co_down = co_d2 - co_d1
-        diag = -2.0 * co_d2 - react
+        # co_d2 = D / dr_pow and co_d1 = adv / two_dr (held in scratch);
+        # co_up and co_down are the coefficients of theta_{i+1} and
+        # theta_{i-1} in row i
+        np.divide(D, dr_pow, out=co_d2)
+        np.divide(adv, two_dr, out=scratch)
+        np.add(co_d2, scratch, out=co_up)
+        np.subtract(co_d2, scratch, out=co_down)
+        np.multiply(-2.0, co_d2, out=diag)
+        np.subtract(diag, react, out=diag)
         fill()
+        row_steps += m  # every row takes this step, one whose solve fails too
         try:
-            x = solve_banded(ab, b)
-            new_amax = np.maximum(np.maximum.reduceat(np.abs(x), bounds)[::2], edge)
-            batched = math.isfinite(np.maximum.reduce(new_amax))
+            solve_banded(ab, b)  # the solution is returned in b's memory
+            new_amax = np.maximum(np.maximum.reduceat(np.abs(b, out=scratch), bounds)[::2],
+                                  edge)
+            top = float(np.maximum.reduce(new_amax))
+            batched = math.isfinite(top)
         except ValueError:  # LinAlgError is one too
             batched = False
         if batched:
-            thi[:] = x
-            if m > 1:  # the ring nodes' x are dropped
-                th[1:, 0], th[:-1, -1] = ring
+            th_in[...] = b_in  # the ring nodes' x are dropped
         else:
             # A non-finite or singular block, or a block that another's
             # overflow reached through the zero couplings (0 * inf = NaN):
@@ -575,14 +615,13 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
                 except ValueError:
                     # the explicit term overflowed and the system is not
                     # finite, or (a LinAlgError) it is singular
-                    halt(k, Stop(STOP_NONFINITE, float(t[k]), steps))
+                    halt(k, Stop(STOP_NONFINITE, float(t[k] + h[k]), steps + 1))
             new_amax = np.abs(th).max(axis=1)
+            top = float(np.maximum.reduce(new_amax))
         t += h
         steps += 1
-        row_steps += int(alive.sum()) if changed else m
         # max|theta| is inf or NaN exactly when theta holds an inf or NaN
         amax = new_amax
-        top = float(np.maximum.reduce(amax))
         if not math.isfinite(top):
             stop(~np.isfinite(amax), STOP_NONFINITE)
         if record is not None or not top * top <= amax2_cap:
@@ -620,8 +659,9 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float) 
     - y = int theta^2 r dr exceeds BLOWUP_Y_THRESHOLD (or is not finite):
       STOP_THRESHOLD at the time of that record, 0.0 when the initial
       profile is already above the threshold;
-    - theta or the linear system of a step turns non-finite
-      (STOP_NONFINITE), or the quasilinear diffusivity zeta + L4 theta is
+    - theta or the linear system of a step turns non-finite, or the
+      system is singular (STOP_NONFINITE, at the end of that step, which
+      stop.steps counts), or the quasilinear diffusivity zeta + L4 theta is
       <= 0 somewhere (STOP_BACKWARD_DIFFUSION): stop.nonfinite is True;
       stop.blown_up stays False and stop.blowup_time None, because the
       threshold was not crossed.
@@ -810,14 +850,13 @@ def hedgehog_consistency_check(theta, params: LdGParams, sample_points,
     theta.  Samples closer than 3 h_s to the annulus boundary are rejected
     when r_bounds = (R0, R1) is given.
     """
-    th, dth, ddth = theta
+    th = theta[0]
     samples = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if samples.shape[1] != 2:
         raise ValueError("sample points must be 2-vectors")
     offsets = (np.arange(5) - 2.0) * h_s
-    worst = 0.0
-    for x in samples:
-        rc = math.hypot(x[0], x[1])
+    radii = [math.hypot(x[0], x[1]) for x in samples]
+    for rc in radii:
         if rc == 0.0:
             raise ValueError("sample point at the origin")
         if r_bounds is not None:
@@ -826,6 +865,14 @@ def hedgehog_consistency_check(theta, params: LdGParams, sample_points,
                 raise ValueError(
                     f"sample at r={rc:.6g} is within 3 h_s of the annulus boundary"
                 )
+    # the radial RHS at every sample in one evaluation; r^2 is the libm
+    # pow of each radius, which can round differently from r * r
+    r = np.array(radii)
+    th_r, dth_r, ddth_r = (np.array([float(fn(rc)) for rc in radii]) for fn in theta)
+    vals = _rhs_parts(th_r, dth_r, ddth_r, r, np.array([rc**2 for rc in radii]),
+                      params.zeta / r, 0.5 * params.c, params)[3]
+    worst = 0.0
+    for x, rc, val in zip(samples, radii, vals):
         xs = x[0] + offsets[:, None]
         ys = x[1] + offsets[None, :]
         rr2 = xs * xs + ys * ys
@@ -834,9 +881,6 @@ def hedgehog_consistency_check(theta, params: LdGParams, sample_points,
         q = tt * xs * ys / rr2
         grid = Grid2D(nx=3, ny=3, hx=h_s, hy=h_s, x0=x[0] - 2 * h_s, y0=x[1] - 2 * h_s)
         dp, dq = rhs_pq(Field2D(grid, p, q), params)
-        val = theta_rhs_pointwise(
-            float(th(rc)), float(dth(rc)), float(ddth(rc)), rc, params
-        )
         s11 = x[0] * x[0] / (rc * rc) - 0.5
         s12 = x[0] * x[1] / (rc * rc)
         mism = max(abs(dp[1, 1] - val * s11), abs(dq[1, 1] - val * s12))

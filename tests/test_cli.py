@@ -142,6 +142,21 @@ class TestRunExperiment:
         rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)  # energy stays 0
 
+    def test_smallness_fails_outside_its_hypothesis(self, tmp_path):
+        # negative control: a = -1.5 (2 c eta1) breaks |a| <= 2 c eta1, so
+        # qflow check rejects it and the run goes through the library; the
+        # nematic well lies past sqrt(2 eta1), and both checks read FAIL
+        text = _edited("smallness", {"T = 5": "T = 60", "dt = 5e-3": "dt = 0.05",
+                                     "amplitude_frac = 0.9": "amplitude_frac = 0.1"})
+        cfg = parse_config(text + "Lx = 40\nLy = 40\nseed = 0\n")
+        eta1 = energy.derived_constants(cfg.params(), strict=True).eta1
+        cfg.values["a"] = -1.5 * 2.0 * cfg.params().c * eta1
+        report = run_experiment(cfg, str(tmp_path), emit_svg=False)
+        sup, held = report.summary["checks"]
+        assert not sup["passed"] and sup["measured"] > sup["tolerance"]
+        assert not held["passed"]
+        assert not report.passed
+
     def test_blowup_experiment(self, tmp_path):
         cfg = parse_config(BLOWUP_CFG)
         report = run_experiment(cfg, str(tmp_path))

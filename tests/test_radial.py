@@ -7,9 +7,10 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qflow import radial
+from qflow import pde2d, radial
 from qflow.cli import parse_config
 from qflow.energy import LdGParams, derived_constants
+from qflow.pde2d import Grid2D
 from qflow.radial import (
     STOP_BACKWARD_DIFFUSION,
     STOP_NONFINITE,
@@ -94,6 +95,12 @@ class _FirstStepTaken(Exception):
     pass
 
 
+def _first_step_size(profile, p, dt):
+    """The stepper's first h on profile, where neither floor of the step rule acts."""
+    return min(dt, STEP_FRACTION * np.abs(profile.theta).max()
+               / np.abs(theta_rhs(profile, p)).max())
+
+
 class TestStepperRhs:
     """theta_rhs gives, bit for bit, the RHS the stepper evaluates."""
 
@@ -135,6 +142,31 @@ class TestStepperRhs:
         for amp in amplitudes or (cfg.amplitude,):
             self._check_first_step(RadialProfile.sine_bump(cfg.R0, cfg.R1, cfg.nr, amp),
                                    cfg.params())
+
+    def test_lock_step_rows(self):
+        # three rows of the shipped search in one flat run: each row's
+        # segment of the first step's RHS is theta_rhs of its own profile
+        # (the two ring nodes between rows are not compared)
+        cfg = parse_config((CONFIGS / "blowup-threshold-search.cfg").read_text())
+        p, nr = cfg.params(), cfg.nr
+        profiles = [RadialProfile.sine_bump(cfg.R0, cfg.R1, nr, amp)
+                    for amp in (-0.2, -60.0, -30.1)]
+        calls, real = [], radial._rhs_parts
+
+        def recording(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(radial, "_rhs_parts", recording)
+            # every row reaches T in its first step
+            batch = radial._march(profiles, p, 1e-300, cfg.dt, math.inf)
+        assert batch.iterations == len(calls) == 1
+        full = calls[0][3]
+        assert full.size == len(profiles) * (nr + 2) - 2
+        for k, prof in enumerate(profiles):
+            row = full[k * (nr + 2):k * (nr + 2) + nr]
+            assert row.tobytes() == theta_rhs(prof, p).tobytes()
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(L4=st.floats(0.05, 3.0), sign=st.sampled_from([-1.0, 1.0]), a=st.floats(-1e3, 1e3),
@@ -453,6 +485,39 @@ class TestRunRadialFlag:
             trace = run_radial(prof, p, 0.1, 1e-3)
         assert flag.reason == STOP_NONFINITE and flag.t == 0.0
         assert trace.stop.reason == STOP_NONFINITE and trace.stop.nonfinite
+
+    @pytest.mark.parametrize("path", ["system", "solution", "rectangle"])
+    def test_first_step_failure_counts_the_step(self, monkeypatch, path):
+        # a run that turns non-finite in its first step stops at that
+        # step's end, after 1 step: a radial step whose system is not
+        # finite (-c theta^3 overflows; h = 0 as max|rhs| = inf), one whose
+        # solution is not finite, and a rectangle step that overflows
+        if path == "rectangle":
+            grid = Grid2D.from_extent(16, 16, 1.0, 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trace = pde2d.run(pde2d.smooth_random_field(grid, 0.5, seed=7),
+                                  params(a=-1e308, L4=0.0), 100.0, 10.0,
+                                  scheme="explicit-euler")
+            assert trace.stop == radial.Stop(STOP_NONFINITE, 10.0, 1)
+            return
+        if path == "system":
+            prof, p = RadialProfile.sine_bump(3.0, 4.0, 40, 10.0), params(c=-1e308, L4=0.0)
+            h = 0.0
+        else:
+            prof, p = RadialProfile.sine_bump(0.3, 1.3, 20, -2.0), params(c=1e-6)
+            h = _first_step_size(prof, p, 1e-3)
+            solve = radial.solve_banded
+
+            def nan_solution(ab, b):
+                x = solve(ab, b)
+                x[0] = np.nan
+                return x
+
+            monkeypatch.setattr(radial, "solve_banded", nan_solution)
+        with np.errstate(over="ignore", invalid="ignore"):
+            flag = run_radial_flag(prof, p, 0.05, 1e-3)
+            trace = run_radial(prof, p, 0.05, 1e-3)
+        assert flag == trace.stop == radial.Stop(STOP_NONFINITE, h, 1)
 
     @pytest.mark.parametrize("amp, p, stop", [
         (5.0, params(L4=-1.0), STOP_BACKWARD_DIFFUSION),
@@ -789,7 +854,9 @@ class TestLockStep:
         monkeypatch.setattr(radial, "solve_banded", singular)
         batch = radial._march(profiles, params(c=1e-6), 0.05, 1e-3, 1e6)
         flag = run_radial_flag(profiles[1], params(c=1e-6), 0.05, 1e-3)
-        assert batch.outcomes[1] == flag == radial.Stop(STOP_NONFINITE, 0.0, 0)
+        # the stop is at the end of the failed first step
+        h = _first_step_size(profiles[1], params(c=1e-6), 1e-3)
+        assert batch.outcomes[1] == flag == radial.Stop(STOP_NONFINITE, h, 1)
         for i in (0, 2):
             assert batch.outcomes[i] == expected[i].outcomes[0]
             assert batch.theta[i].tobytes() == expected[i].theta[0].tobytes()
