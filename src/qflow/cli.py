@@ -20,17 +20,20 @@ the threshold.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Callable
+from dataclasses import dataclass, field as dc_field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from . import pde2d, radial, splitting
-from .energy import (LdGParams, bulk_from_traces, derived_constants, elastic_matrix,
-                     elastic_matrix_eigenvalues)
+from .energy import (DerivedConstants, LdGParams, bulk_from_traces, derived_constants,
+                     elastic_matrix, elastic_matrix_eigenvalues)
 from .qtensor import physical_interval
 from .pde2d import UnstableStepError
 from .radial import RadialProfile, blowup_certificate, comparison_lower_bound
@@ -51,61 +54,67 @@ class NumericalFailure(Exception):
     experiment needs a finite run for its verdict (exit code 2)."""
 
 
-# key name -> (python type, default); None default means "required when the
-# experiment lists it as mandatory, otherwise absent"
-_KEY_TYPES = {
-    "experiment": (str, None),
-    "a": (float, None),
-    "b": (float, 0.0),
-    "c": (float, 1.0),
-    "L1": (float, None),
-    "L2": (float, 0.0),
-    "L3": (float, 0.0),
-    "L4": (float, 0.0),
-    "C1": (float, 1.0),
-    "seed": (int, 0),
-    "scheme": (str, "imex"),
-    "nx": (int, 64),
-    "ny": (int, 64),
-    "Lx": (float, 1.0),
-    "Ly": (float, 1.0),
-    "T": (float, None),
-    "dt": (float, None),
-    "amplitude": (float, None),
-    "amplitude_frac": (float, 0.9),
-    "kmax": (int, 2),
-    "record_every": (int, 1),
-    "R0": (float, None),
-    "R1": (float, None),
-    "nr": (int, 200),
-    "amp_lo": (float, None),
-    "amp_hi": (float, None),
-    "n_grid": (int, 20),
-    "n_rotations": (int, 20),
-    "d": (int, 3),
-    "n_cells": (int, 64),
-    "period": (float, 6.283185307179586),
-    "n_lo": (int, 8),
-    "n_hi": (int, 64),
-    "eps1": (float, 1e-6),
-    "eps2": (float, 1e-7),
-    "n_samples": (int, 20),
-    "h_s": (float, 1e-3),
+# Key bounds: (as the README shows it, holds, message naming the key)
+_POSITIVE = ("> 0", lambda x: x > 0.0, "{} must be positive")
+_GRID = (">= 3", lambda n: n >= 3, "{} must be at least 3")
+# kmax = 0 leaves no mode to scale, record_every = 0 no step to record,
+# and n_rotations = 0 no sample for the equivariance check
+_COUNT = (">= 1", lambda n: n >= 1, "{} must be at least 1")
+# a zero perturbation has no growth to compare
+_NONZERO = ("!= 0", lambda x: x != 0.0, "{} must be nonzero")
+
+# key -> (type, default, bound).  A key without a default is in a resolved
+# config only when the config gives it or its experiment derives it.
+KEYS = {
+    "experiment": (str, None, None),
+    "a": (float, 0.0, None),
+    "b": (float, 0.0, (">= 0", lambda x: x >= 0.0, "bulk assumption violated: {} must be >= 0")),
+    "c": (float, 1.0, ("> 0", lambda x: x > 0.0, "bulk assumption violated: {} must be > 0")),
+    "L1": (float, 0.0, None),
+    "L2": (float, 0.0, None),
+    "L3": (float, 0.0, None),
+    "L4": (float, 0.0, None),
+    "C1": (float, 1.0, ("> 0", lambda x: x > 0.0, "interpolation constant {} must be > 0")),
+    "seed": (int, 0, None),
+    "scheme": (str, "imex", (" or ".join(pde2d.SCHEMES), lambda s: s in pde2d.SCHEMES,
+                             f"{{}} must be one of {pde2d.SCHEMES}")),
+    "nx": (int, 64, _GRID),
+    "ny": (int, 64, _GRID),
+    "Lx": (float, 1.0, None),
+    "Ly": (float, 1.0, None),
+    "T": (float, None, _POSITIVE),
+    "dt": (float, None, _POSITIVE),
+    "amplitude": (float, None, None),
+    "amplitude_frac": (float, 0.9, None),
+    "kmax": (int, 2, _COUNT),
+    "record_every": (int, 1, _COUNT),
+    "R0": (float, None, ("> 0", lambda x: x > 0.0, "{} > 0 required")),
+    "R1": (float, None, None),
+    "nr": (int, 200, _GRID),
+    "amp_lo": (float, None, None),
+    "amp_hi": (float, None, None),
+    "n_grid": (int, 20, _GRID),
+    "n_rotations": (int, 20, _COUNT),
+    "d": (int, 3, None),
+    "n_cells": (int, 64, _GRID),
+    "period": (float, 6.283185307179586, _POSITIVE),
+    "n_lo": (int, 8, None),
+    "n_hi": (int, 64, None),
+    "eps1": (float, 1e-6, _NONZERO),
+    "eps2": (float, 1e-7, _NONZERO),
+    "n_samples": (int, 20, _GRID),
+    "h_s": (float, 1e-3, _POSITIVE),
 }
 
-_REQUIRED = {
-    "smallness": ["L1", "L4", "T", "dt"],
-    "energy-decay": ["a", "L1", "T"],
-    "blowup": ["a", "L1", "L4", "R0", "R1", "amplitude", "T", "dt"],
-    "blowup-threshold-search": ["a", "L1", "L4", "R0", "R1", "amp_lo", "amp_hi", "T", "dt"],
-    "physicality": ["a", "b", "T"],
-    "trotter-convergence": ["a", "b", "L1", "T"],
-    "continuous-dependence": ["a", "L1", "L4", "T", "dt"],
-    "coercivity-report": ["L1", "L2", "L3"],
-    "hedgehog-consistency": ["L1", "R0", "R1"],
-}
 
-EXPERIMENTS = tuple(_REQUIRED)
+class Experiment(NamedTuple):
+    """One experiment's schema.  derived maps a key to f(c) of the _Rules view
+    c; each hypothesis is a row (holds(c), message), the message formatted with
+    c and cap = MAX_STEPS, or None where holds lets a library ValueError speak."""
+    driver: Callable
+    required: tuple
+    derived: dict
+    hypotheses: tuple
 
 
 @dataclass
@@ -120,20 +129,51 @@ class ExperimentConfig:
             raise AttributeError(name) from None
 
     def params(self) -> LdGParams:
-        v = self.values
-        return LdGParams(
-            a=v.get("a", 0.0), b=v.get("b", 0.0), c=v.get("c", 1.0),
-            L1=v.get("L1", 0.0), L2=v.get("L2", 0.0), L3=v.get("L3", 0.0),
-            L4=v.get("L4", 0.0), C1=v.get("C1", 1.0),
-        )
+        return LdGParams(**{f.name: self.values[f.name] for f in fields(LdGParams)})
+
+    def grid(self) -> pde2d.Grid2D:
+        return pde2d.Grid2D.from_extent(self.nx, self.ny, self.Lx, self.Ly)
+
+
+class _Rules(ExperimentConfig):
+    """A config under resolution, as derived defaults and hypotheses read it."""
+
+    @functools.cached_property
+    def consts(self) -> DerivedConstants:
+        """derived_constants, computed once; coercivity is smallness's own row."""
+        return derived_constants(self.params(), strict=False)
+
+    @property
+    def steps(self) -> float:
+        """T/dt; inf where the derived energy-decay dt underflows to 0; 0 with no T or dt."""
+        if "T" not in self.values or "dt" not in self.values:
+            return 0.0
+        return self.T / self.dt if self.dt > 0.0 else math.inf
+
+    @property
+    def trotter_steps(self) -> int:
+        """2 n_hi, the most steps of one trotter-convergence run."""
+        return 2 * self.n_hi
+
+    @functools.cached_property
+    def substeps(self) -> float:
+        """T rate / BULK_RATE_CAP: a bound on the RK4 substeps of one bulk-ODE
+        integration to T, with the rate the integrators compute at the largest
+        |Q| <= sqrt(6) max|lambda| of a tensor whose eigenvalues lie in the
+        physical interval."""
+        params = self.params()
+        interval = physical_interval(params, 3 if self.experiment == "physicality" else self.d)
+        nrm = math.sqrt(6.0) * max(-interval.lo, interval.hi)
+        return self.T * splitting.bulk_rate_bound(params, nrm) / splitting.BULK_RATE_CAP
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat key = value text into a validated ExperimentConfig.
 
     Unknown keys are rejected with their line number; missing mandatory keys
-    are listed exhaustively in one message; defaults (C1 = 1.0,
-    scheme = imex, seed = 0, ...) are applied afterwards.
+    are listed exhaustively in one message.  Each value is resolved once: as
+    given (held to its key's bound), else derived by the experiment, else the
+    key's default; then the COMMON rows and the hypotheses are checked.
     """
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -145,11 +185,11 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KEY_TYPES:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
-        typ, _ = _KEY_TYPES[key]
+        typ = KEYS[key][0]
         if typ is str:
             raw[key] = value
         else:
@@ -171,96 +211,28 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"unknown experiment '{experiment}'; expected one of: " + ", ".join(EXPERIMENTS)
         )
-    missing = [k for k in _REQUIRED[experiment] if k not in raw]
+    spec = EXPERIMENTS[experiment]
+    missing = [k for k in spec.required if k not in raw]
     if missing:
         raise ConfigError("missing mandatory keys: " + ", ".join(missing))
 
-    values = {key: raw.get(key, default) for key, (_, default) in _KEY_TYPES.items()
+    values = {key: raw.get(key, default) for key, (_, default, _) in KEYS.items()
               if key != "experiment" and (key in raw or default is not None)}
-    cfg = ExperimentConfig(experiment=experiment, values=values)
-    _validate(cfg)
-    return cfg
-
-
-def _bulk_substeps(cfg: ExperimentConfig) -> float:
-    """T rate / BULK_RATE_CAP: a bound on the RK4 substeps of one bulk-ODE
-    integration to T, with the rate the integrators compute at the largest
-    |Q| <= sqrt(6) max|lambda| of a tensor whose eigenvalues lie in the
-    physical interval."""
-    params = cfg.params()
-    interval = physical_interval(params, 3 if cfg.experiment == "physicality" else cfg.d)
-    nrm = math.sqrt(6.0) * max(-interval.lo, interval.hi)
-    return cfg.T * splitting.bulk_rate_bound(params, nrm) / splitting.BULK_RATE_CAP
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    v = cfg.values
-    if v.get("scheme") not in pde2d.SCHEMES:
-        raise ConfigError(f"scheme must be one of {pde2d.SCHEMES}")
-    if "R0" in v and "R1" in v and not v["R0"] < v["R1"]:
-        raise ConfigError("R0 < R1 required")
-    if "R0" in v and v["R0"] <= 0.0:
-        raise ConfigError("R0 > 0 required")
-    for key in ("T", "dt", "h_s", "period"):
-        if key in v and v[key] <= 0.0:
-            raise ConfigError(f"{key} must be positive")
-    for key in ("nx", "ny", "nr", "n_grid", "n_cells", "n_samples"):
-        if key in v and v[key] < 3:
-            raise ConfigError(f"{key} must be at least 3")
-    # kmax = 0 leaves no mode to scale, record_every = 0 no step to record,
-    # and n_rotations = 0 no sample for the equivariance check
-    for key in ("kmax", "record_every", "n_rotations"):
-        if key in v and v[key] < 1:
-            raise ConfigError(f"{key} must be at least 1")
-    for key in ("eps1", "eps2"):  # a zero perturbation has no growth to compare
-        if key in v and v[key] == 0.0:
-            raise ConfigError(f"{key} must be nonzero")
-    # zero data stay zero, and the energy and sup-norm checks then test nothing
-    amp_key = {"smallness": "amplitude_frac", "energy-decay": "amplitude"}.get(cfg.experiment)
-    if v.get(amp_key) == 0.0:
-        raise ConfigError(f"{amp_key} must be nonzero")
-    if cfg.experiment == "trotter-convergence":
-        if not 1 <= v["n_lo"] <= v["n_hi"]:
-            raise ConfigError("1 <= n_lo <= n_hi required")
-        if 2 * v["n_hi"] > MAX_STEPS:
-            raise ConfigError(f"2 n_hi = {2 * v['n_hi']} exceeds the cap of {MAX_STEPS} steps")
-    # these two integrate the bulk ODE to T with no dt of their own
-    bulk = cfg.experiment in ("physicality", "trotter-convergence")
+    for key, value in values.items():
+        bound = KEYS[key][2]
+        if bound and not bound[1](value):
+            raise ConfigError(bound[2].format(key))
+    rules = _Rules(experiment, values)
     try:
-        cfg.params().validate(strict=False)
-        dt = _energy_decay_dt(cfg) if cfg.experiment == "energy-decay" else v.get("dt")
-        substeps = _bulk_substeps(cfg) if bulk else 0.0
+        for key, derive in spec.derived.items():
+            if key not in raw:
+                values[key] = derive(rules)
+        for holds, message in COMMON + spec.hypotheses:
+            if not holds(rules):
+                raise ConfigError(message.format(c=rules, cap=MAX_STEPS))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if dt is not None and "T" in v:
-        # the default energy-decay dt underflows to 0 on a tiny grid
-        steps = v["T"] / dt if dt > 0.0 else math.inf
-        if steps > MAX_STEPS:
-            raise ConfigError(f"T/dt = {steps:.3g} exceeds the cap of {MAX_STEPS} steps")
-    if not substeps <= MAX_STEPS:
-        raise ConfigError(
-            f"bulk-ODE substep count T rate / {splitting.BULK_RATE_CAP} = {substeps:.3g} "
-            f"exceeds the cap of {MAX_STEPS} steps"
-        )
-    if cfg.experiment == "smallness":
-        params = cfg.params()
-        try:
-            consts = derived_constants(params, strict=True)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if not math.isfinite(consts.eta1):
-            raise ConfigError("smallness experiment needs L4 != 0 (eta1 finite)")
-        if "a" in v and abs(v["a"]) > 2.0 * params.c * consts.eta1:
-            raise ConfigError("smallness requires |a| <= 2 c eta1")
-    if cfg.experiment == "energy-decay" and v.get("L4", 0.0) != 0.0:
-        raise ConfigError("energy-decay requires L4 = 0")
-    if cfg.experiment in ("blowup", "blowup-threshold-search") and v.get("L4", 0.0) == 0.0:
-        raise ConfigError("blow-up experiments require L4 != 0 (no cubic mechanism)")
-    if cfg.experiment == "trotter-convergence":
-        if v.get("L4", 0.0) != 0.0:
-            raise ConfigError("trotter-convergence requires L4 = 0")
-        if v.get("d") == 3 and v.get("L2", 0.0) + v.get("L3", 0.0) != 0.0:
-            raise ConfigError("trotter-convergence with d = 3 requires L2 + L3 = 0")
+    return ExperimentConfig(experiment, values)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +387,8 @@ def _exp_coercivity_report(cfg):
 
 def _exp_smallness(cfg):
     params = cfg.params()
-    consts = derived_constants(params)
-    eta1 = consts.eta1
-    if "a" not in cfg.values:
-        # default to 90% of the admissible coefficient size |a| <= 2 c eta1
-        cfg.values["a"] = 0.9 * 2.0 * params.c * eta1
-        params = LdGParams(**{**params.__dict__, "a": cfg.values["a"]})
-    grid = pde2d.Grid2D.from_extent(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
+    eta1 = derived_constants(params).eta1
+    grid = cfg.grid()
     amplitude = cfg.amplitude_frac * math.sqrt(2.0 * eta1)
     field = pde2d.smooth_random_field(grid, amplitude, seed=cfg.seed, kmax=cfg.kmax)
     trace = pde2d.run(field, params, cfg.T, cfg.dt, scheme=cfg.scheme,
@@ -444,22 +411,10 @@ def _exp_smallness(cfg):
     return results, checks, _trace_rows_from_run(trace), _series_from_run(trace)
 
 
-def _energy_decay_dt(cfg) -> float:
-    """The config's dt, else half the explicit stability bound of its grid."""
-    if "dt" in cfg.values:
-        return cfg.values["dt"]
-    grid = pde2d.Grid2D.from_extent(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    return 0.5 * pde2d.stability_dt(grid, cfg.params())
-
-
 def _exp_energy_decay(cfg):
     params = cfg.params()
-    grid = pde2d.Grid2D.from_extent(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    dt = _energy_decay_dt(cfg)
-    cfg.values["dt"] = dt
-    amplitude = cfg.values.get("amplitude", 0.05)
-    field = pde2d.smooth_random_field(grid, amplitude, seed=cfg.seed, kmax=cfg.kmax)
-    trace = pde2d.run(field, params, cfg.T, dt, scheme=cfg.scheme,
+    field = pde2d.smooth_random_field(cfg.grid(), cfg.amplitude, seed=cfg.seed, kmax=cfg.kmax)
+    trace = pde2d.run(field, params, cfg.T, cfg.dt, scheme=cfg.scheme,
                       record_every=cfg.record_every)
     if trace.stop.reason != pde2d.STOP_REACHED_T:
         raise NumericalFailure("solution left the bounded regime during an energy-decay run")
@@ -470,7 +425,7 @@ def _exp_energy_decay(cfg):
         _check("energy non-increasing (slack 1e-9)", monotone, float(dE.max()), 1e-9),
         _check("dissipation defect <= 1e-6 (1+|E|)", rel_defect <= 1e-6, rel_defect, 1e-6),
     ]
-    results = {"dt": dt, "final_energy": float(trace.energy[-1]),
+    results = {"dt": cfg.dt, "final_energy": float(trace.energy[-1]),
                "max_defect_rel": rel_defect, "steps_recorded": len(trace.t)}
     return results, checks, _trace_rows_from_run(trace), _series_from_run(trace)
 
@@ -673,13 +628,8 @@ def _exp_trotter_convergence(cfg):
 
 def _exp_continuous_dependence(cfg):
     params = cfg.params()
-    eta2 = derived_constants(params).eta2
-    grid = pde2d.Grid2D.from_extent(cfg.nx, cfg.ny, cfg.Lx, cfg.Ly)
-    if math.isfinite(eta2):
-        amplitude = 0.9 * math.sqrt(2.0 * eta2)
-    else:
-        amplitude = cfg.values.get("amplitude", 0.05)
-    base = pde2d.smooth_random_field(grid, amplitude, seed=cfg.seed, kmax=cfg.kmax)
+    grid = cfg.grid()
+    base = pde2d.smooth_random_field(grid, cfg.amplitude, seed=cfg.seed, kmax=cfg.kmax)
     shape = pde2d.smooth_random_field(grid, 1.0, seed=cfg.seed + 1, kmax=cfg.kmax)
     perturbations = [pde2d.Field2D(grid, eps * shape.p, eps * shape.q)
                      for eps in (cfg.eps1, cfg.eps2)]
@@ -716,8 +666,7 @@ def _exp_hedgehog_consistency(cfg):
     R0, R1 = cfg.R0, cfg.R1
     rng = np.random.default_rng(cfg.seed)
     h1 = cfg.h_s
-    margin = 3.0 * h1 * 2.0
-    rr = rng.uniform(R0 + margin, R1 - margin, size=cfg.n_samples)
+    rr = rng.uniform(R0 + 6.0 * h1, R1 - 6.0 * h1, size=cfg.n_samples)
     ang = rng.uniform(0.0, 2.0 * np.pi, size=cfg.n_samples)
     pts = np.stack([rr * np.cos(ang), rr * np.sin(ang)], axis=1)
     profiles = {
@@ -744,16 +693,66 @@ def _exp_hedgehog_consistency(cfg):
     return results, checks, [], {}
 
 
-_DISPATCH = {
-    "coercivity-report": _exp_coercivity_report,
-    "smallness": _exp_smallness,
-    "energy-decay": _exp_energy_decay,
-    "blowup": _exp_blowup,
-    "blowup-threshold-search": _exp_blowup_threshold_search,
-    "physicality": _exp_physicality,
-    "trotter-convergence": _exp_trotter_convergence,
-    "continuous-dependence": _exp_continuous_dependence,
-    "hedgehog-consistency": _exp_hedgehog_consistency,
+# rows that every experiment's config is held to, before its own hypotheses
+COMMON = (
+    (lambda c: not {"R0", "R1"} <= c.values.keys() or c.R0 < c.R1, "R0 < R1 required"),
+    (lambda c: c.steps <= MAX_STEPS, "T/dt = {c.steps:.3g} exceeds the cap of {cap} steps"),
+)
+_CUBIC = (lambda c: c.L4 != 0.0, "blow-up experiments require L4 != 0 (no cubic mechanism)")
+# physicality and trotter-convergence integrate the bulk ODE to T with no dt
+_BULK_SUBSTEPS = (lambda c: c.substeps <= MAX_STEPS,
+                  f"bulk-ODE substep count T rate / {splitting.BULK_RATE_CAP} = {{c.substeps:.3g}} "
+                  "exceeds the cap of {cap} steps")
+
+
+EXPERIMENTS = {
+    "smallness": Experiment(
+        _exp_smallness, ("L1", "L4", "T", "dt"),
+        # 90% of the admissible coefficient size
+        {"a": lambda c: 0.9 * 2.0 * c.c * c.consts.eta1},
+        # zero data stay zero, and the energy and sup-norm checks then test nothing
+        ((lambda c: c.amplitude_frac != 0.0, "amplitude_frac must be nonzero"),
+         (lambda c: c.params().is_coercive(), "coercivity violated: need L1+L2 > 0 and L1+L3 > 0"),
+         (lambda c: c.consts.eta1 < math.inf, "smallness experiment needs L4 != 0 (eta1 finite)"),
+         (lambda c: abs(c.a) <= 2.0 * c.c * c.consts.eta1, "smallness requires |a| <= 2 c eta1"))),
+    "energy-decay": Experiment(
+        _exp_energy_decay, ("a", "L1", "T"),
+        {"dt": lambda c: 0.5 * pde2d.stability_dt(c.grid(), c.params()),
+         "amplitude": lambda c: 0.05},
+        ((lambda c: c.amplitude != 0.0, "amplitude must be nonzero"),
+         (lambda c: c.L4 == 0.0, "energy-decay requires L4 = 0"))),
+    "blowup": Experiment(
+        _exp_blowup, ("a", "L1", "L4", "R0", "R1", "amplitude", "T", "dt"), {}, (_CUBIC,)),
+    "blowup-threshold-search": Experiment(
+        _exp_blowup_threshold_search, ("a", "L1", "L4", "R0", "R1", "amp_lo", "amp_hi", "T", "dt"),
+        {}, (_CUBIC,)),
+    "physicality": Experiment(_exp_physicality, ("a", "b", "T"), {}, (_BULK_SUBSTEPS,)),
+    "trotter-convergence": Experiment(
+        _exp_trotter_convergence, ("a", "b", "L1", "T"), {},
+        ((lambda c: 1 <= c.n_lo <= c.n_hi, "1 <= n_lo <= n_hi required"),
+         (lambda c: c.trotter_steps <= MAX_STEPS,
+          "2 n_hi = {c.trotter_steps} exceeds the cap of {cap} steps"),
+         (lambda c: c.L4 == 0.0, "trotter-convergence requires L4 = 0"),
+         (lambda c: c.d != 3 or c.L2 + c.L3 == 0.0,
+          "trotter-convergence with d = 3 requires L2 + L3 = 0"),
+         _BULK_SUBSTEPS,
+         # the widest heat kernel of the run, at dt = T / n_lo, fits the torus;
+         # heat_kernel_weights raises, as the run would, when it does not
+         (lambda c: splitting.heat_kernel_weights(
+             c.T / c.n_lo, splitting.heat_coefficient(c.params(), c.d), c.period / c.n_cells,
+             c.n_cells).size <= c.n_cells, None))),
+    "continuous-dependence": Experiment(
+        _exp_continuous_dependence, ("a", "L1", "L4", "T", "dt"),
+        # 90% of the eta2 bound on the initial data, when there is one
+        {"amplitude": lambda c: (0.9 * math.sqrt(2.0 * c.consts.eta2)
+                                 if math.isfinite(c.consts.eta2) else 0.05)},
+        ()),
+    "coercivity-report": Experiment(_exp_coercivity_report, ("L1", "L2", "L3"), {}, ()),
+    "hedgehog-consistency": Experiment(
+        _exp_hedgehog_consistency, ("L1", "R0", "R1"), {},
+        # the bounds rng.uniform draws the sample radii from
+        ((lambda c: (c.R1 - 6.0 * c.h_s) - (c.R0 + 6.0 * c.h_s) >= 0.0,
+          "hedgehog-consistency needs R1 - 6 h_s >= R0 + 6 h_s, the range of its sample radii"),)),
 }
 
 
@@ -764,7 +763,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, emit_svg: bool = True) -
     disabling it changes no numeric output.
     """
     os.makedirs(out_dir, exist_ok=True)
-    results, checks, rows, series = _DISPATCH[cfg.experiment](cfg)
+    results, checks, rows, series = EXPERIMENTS[cfg.experiment].driver(cfg)
     passed = all(c["passed"] for c in checks)
     csv_path = os.path.join(out_dir, "trace.csv")
     write_trace_csv(csv_path, rows)

@@ -114,14 +114,15 @@ def heat_kernel_weights(dt: float, L1: float, h: float, n: int) -> np.ndarray:
     renormalized to sum exactly to one (all weights nonnegative).  Rejects
     steps whose kernel support would exceed the period.
     """
-    if dt <= 0.0 or L1 <= 0.0:
-        raise ValueError("heat step needs dt > 0 and L1 > 0")
+    if dt <= 0.0 or L1 <= 0.0 or h <= 0.0:
+        raise ValueError("heat step needs dt > 0, L1 > 0 and h > 0")
     sigma2 = 4.0 * L1 * dt
-    half = int(math.ceil(KERNEL_TRUNCATION_SIGMAS * math.sqrt(sigma2) / h))
-    if 2 * half + 1 > n:
-        raise ValueError(
-            f"kernel support {2 * half + 1} exceeds the period ({n} cells); reduce dt"
-        )
+    reach = KERNEL_TRUNCATION_SIGMAS * math.sqrt(sigma2) / h
+    # an overflowing reach exceeds any period, and has no integer ceiling
+    support = 2 * math.ceil(reach) + 1 if math.isfinite(reach) else math.inf
+    if support > n:
+        raise ValueError(f"kernel support {support} exceeds the period ({n} cells); reduce dt")
+    half = support // 2
     k = np.arange(-half, half + 1, dtype=float)
     w = np.exp(-(k * h) ** 2 / (2.0 * sigma2))
     return w / w.sum()
@@ -297,6 +298,11 @@ class TrotterResult:
     hulls: list  # HullBounds after every half-substep (ODE, then heat)
 
 
+def heat_coefficient(params: LdGParams, d: int) -> float:
+    """The L1 of trotter_solve's heat steps on d x d tensors."""
+    return params.L1 if d == 3 else 0.5 * params.zeta
+
+
 def trotter_solve(field0: PeriodicField, T: float, n: int, params: LdGParams) -> TrotterResult:
     """(heat(T/n) o bulk_ode(T/n))^n with hull bounds recorded after every
     half-substep.  Raises UnstableStepError when a hull is not finite.
@@ -310,12 +316,9 @@ def trotter_solve(field0: PeriodicField, T: float, n: int, params: LdGParams) ->
     if params.L4 != 0.0:
         raise ValueError("Trotter splitting requires L4 = 0")
     d = field0.dim
-    if d == 3:
-        if params.L2 + params.L3 != 0.0:
-            raise ValueError("3D Trotter splitting requires L2 + L3 = 0")
-        L1_eff = params.L1
-    else:
-        L1_eff = 0.5 * params.zeta
+    if d == 3 and params.L2 + params.L3 != 0.0:
+        raise ValueError("3D Trotter splitting requires L2 + L3 = 0")
+    L1_eff = heat_coefficient(params, d)
     if L1_eff <= 0.0:
         raise ValueError("heat coefficient must be positive")
     dt = T / n

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import pathlib
+import re
+import string
 import subprocess
 import sys
 import warnings
@@ -112,6 +114,103 @@ class TestParseConfig:
             parse_config("experiment = coercivity-report\nL1=1\nL1=2\nL2=0\nL3=0")
 
 
+# a value that breaks each kind of key bound, by the bound as shown
+BREAKS_BOUND = {"> 0": "0", ">= 0": "-1", ">= 3": "2", ">= 1": "0", "!= 0": "0",
+                "explicit-euler or imex": "rk4"}
+
+# (experiment, row message) -> (shipped config, edits (old -> new) that break
+# that row alone); experiment None for the rows of cli.COMMON.  A row whose
+# message is None takes the library's message, given as a third element.
+CUBIC = "blow-up experiments require L4 != 0 (no cubic mechanism)"
+BULK_SUBSTEPS = ("bulk-ODE substep count T rate / 0.1 = {c.substeps:.3g} exceeds the cap of "
+                 "{cap} steps")
+BREAKS_ROW = {
+    (None, "R0 < R1 required"): ("blowup", {"R1 = 4": "R1 = 2"}),
+    (None, "T/dt = {c.steps:.3g} exceeds the cap of {cap} steps"):
+        ("smallness", {"T = 5": "T = 1e300"}),
+    ("smallness", "amplitude_frac must be nonzero"):
+        ("smallness", {"amplitude_frac = 0.9": "amplitude_frac = 0"}),
+    ("smallness", "coercivity violated: need L1+L2 > 0 and L1+L3 > 0"):
+        ("smallness", {"L2 = 0": "L2 = -2"}),
+    ("smallness", "smallness experiment needs L4 != 0 (eta1 finite)"):
+        ("smallness", {"L4 = 1": "L4 = 0"}),
+    ("smallness", "smallness requires |a| <= 2 c eta1"): ("smallness", {"L4 = 1": "L4 = 1\na = 1"}),
+    ("energy-decay", "amplitude must be nonzero"):
+        ("energy-decay", {"amplitude = 0.05": "amplitude = 0"}),
+    ("energy-decay", "energy-decay requires L4 = 0"):
+        ("energy-decay", {"amplitude = 0.05": "amplitude = 0.05\nL4 = 1"}),
+    ("blowup", CUBIC): ("blowup", {"L4 = -1": "L4 = 0"}),
+    ("blowup-threshold-search", CUBIC): ("blowup-threshold-search", {"L4 = -1": "L4 = 0"}),
+    ("physicality", BULK_SUBSTEPS): ("physicality", {"T = 10": "T = 1e300"}),
+    ("trotter-convergence", BULK_SUBSTEPS): ("trotter-convergence", {"T = 0.25": "T = 1e300"}),
+    ("trotter-convergence", "1 <= n_lo <= n_hi required"):
+        ("trotter-convergence", {"n_lo = 8": "n_lo = 128"}),
+    ("trotter-convergence", "2 n_hi = {c.trotter_steps} exceeds the cap of {cap} steps"):
+        ("trotter-convergence", {"n_hi = 64": "n_hi = 500001"}),
+    ("trotter-convergence", "trotter-convergence requires L4 = 0"):
+        ("trotter-convergence", {"T = 0.25": "T = 0.25\nL4 = 1"}),
+    ("trotter-convergence", "trotter-convergence with d = 3 requires L2 + L3 = 0"):
+        ("trotter-convergence", {"T = 0.25": "T = 0.25\nL2 = 1"}),
+    ("trotter-convergence", None): ("trotter-convergence", {"n_lo = 8": "n_lo = 1"},
+                                    "kernel support 125 exceeds the period (64 cells); reduce dt"),
+    ("hedgehog-consistency",
+     "hedgehog-consistency needs R1 - 6 h_s >= R0 + 6 h_s, the range of its sample radii"):
+        ("hedgehog-consistency", {"R1 = 4": "R1 = 3.01"}),
+}
+
+
+def _pattern(template):
+    """A regex for the messages a row's template formats to."""
+    return "".join(re.escape(text) + (".+" if name is not None else "")
+                   for text, name, _, _ in string.Formatter().parse(template))
+
+
+def _check_stderr(tmp_path, capsys, text):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1
+    return capsys.readouterr().err
+
+
+class TestSchema:
+    """Every bound and every hypothesis row of the schema rejects a config
+    with its own message; a row with no example fails."""
+
+    @pytest.mark.parametrize("key", [k for k, (_, _, bound) in cli.KEYS.items() if bound])
+    def test_bound_rejects(self, tmp_path, capsys, key):
+        shown, _, message = cli.KEYS[key][2]
+        text = (CONFIGS / "coercivity-report.cfg").read_text() + f"{key} = {BREAKS_BOUND[shown]}\n"
+        assert _check_stderr(tmp_path, capsys, text) == f"qflow: {message.format(key)}\n"
+
+    ROWS = [(name, message) for name, spec in [(None, None), *cli.EXPERIMENTS.items()]
+            for _, message in (spec.hypotheses if spec else cli.COMMON)]
+
+    def test_every_example_breaks_a_row(self):
+        assert set(BREAKS_ROW) == set(self.ROWS)
+
+    @pytest.mark.parametrize("experiment, message", ROWS)
+    def test_hypothesis_rejects(self, tmp_path, capsys, experiment, message):
+        base, edits, *library = BREAKS_ROW[(experiment, message)]
+        err = _check_stderr(tmp_path, capsys, _edited(base, edits))
+        expected = re.escape(library[0]) if message is None else _pattern(message)
+        assert re.fullmatch(f"qflow: {expected}\n", err), err
+
+    def test_readme_key_table(self):
+        # the README's key table has one row per key, as the schema gives it
+        readme = (CONFIGS.parent / "README.md").read_text().split("## CLI")[1].split("\n## ")[0]
+        rows = [line for line in readme.splitlines() if line.startswith("| `")]
+        expected = []
+        for key, (typ, default, bound) in cli.KEYS.items():
+            if key == "experiment":
+                continue
+            cells = [f"`{key}`", typ.__name__, "" if default is None else str(default),
+                     bound[0] if bound else "",
+                     ", ".join(n for n, e in cli.EXPERIMENTS.items() if key in e.required),
+                     ", ".join(n for n, e in cli.EXPERIMENTS.items() if key in e.derived)]
+            expected.append("| " + " | ".join(cells) + " |")
+        assert rows == expected
+
+
 class TestRunExperiment:
     def test_coercivity_report(self, tmp_path):
         cfg = parse_config(COERCIVITY_CFG)
@@ -121,6 +220,18 @@ class TestRunExperiment:
         assert summary["results"]["eigenvalues"] == pytest.approx([6, 6, 8, 8], abs=1e-10)
         assert summary["results"]["nu"] == 3.0
         assert summary["config"]["L2"] == 2.0  # resolved config embedded
+        assert summary["config"]["a"] == 0.0  # the a the run used
+
+    def test_config_records_derived_defaults(self, tmp_path):
+        # energy-decay without amplitude or dt runs with amplitude 0.05 and
+        # half the stability bound, and summary.json says so
+        text = "experiment = energy-decay\na = 0.1\nL1 = 1\nT = 2e-4\nnx = 8\nny = 8\n"
+        report = run_experiment(parse_config(text), str(tmp_path), emit_svg=False)
+        config = report.summary["config"]
+        assert config["amplitude"] == 0.05
+        grid = pde2d.Grid2D.from_extent(8, 8, 1.0, 1.0)
+        assert config["dt"] == report.summary["results"]["dt"] == 0.5 * pde2d.stability_dt(
+            grid, parse_config(text).params())
 
     def test_csv_header_fixed(self, tmp_path):
         cfg = parse_config(COERCIVITY_CFG)
@@ -558,6 +669,22 @@ class TestMainEntry:
         assert rc == 1
         assert "initial data exceeds the eta2 smallness bound" in capsys.readouterr().err
 
+    def test_continuous_dependence_uses_given_amplitude(self, tmp_path, capsys):
+        # with L4 != 0 the given amplitude sets the data, max h^2 = amplitude^2 / 2,
+        # and one above the eta2 bound (0.0274 here) still exits 1
+        text = _edited("continuous-dependence", {"nx = 32": "nx = 12", "ny = 32": "ny = 12",
+                                                 "T = 1": "T = 0.01"})
+        out = tmp_path / "out"
+        rc = main(["run", self._write(tmp_path, text + "amplitude = 0.01\n"), "--out", str(out)])
+        assert rc == 0
+        first = (out / "trace.csv").read_text().splitlines()[1].split(",")
+        assert float(first[2]) == pytest.approx(0.01**2 / 2.0, rel=1e-12)
+        assert json.loads((out / "summary.json").read_text())["config"]["amplitude"] == 0.01
+        capsys.readouterr()
+        rc = main(["run", self._write(tmp_path, text + "amplitude = 0.1\n"), "--out", str(out)])
+        assert rc == 1
+        assert "initial data exceeds the eta2 smallness bound" in capsys.readouterr().err
+
     def test_threshold_search_aborted_run_exit_2(self, tmp_path, capsys):
         # shipped geometry with amp_hi = +50: zeta + L4 theta = 1 - theta is
         # negative at the first step, which must not count as a blow-up
@@ -609,13 +736,19 @@ class TestMainEntry:
         ("energy-decay", "amplitude = 0.05", "amplitude = 0", "amplitude must be nonzero"),
         ("smallness", "amplitude_frac = 0.9", "amplitude_frac = 0",
          "amplitude_frac must be nonzero"),
+        # the run stopped in its first heat step, and in rng.uniform with
+        # numpy's "high - low < 0"
+        ("trotter-convergence", "n_lo = 8", "n_lo = 1",
+         "kernel support 125 exceeds the period (64 cells)"),
+        ("hedgehog-consistency", "R1 = 4", "R1 = 3.01", "needs R1 - 6 h_s >= R0 + 6 h_s"),
     ], ids=["physicality_T_inf", "smallness_T_1e300", "smallness_dt_nan", "energy_decay_T_1e300",
             "physicality_T_1e300", "trotter_convergence_T_1e300", "smallness_C1_0",
             "smallness_L4_1e-300", "energy_decay_L_1e300", "smallness_kmax_0",
             "energy_decay_kmax_0", "continuous_dependence_kmax_0", "smallness_record_every_0",
             "continuous_dependence_eps2_0", "continuous_dependence_eps1_0",
             "physicality_n_rotations_0", "energy_decay_amplitude_0",
-            "smallness_amplitude_frac_0"])
+            "smallness_amplitude_frac_0", "trotter_convergence_n_lo_1",
+            "hedgehog_consistency_R1_3.01"])
     def test_unusable_time_exit_1(self, tmp_path, capsys, name, old, new, message):
         text = (CONFIGS / f"{name}.cfg").read_text()
         assert old in text
@@ -627,6 +760,16 @@ class TestMainEntry:
                 err = capsys.readouterr().err
                 assert message in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("r1, rc", [("3.047", 1), ("3.049", 0)])
+    def test_hedgehog_annulus_edge(self, tmp_path, capsys, r1, rc):
+        # 12 h_s = 0.048 on the shipped R0 = 3: check rejects exactly the
+        # annuli whose sample range rng.uniform refuses in the run
+        path = self._write(tmp_path, _edited("hedgehog-consistency", {
+            "R1 = 4": f"R1 = {r1}", "n_samples = 20": "n_samples = 3"}))
+        assert main(["check", path]) == rc
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == rc
+        assert "high - low" not in capsys.readouterr().err
 
     def test_non_finite_hull_exit_2(self, tmp_path, capsys, monkeypatch):
         def nan_at_one_cell(data, dt, params, d):
@@ -643,7 +786,7 @@ class TestMainEntry:
         assert "numerical failure: non-finite eigenvalues after bulk-ODE substep 1" in err
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(st.dictionaries(st.sampled_from(sorted(cli._KEY_TYPES)), CONFIG_VALUES,
+    @given(st.dictionaries(st.sampled_from(sorted(cli.KEYS)), CONFIG_VALUES,
                            min_size=1, max_size=3))
     # these used to raise ZeroDivisionError in derived_constants
     @example({"C1": "0"})
