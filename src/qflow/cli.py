@@ -75,7 +75,7 @@ KEYS = {
     "L3": (float, 0.0, None),
     "L4": (float, 0.0, None),
     "C1": (float, 1.0, ("> 0", lambda x: x > 0.0, "interpolation constant {} must be > 0")),
-    "seed": (int, 0, None),
+    "seed": (int, 0, (">= 0", lambda n: n >= 0, "{} must be >= 0")),
     "scheme": (str, "imex", (" or ".join(pde2d.SCHEMES), lambda s: s in pde2d.SCHEMES,
                              f"{{}} must be one of {pde2d.SCHEMES}")),
     "nx": (int, 64, _GRID),
@@ -393,10 +393,11 @@ def _exp_smallness(cfg):
     field = pde2d.smooth_random_field(grid, amplitude, seed=cfg.seed, kmax=cfg.kmax)
     trace = pde2d.run(field, params, cfg.T, cfg.dt, scheme=cfg.scheme,
                       record_every=cfg.record_every)
-    if trace.stop.reason != pde2d.STOP_REACHED_T:
-        raise NumericalFailure("solution left the bounded regime during a smallness run")
+    stop = trace.stop
+    if stop.reason != pde2d.STOP_REACHED_T:
+        raise NumericalFailure(f"the smallness run stopped on {stop.reason} at t = {stop.t!r}")
     sup = math.sqrt(2.0 * float(trace.max_h2.max()))
-    bound = math.sqrt(2.0 * eta1) * (1.0 + 1e-3)
+    bound = math.sqrt(2.0 * eta1) * (1.0 + pde2d.SMALLNESS_REL_TOL)
     checks = [
         _check("sup_t sqrt(2) max h <= sqrt(2 eta1) * 1.001", sup <= bound, sup, bound),
         _check("smallness flag true at every step", trace.smallness_held(), None, None),
@@ -416,8 +417,9 @@ def _exp_energy_decay(cfg):
     field = pde2d.smooth_random_field(cfg.grid(), cfg.amplitude, seed=cfg.seed, kmax=cfg.kmax)
     trace = pde2d.run(field, params, cfg.T, cfg.dt, scheme=cfg.scheme,
                       record_every=cfg.record_every)
-    if trace.stop.reason != pde2d.STOP_REACHED_T:
-        raise NumericalFailure("solution left the bounded regime during an energy-decay run")
+    stop = trace.stop
+    if stop.reason != pde2d.STOP_REACHED_T:
+        raise NumericalFailure(f"the energy-decay run stopped on {stop.reason} at t = {stop.t!r}")
     dE = np.diff(trace.energy)
     monotone = bool(np.all(dE <= 1e-9))
     rel_defect = float(np.max(trace.defect[1:] / (1.0 + np.abs(trace.energy[1:]))))
@@ -679,13 +681,9 @@ def _exp_hedgehog_consistency(cfg):
                  lambda r: np.pi / (R1 - R0) * np.cos(np.pi * (np.asarray(r) - R0) / (R1 - R0)),
                  lambda r: -(np.pi / (R1 - R0)) ** 2 * np.sin(np.pi * (np.asarray(r) - R0) / (R1 - R0))),
     }
-    ratios = {}
-    mismatches = {}
-    for name, triple in profiles.items():
-        m1 = radial.hedgehog_consistency_check(triple, params, pts, h1, r_bounds=(R0, R1))
-        m2 = radial.hedgehog_consistency_check(triple, params, pts, h1 / 2.0, r_bounds=(R0, R1))
-        ratios[name] = m1 / m2 if m2 > 0 else float("inf")
-        mismatches[name] = [m1, m2]
+    mismatches = {name: [radial.hedgehog_consistency_check(triple, params, pts, h, (R0, R1))
+                         for h in (h1, h1 / 2.0)] for name, triple in profiles.items()}
+    ratios = {name: m1 / m2 if m2 > 0 else float("inf") for name, (m1, m2) in mismatches.items()}
     ok = all(3.5 <= r <= 4.5 for r in ratios.values())
     checks = [_check("Richardson ratio in [3.5, 4.5] for all profiles", ok, ratios, [3.5, 4.5])]
     results = {"ratios": ratios, "mismatches": mismatches, "h_s": h1,
@@ -815,6 +813,9 @@ def main(argv=None) -> int:
             print(f"config OK: experiment '{cfg.experiment}'")
             return 0
         if args.seed is not None:
+            _, holds, message = KEYS["seed"][2]
+            if not holds(args.seed):
+                raise ConfigError(message.format("--seed"))
             cfg.values["seed"] = args.seed
         report = run_experiment(cfg, args.out)
     except (ConfigError, ValueError) as exc:

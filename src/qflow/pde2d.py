@@ -95,8 +95,6 @@ class Grid2D:
     ny: int
     hx: float
     hy: float
-    x0: float = 0.0
-    y0: float = 0.0
 
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
@@ -105,8 +103,8 @@ class Grid2D:
             raise ValueError("grid needs hx, hy > 0")
 
     @classmethod
-    def from_extent(cls, nx, ny, Lx, Ly, x0=0.0, y0=0.0) -> "Grid2D":
-        return cls(nx=nx, ny=ny, hx=Lx / (nx + 1), hy=Ly / (ny + 1), x0=x0, y0=y0)
+    def from_extent(cls, nx, ny, Lx, Ly) -> "Grid2D":
+        return cls(nx=nx, ny=ny, hx=Lx / (nx + 1), hy=Ly / (ny + 1))
 
     @property
     def Lx(self) -> float:
@@ -118,8 +116,8 @@ class Grid2D:
 
     def nodes(self):
         """Node coordinate arrays of shape (nx+2,) and (ny+2,)."""
-        x = self.x0 + self.hx * np.arange(self.nx + 2)
-        y = self.y0 + self.hy * np.arange(self.ny + 2)
+        x = self.hx * np.arange(self.nx + 2)
+        y = self.hy * np.arange(self.ny + 2)
         return x, y
 
 
@@ -191,8 +189,8 @@ def smooth_random_field(grid: Grid2D, amplitude: float, seed: int = 0, kmax: int
     max |Q| = sqrt(2) max h equals `amplitude`."""
     rng = np.random.default_rng(seed)
     x, y = grid.nodes()
-    sx = (x - grid.x0) / grid.Lx
-    sy = (y - grid.y0) / grid.Ly
+    sx = x / grid.Lx
+    sy = y / grid.Ly
     p = np.zeros((grid.nx + 2, grid.ny + 2))
     q = np.zeros_like(p)
     for kx in range(1, kmax + 1):

@@ -839,18 +839,19 @@ def dominates_comparison(trace: RadialTrace, params: LdGParams,
 
 
 def hedgehog_consistency_check(theta, params: LdGParams, sample_points,
-                               h_s: float, r_bounds=None) -> float:
+                               h_s: float, r_bounds) -> float:
     """Max componentwise mismatch between the 2D stencil RHS and the radial one.
 
     theta is the triple (theta, theta', theta'') of callables.  At each
     sample point x the hedgehog field theta(|y|) S(y) is evaluated on a
     local 5x5 stencil of spacing h_s, the full 2D RHS is formed by the
     solver's central differences at the stencil center, and compared against
-    the analytic radial RHS times S(x).  The mismatch is O(h_s^2) for smooth
-    theta.  Samples closer than 3 h_s to the annulus boundary are rejected
-    when r_bounds = (R0, R1) is given.
+    the analytic radial RHS times S(x).  The stencils of all samples are one
+    lock-step stack on one 3x3 grid, so one rhs_pq call forms every 2D RHS.
+    The mismatch is O(h_s^2) for smooth theta.  Samples closer than 3 h_s to
+    the boundary of the annulus r_bounds = (R0, R1) are rejected.
     """
-    th = theta[0]
+    R0, R1 = r_bounds
     samples = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if samples.shape[1] != 2:
         raise ValueError("sample points must be 2-vectors")
@@ -859,30 +860,28 @@ def hedgehog_consistency_check(theta, params: LdGParams, sample_points,
     for rc in radii:
         if rc == 0.0:
             raise ValueError("sample point at the origin")
-        if r_bounds is not None:
-            R0, R1 = r_bounds
-            if rc < R0 + 3.0 * h_s or rc > R1 - 3.0 * h_s:
-                raise ValueError(
-                    f"sample at r={rc:.6g} is within 3 h_s of the annulus boundary"
-                )
+        if rc < R0 + 3.0 * h_s or rc > R1 - 3.0 * h_s:
+            raise ValueError(
+                f"sample at r={rc:.6g} is within 3 h_s of the annulus boundary"
+            )
     # the radial RHS at every sample in one evaluation; r^2 is the libm
     # pow of each radius, which can round differently from r * r
     r = np.array(radii)
     th_r, dth_r, ddth_r = (np.array([float(fn(rc)) for rc in radii]) for fn in theta)
     vals = _rhs_parts(th_r, dth_r, ddth_r, r, np.array([rc**2 for rc in radii]),
                       params.zeta / r, 0.5 * params.c, params)[3]
-    worst = 0.0
-    for x, rc, val in zip(samples, radii, vals):
-        xs = x[0] + offsets[:, None]
-        ys = x[1] + offsets[None, :]
-        rr2 = xs * xs + ys * ys
-        tt = np.asarray(th(np.sqrt(rr2)), dtype=float)
-        p = tt * (xs * xs / rr2 - 0.5)
-        q = tt * xs * ys / rr2
-        grid = Grid2D(nx=3, ny=3, hx=h_s, hy=h_s, x0=x[0] - 2 * h_s, y0=x[1] - 2 * h_s)
-        dp, dq = rhs_pq(Field2D(grid, p, q), params)
-        s11 = x[0] * x[0] / (rc * rc) - 0.5
-        s12 = x[0] * x[1] / (rc * rc)
-        mism = max(abs(dp[1, 1] - val * s11), abs(dq[1, 1] - val * s12))
-        worst = max(worst, mism)
-    return worst
+    # member j of the stack is sample j's stencil: x down its rows, y along
+    # its columns
+    xs = samples[:, 0, None, None] + offsets[:, None]
+    ys = samples[:, 1, None, None] + offsets
+    rr2 = xs * xs + ys * ys
+    tt = np.asarray(theta[0](np.sqrt(rr2)), dtype=float)
+    p = tt * (xs * xs / rr2 - 0.5)
+    q = tt * xs * ys / rr2
+    stack = Field2D(Grid2D(nx=3, ny=3, hx=h_s, hy=h_s), p.reshape(-1, 5), q.reshape(-1, 5))
+    # each member's centre node, also where a one-member stack comes back as (3, 3)
+    dp, dq = (d[..., 1, 1] for d in rhs_pq(stack, params))
+    x, y = samples.T
+    s11 = x * x / (r * r) - 0.5
+    s12 = x * y / (r * r)
+    return float(np.max(np.maximum(np.abs(dp - vals * s11), np.abs(dq - vals * s12))))

@@ -388,6 +388,11 @@ class TestShippedConfigs:
         def results(name):
             return shipped_run(name)[1]
 
+        res = results("smallness")
+        assert res["eta1"] == 0.09026552133617163
+        assert res["initial_sup"] == res["max_sup_over_run"] == 0.38240050282994925
+        assert res["bound"] == 0.4253143370364213  # sqrt(2 eta1) (1 + SMALLNESS_REL_TOL)
+        assert res["steps_recorded"] == 1001
         res = results("continuous-dependence")
         assert res["slope"] == -38.539681342148064
         assert res["ratio_max_deviation"] == 2.502305695983864e-08
@@ -398,9 +403,18 @@ class TestShippedConfigs:
         assert res["final_energy"] == 0.00026609341917425045
         assert res["max_defect_rel"] == 1.1522485379852351e-07
 
-    def test_threshold_search_bracket_pinned(self, tmp_path):
-        cfg = parse_config((CONFIGS / "blowup-threshold-search.cfg").read_text())
-        report = run_experiment(cfg, str(tmp_path), emit_svg=False)
+    def test_hedgehog_results_pinned(self, shipped_run):
+        res = shipped_run("hedgehog-consistency")[1]
+        assert res["ratios"] == {"constant": 3.999504798797028, "linear": 3.9945882411944296,
+                                 "sine": 3.999971574048888}
+        assert res["mismatches"] == {
+            "constant": [6.679677156951058e-07, 1.6701260513452e-07],
+            "linear": [2.0458634306663726e-06, 5.121587776102388e-07],
+            "sine": [0.00018355380163725954, 4.5888776517344354e-05],
+        }
+
+    def test_threshold_search_bracket_pinned(self, shipped_search):
+        report = shipped_search.report
         assert report.passed
         res = report.summary["results"]
         assert len(res["iterations"]) == 16
@@ -586,11 +600,12 @@ class TestRadialSpans:
          {"run_radial": 0, "theta_rhs": 0, "blowup_functional": 0, "blowup_certificate": 0,
           "comparison_lower_bound": 0, "dominates_comparison": 0,
           "hedgehog_consistency_check": 0, "solve_banded": 2643, "rhs_pq": 0}),
-        # 3 profiles at 2 spacings, one 2D stencil RHS per sample
+        # 3 profiles at 2 spacings, one 2D stencil RHS per check for the
+        # stack of all samples' stencils
         ("hedgehog-consistency", HEDGEHOG,
          {"run_radial": 0, "theta_rhs": 0, "blowup_functional": 0, "blowup_certificate": 0,
           "comparison_lower_bound": 0, "dominates_comparison": 0,
-          "hedgehog_consistency_check": 6, "solve_banded": 0, "rhs_pq": 18}),
+          "hedgehog_consistency_check": 6, "solve_banded": 0, "rhs_pq": 6}),
     ])
     def test_spans_called(self, tmp_path, monkeypatch, name, edits, counts):
         text = _edited(name, edits)
@@ -646,20 +661,36 @@ class TestMainEntry:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["config"]["seed"] == 42
 
+    def test_negative_seed_override_exit_1(self, tmp_path, capsys):
+        # numpy's generators take no negative seed; the flag is held to the
+        # key's bound before it overrides the config
+        rc = main(["run", str(CONFIGS / "coercivity-report.cfg"),
+                   "--out", str(tmp_path / "out"), "--seed", "-3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "qflow: --seed must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_1(self, tmp_path, capsys):
         rc = main(["run", str(tmp_path / "absent.txt")])
         assert rc == 1
 
     def test_numerical_failure_exit_2(self, tmp_path, capsys):
         # an absurd dt blows the explicit scheme up; outside a blow-up
-        # experiment that is a numerical failure
+        # experiment that is a numerical failure, and the message names the
+        # stop: the first step crosses the blow-up threshold, or at a larger
+        # amplitude overflows
         cfg = (
             "experiment = energy-decay\na = 0.1\nL1 = 1\nnx = 8\nny = 8\n"
             "T = 1e300\ndt = 1e299\nscheme = explicit-euler\n"
         )
-        rc = main(["run", self._write(tmp_path, cfg), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "numerical failure" in capsys.readouterr().err
+        for extra, reason in (("", "crossed the blow-up threshold"),
+                              ("amplitude = 1e10\n", "non-finite values")):
+            rc = main(["run", self._write(tmp_path, cfg + extra), "--out", str(tmp_path / "out")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "numerical failure" in err
+            assert f"the energy-decay run stopped on {reason} at t = 1e+299" in err
 
     def test_continuous_dependence_data_above_eta2_exit_1(self, tmp_path, capsys):
         # the perturbed data exceed the eta2 bound of the library driver

@@ -1,5 +1,6 @@
 import math
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -980,11 +981,12 @@ class TestThresholdSearch:
         assert search.runs == tuple(runs)
         assert (search.lo, search.hi) == (lo, hi)
 
-    def test_shipped_search_work_counts(self):
+    def test_shipped_search_work_counts(self, shipped_search):
         # configs/blowup-threshold-search.cfg: 16 levels in 4 batches of 15
         # candidates take 13,757 lock-step steps and 143,953 row steps,
         # where the 18 runs one after another take 45,670 steps
-        search = radial.threshold_search(0.3, 1.3, 100, params(c=1e-6), 0.5, 1e-4, -0.2, -60.0)
+        assert shipped_search.args == (0.3, 1.3, 100, params(c=1e-6), 0.5, 1e-4, -0.2, -60.0)
+        search = shipped_search.search
         assert (search.lo, search.hi) == (-3.670144653320313, -3.6710571289062504)
         assert search.sequential_steps == 45_670
         assert (search.iterations, search.row_steps) == (13_757, 143_953)
@@ -1073,3 +1075,32 @@ class TestHedgehogConsistency:
         )
         with pytest.raises(ValueError, match="annulus boundary"):
             hedgehog_consistency_check(triple, p, [[3.0005, 0.0]], 1e-3, r_bounds=(3.0, 4.0))
+
+    SINE = (lambda r: np.sin(np.pi * (np.asarray(r) - 3.0)),
+            lambda r: np.pi * np.cos(np.pi * (np.asarray(r) - 3.0)),
+            lambda r: -np.pi**2 * np.sin(np.pi * (np.asarray(r) - 3.0)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.floats(3.05, 3.95), st.floats(0.0, 2.0 * math.pi)),
+                    min_size=1, max_size=24),
+           st.sampled_from([4e-3, 2e-3]))
+    def test_one_stacked_rhs_equals_one_call_per_sample(self, polar, h):
+        # the stencils of all samples go through one rhs_pq call, and each
+        # sample keeps the bits of a check of its own
+        p = LdGParams(a=0.3, b=0.0, c=1.0, L1=1.0, L2=0.1, L3=0.2, L4=0.7)
+        pts = [[r * math.cos(t), r * math.sin(t)] for r, t in polar]
+        with mock.patch.object(radial, "rhs_pq", wraps=pde2d.rhs_pq) as rhs:
+            whole = hedgehog_consistency_check(self.SINE, p, pts, h, r_bounds=(3.0, 4.0))
+            assert rhs.call_count == 1
+        each = [hedgehog_consistency_check(self.SINE, p, [x], h, r_bounds=(3.0, 4.0)) for x in pts]
+        assert whole == max(each)
+
+    def test_non_finite_sample_is_not_dropped(self):
+        # a profile that is NaN beyond r = 3.6 gives a NaN mismatch at the
+        # second sample, and the check returns it instead of the first's
+        nan_past = (lambda r: np.where(np.asarray(r) > 3.6, np.nan, np.asarray(r, dtype=float)),
+                    lambda r: np.ones_like(np.asarray(r, dtype=float)),
+                    lambda r: np.zeros_like(np.asarray(r, dtype=float)))
+        mism = hedgehog_consistency_check(nan_past, params(), [[3.3, 0.0], [0.0, 3.8]], 1e-3,
+                                          r_bounds=(3.0, 4.0))
+        assert math.isnan(mism)
