@@ -86,10 +86,16 @@ class RadialProfile:
 
     @classmethod
     def sine_bump(cls, R0, R1, nr, amplitude) -> "RadialProfile":
-        """theta(r) = amplitude * sin(pi (r - R0)/(R1 - R0)); zero boundary."""
-        return cls.from_function(
+        """theta(r) = amplitude * sin(pi (r - R0)/(R1 - R0)); zero boundary.
+
+        Both endpoints are set to exactly 0.0: sin(pi) is 1.2e-16, not 0,
+        and a negative amplitude would leave -0.0 at R0.
+        """
+        prof = cls.from_function(
             R0, R1, nr, lambda r: amplitude * np.sin(np.pi * (r - R0) / (R1 - R0))
         )
+        prof.theta[[0, -1]] = 0.0
+        return prof
 
 
 def _rhs_parts(theta, d1, d2, r, r2, zeta_r, half_c, params: LdGParams, *out):
@@ -377,16 +383,36 @@ class RadialTrace:
 
 
 # LAPACK gtsv from scipy, bound by the first solve so that importing qflow
-# loads no scipy module
+# loads no scipy module.  The solve loads scipy's _flapack extension from its
+# file, so the scipy.linalg package (~300 modules) never runs.
 _dgtsv = None
 
 
 def _load_dgtsv():
     global _dgtsv
-    from scipy.linalg.lapack import dgtsv
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
 
-    _dgtsv = dgtsv
-    return dgtsv
+    import scipy
+
+    stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    path = next((stem + s for s in importlib.machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(stem + s)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK extension {stem}<suffix> not found", path=stem)
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    # the extension files itself in sys.modules: unless scipy.linalg has
+    # loaded it, take it out, so that a later import of scipy.linalg
+    # loads it as its own submodule
+    loaded = spec.name in sys.modules
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    if not loaded:
+        sys.modules.pop(spec.name, None)
+    _dgtsv = flapack.dgtsv
+    return _dgtsv
 
 
 def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:

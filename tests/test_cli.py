@@ -268,6 +268,17 @@ class TestRunExperiment:
         assert not held["passed"]
         assert not report.passed
 
+    def test_blowup_flag_fails_without_the_quench(self, tmp_path):
+        # negative control: the shipped blowup data at a = 0 never reach
+        # the threshold before T, so the flag check reads FAIL
+        cfg = parse_config(_edited("blowup", {"a = -6000": "a = 0"}))
+        report = run_experiment(cfg, str(tmp_path), emit_svg=False)
+        flag = report.summary["checks"][1]
+        assert flag["name"] == "blow-up flag raised before T"
+        assert not flag["passed"] and flag["measured"] is None
+        assert report.summary["results"]["final_y"] < radial.BLOWUP_Y_THRESHOLD
+        assert not report.passed
+
     def test_blowup_experiment(self, tmp_path):
         cfg = parse_config(BLOWUP_CFG)
         report = run_experiment(cfg, str(tmp_path))
@@ -351,7 +362,7 @@ class TestShippedConfigs:
         data = (tmp_path / "trace.csv").read_bytes()
         assert len(data.splitlines()) == 136
         assert hashlib.sha256(data).hexdigest() == (
-            "a87a1cbc5f928b851352b47c4e56f60c8ea6c1b100d681bbddc6e98221b04d8f"
+            "5e64dcaf36bd189091075131d3b0f5fa5daf5ce0b8e277319599e4f1b0801fb2"
         )
 
     def test_physicality_trace_csv_pinned(self, tmp_path):

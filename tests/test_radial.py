@@ -1,5 +1,9 @@
 import math
+import os
 import pathlib
+import re
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -58,6 +62,16 @@ class TestRadialProfile:
         prof = RadialProfile(3.0, 4.0, 10, th)
         with pytest.raises(ValueError, match="must agree"):
             run_radial(prof, params(), 0.1, 1e-3)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-1e5, 1e5), st.floats(0.05, 20.0), st.floats(0.01, 20.0),
+           st.integers(3, 400))
+    @example(-2e4, 3.0, 1.0, 200)  # the shipped blowup annulus
+    def test_sine_bump_passes_boundary_check(self, amp, R0, width, nr):
+        prof = RadialProfile.sine_bump(R0, R0 + width, nr, amp)
+        prof.check_boundary()
+        ends = prof.theta[[0, -1]]
+        assert not ends.any() and not np.signbit(ends).any()
 
     def test_sine_bump_shape(self):
         prof = RadialProfile.sine_bump(3.0, 4.0, 99, -50.0)
@@ -611,6 +625,52 @@ class TestSolveBanded:
         assert np.shares_memory(x, b)
         assert np.allclose(x, [1.0, 1.0, 1.0])
 
+    def test_solve_runs_no_scipy_linalg(self):
+        # a fresh process: a radial run binds gtsv from scipy's _flapack
+        # file without running the scipy.linalg package; imported after,
+        # that package's solve_banded gives the same bits
+        code = """if True:
+            import sys
+            import numpy as np
+            from qflow import radial
+            from qflow.energy import LdGParams
+            p = LdGParams(a=-6000.0, b=0.0, c=1e-8, L1=0.5, L2=0.0, L3=0.0, L4=-1.0)
+            flag = radial.run_radial_flag(radial.RadialProfile.sine_bump(3.0, 4.0, 20, -50.0),
+                                          p, 1e-4, 1e-5)
+            assert flag.steps > 0 and radial._dgtsv is not None
+            assert not [m for m in sys.modules if m.startswith("scipy.linalg")]
+            import scipy.linalg
+            assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
+            rng = np.random.default_rng(0)
+            for n in (3, 50, 300):
+                ab = rng.standard_normal((3, n)) * 10.0 ** rng.integers(0, 7, (3, n))
+                b = rng.standard_normal(n)
+                ref = scipy.linalg.solve_banded((1, 1), ab.copy(), b.copy())
+                assert radial.solve_banded(ab.copy(), b.copy()).tobytes() == ref.tobytes()
+            print("ok")
+        """
+        src = str(pathlib.Path(radial.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
+
+    def test_bind_keeps_scipy_linalg_registration(self, monkeypatch):
+        # scipy.linalg is loaded here: binding again leaves its _flapack
+        # submodule in sys.modules
+        monkeypatch.setattr(radial, "_dgtsv", None)
+        solve_banded(np.array([[0.0, 1.0], [4.0, 4.0], [1.0, 0.0]]), np.ones(2))
+        assert sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack
+        assert radial._dgtsv is scipy.linalg.lapack.dgtsv
+
+    def test_missing_extension_names_its_path(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        monkeypatch.setattr(radial, "_dgtsv", None)
+        stem = str(tmp_path / "linalg" / "_flapack")
+        with pytest.raises(ImportError, match=re.escape(stem)) as info:
+            solve_banded(np.ones((3, 3)), np.ones(3))
+        assert info.value.path == stem
+
 
 @st.composite
 def small_regime_runs(draw, a_sign):
@@ -957,9 +1017,18 @@ class TestThresholdSearch:
         assert search.runs == tuple(runs)
         assert (search.lo, search.hi) == (lo, hi)
 
-    def test_exception_on_the_path_is_raised(self):
-        # amp_hi * sin(pi) = 1.2e-11 fails the boundary check, as it does
-        # for run_radial_flag
+    def test_exception_on_the_path_is_raised(self, monkeypatch):
+        # amp_hi's profile gets a mismatched end, so it fails the boundary
+        # check, as it does for run_radial_flag
+        bump = RadialProfile.sine_bump
+
+        def mismatched(cls, R0, R1, nr, amplitude):
+            prof = bump(R0, R1, nr, amplitude)
+            if amplitude == -1e5:
+                prof.theta[-1] = 1e-6
+            return prof
+
+        monkeypatch.setattr(RadialProfile, "sine_bump", classmethod(mismatched))
         with pytest.raises(ValueError, match="must agree"):
             radial.threshold_search(*SEARCH_SETUP, -0.2, -1e5)
 
