@@ -18,9 +18,6 @@ from .qtensor import (
     QTensor2,
     QTensor3,
     eigenvalues,
-    frobenius_norm,
-    from_director,
-    hedgehog_tensor,
     is_physical,
     physical_interval,
     unit_physicality_interval,
@@ -39,9 +36,6 @@ __all__ = [
     "elastic_density",
     "elastic_matrix",
     "elastic_matrix_eigenvalues",
-    "frobenius_norm",
-    "from_director",
-    "hedgehog_tensor",
     "is_physical",
     "oseen_frank_forward",
     "oseen_frank_inverse",

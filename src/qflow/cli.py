@@ -446,7 +446,9 @@ def _exp_blowup(cfg):
     checks = [
         _check("geometric criterion R0^2 pi^2 / (9 (R1-R0)^2) > 1",
                cert.criterion_ok, cert.criterion_value, 1.0),
-        _check("blow-up flag raised before T", stop.blown_up, stop.blowup_time, cfg.T),
+        # a crossing needs a step: data that start past the threshold stop at t = 0
+        _check("blow-up flag raised after the first step and before T",
+               stop.blown_up and stop.steps > 0, stop.blowup_time, cfg.T),
         _check("recorded y dominates comparison solution (1% rel)", dominated, None, 0.01),
     ]
     results = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -20,9 +20,6 @@ if TYPE_CHECKING:
 # Absolute slack on eigenvalue-interval membership; separates discretization
 # drift from a genuine violation.
 PHYSICALITY_TOL = 1e-10
-
-# Unit-vector check for director inputs.
-_UNIT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,14 +95,6 @@ def _dim(Q: QTensor) -> int:
     return 2 if isinstance(Q, QTensor2) else 3
 
 
-def frobenius_norm(Q: QTensor) -> float:
-    """sqrt(tr(Q^2)).  For a QTensor2 this equals sqrt(2(p^2+q^2))."""
-    if isinstance(Q, QTensor2):
-        return math.sqrt(2.0 * (Q.p * Q.p + Q.q * Q.q))
-    m = Q.matrix()
-    return math.sqrt(float(np.sum(m * m)))
-
-
 def eigvals_traceless_sym3(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of traceless symmetric 3x3 matrices, ascending.
 
@@ -171,41 +160,6 @@ def eigenvalues(Q: QTensor) -> np.ndarray:
         lam = math.hypot(Q.p, Q.q)
         return np.array([-lam, lam])
     return eigvals_traceless_sym3(Q.matrix())
-
-
-def from_director(n: Sequence[float], s: float, d: int) -> QTensor:
-    """Uniaxial tensor s (n (x) n - I/d) for a unit director n.
-
-    Rejects non-unit directors (|n| must be 1 within 1e-12) and mismatched
-    dimension; the result is symmetric traceless by construction.
-    """
-    n = np.asarray(n, dtype=float)
-    if d not in (2, 3):
-        raise ValueError("d must be 2 or 3")
-    if n.shape != (d,):
-        raise ValueError(f"director must have length {d}")
-    norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > _UNIT_TOL:
-        raise ValueError(f"director must be a unit vector (|n| = {norm!r})")
-    if d == 2:
-        return QTensor2(p=s * (n[0] * n[0] - 0.5), q=s * n[0] * n[1])
-    m = s * (np.outer(n, n) - np.eye(3) / 3.0)
-    return QTensor3(m[0, 0], m[1, 1], m[0, 1], m[0, 2], m[1, 2])
-
-
-def hedgehog_tensor(x: Sequence[float], theta: float) -> QTensor2:
-    """theta * S(x) with S_ij = x_i x_j / |x|^2 - delta_ij / 2.
-
-    The ansatz is singular at the origin, so x = 0 is rejected; tr(S^2) = 1/2
-    so the Frobenius norm of the result is |theta|/sqrt(2).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise ValueError("x must be a 2-vector")
-    r2 = float(x[0] * x[0] + x[1] * x[1])
-    if r2 == 0.0:
-        raise ValueError("hedgehog ansatz is singular at the origin")
-    return QTensor2(p=theta * (x[0] * x[0] / r2 - 0.5), q=theta * x[0] * x[1] / r2)
 
 
 def physical_interval(params: "LdGParams", d: int) -> PhysicalityInterval:

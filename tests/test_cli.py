@@ -274,9 +274,22 @@ class TestRunExperiment:
         cfg = parse_config(_edited("blowup", {"a = -6000": "a = 0"}))
         report = run_experiment(cfg, str(tmp_path), emit_svg=False)
         flag = report.summary["checks"][1]
-        assert flag["name"] == "blow-up flag raised before T"
+        assert flag["name"] == "blow-up flag raised after the first step and before T"
         assert not flag["passed"] and flag["measured"] is None
         assert report.summary["results"]["final_y"] < radial.BLOWUP_Y_THRESHOLD
+        assert not report.passed
+
+    @pytest.mark.parametrize("amplitude", ["-2e4", "-756"])
+    def test_blowup_flag_fails_on_data_past_the_threshold(self, tmp_path, amplitude):
+        # negative control: from |amplitude| >= 756 on, y0 is above the
+        # threshold (1,000,188 at -756), so the run stops at t = 0 with no
+        # step and shows no crossing; the flag check reads FAIL
+        cfg = parse_config(_edited("blowup", {"amplitude = -50": f"amplitude = {amplitude}"}))
+        report = run_experiment(cfg, str(tmp_path), emit_svg=False)
+        flag = report.summary["checks"][1]
+        assert flag["name"] == "blow-up flag raised after the first step and before T"
+        assert not flag["passed"] and flag["measured"] == 0.0
+        assert report.summary["results"]["y0"] > radial.BLOWUP_Y_THRESHOLD
         assert not report.passed
 
     def test_blowup_experiment(self, tmp_path):
@@ -600,10 +613,11 @@ class TestRadialSpans:
     HEDGEHOG = {"n_samples = 20": "n_samples = 3"}
 
     @pytest.mark.parametrize("name, edits, counts", [
-        # 135 steps of one solve each; the RHS and F(t) are recorded at t = 0
-        # and after every step, and the certificate evaluates F(0) once more
+        # 135 steps of one solve each; the 136 records (t = 0 and after every
+        # step) take 5 monitor passes of up to 32 records, one theta_rhs and
+        # one blowup_functional call each, and the certificate evaluates F(0)
         ("blowup", BLOWUP,
-         {"run_radial": 1, "theta_rhs": 136, "blowup_functional": 137,
+         {"run_radial": 1, "theta_rhs": 5, "blowup_functional": 6,
           "blowup_certificate": 1, "comparison_lower_bound": 2, "dominates_comparison": 1,
           "hedgehog_consistency_check": 0, "solve_banded": 135, "rhs_pq": 0}),
         # the flags only: one solve per lock-step step, no monitor

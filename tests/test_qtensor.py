@@ -12,9 +12,6 @@ from qflow.qtensor import (
     QTensor3,
     eigenvalues,
     eigvals_traceless_sym3,
-    frobenius_norm,
-    from_director,
-    hedgehog_tensor,
     is_physical,
     physical_interval,
     unit_physicality_interval,
@@ -23,19 +20,6 @@ from qflow.qtensor import (
 
 def params(a=-1.0, b=0.0, c=1.0):
     return LdGParams(a=a, b=b, c=c, L1=1.0, L2=0.0, L3=0.0, L4=0.0)
-
-
-class TestFrobeniusNorm:
-    def test_zero(self):
-        assert frobenius_norm(QTensor2(0.0, 0.0)) == 0.0
-
-    def test_closed_form_2d(self):
-        # sqrt(2 (p^2 + q^2)) with p=3, q=4
-        assert frobenius_norm(QTensor2(3.0, 4.0)) == pytest.approx(math.sqrt(50.0), abs=1e-12)
-
-    def test_director_3d(self):
-        q = from_director([0.0, 0.0, 1.0], 1.0, 3)
-        assert frobenius_norm(q) == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
 
 
 class TestEigenvalues:
@@ -166,54 +150,6 @@ class TestEigenvalues:
             assert abs(eigenvalues(q).sum()) < 1e-12
 
 
-class TestFromDirector:
-    def test_axis_2d(self):
-        q = from_director([1.0, 0.0], 1.0, 2)
-        assert (q.p, q.q) == pytest.approx((0.5, 0.0))
-
-    def test_axis_3d(self):
-        q = from_director([0.0, 0.0, 1.0], 1.0, 3)
-        assert np.allclose(np.diag(q.matrix()), [-1 / 3, -1 / 3, 2 / 3])
-
-    def test_oblique_2d(self):
-        q = from_director([1 / math.sqrt(2), 1 / math.sqrt(2)], 2.0, 2)
-        assert (q.p, q.q) == pytest.approx((0.0, 1.0))
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            from_director([1.0, 1.0], 1.0, 2)
-
-    def test_traceless(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            n = rng.normal(size=3)
-            n /= np.linalg.norm(n)
-            q = from_director(n, rng.normal(), 3)
-            assert abs(np.trace(q.matrix())) < 1e-14
-
-
-class TestHedgehogTensor:
-    def test_on_x2_axis(self):
-        q = hedgehog_tensor([0.0, 2.0], 4.0)
-        assert (q.p, q.q) == pytest.approx((-2.0, 0.0))
-
-    def test_on_x1_axis(self):
-        q = hedgehog_tensor([1.0, 0.0], 1.0)
-        assert (q.p, q.q) == pytest.approx((0.5, 0.0))
-
-    def test_diagonal_direction(self):
-        q = hedgehog_tensor([1.0, 1.0], 2.0)
-        assert (q.p, q.q) == pytest.approx((0.0, 1.0))
-
-    def test_rejects_origin(self):
-        with pytest.raises(ValueError):
-            hedgehog_tensor([0.0, 0.0], 1.0)
-
-    def test_norm_is_theta_over_sqrt2(self):
-        q = hedgehog_tensor([0.3, -0.4], 1.7)
-        assert frobenius_norm(q) == pytest.approx(1.7 / math.sqrt(2.0), abs=1e-12)
-
-
 class TestPhysicalInterval:
     def test_2d(self):
         iv = physical_interval(params(a=-1.0, c=1.0), 2)
@@ -279,5 +215,5 @@ class TestInvariants:
         rng = np.random.default_rng(9)
         for _ in range(500):
             q = QTensor2(*rng.normal(size=2))
-            bounded = frobenius_norm(q) <= math.sqrt(2.0) * iv.hi + 1e-12
+            bounded = math.sqrt(2.0) * q.h <= math.sqrt(2.0) * iv.hi + 1e-12
             assert bounded == is_physical(q, iv)

@@ -25,6 +25,7 @@ from qflow.radial import (
     STEP_FRACTION,
     RadialProfile,
     blowup_certificate,
+    blowup_functional,
     comparison_lower_bound,
     criterion_value,
     dominates_comparison,
@@ -62,6 +63,17 @@ class TestRadialProfile:
         prof = RadialProfile(3.0, 4.0, 10, th)
         with pytest.raises(ValueError, match="must agree"):
             run_radial(prof, params(), 0.1, 1e-3)
+
+    def test_flow_rejects_a_stack(self):
+        stack = RadialProfile(3.0, 4.0, 10, np.zeros((2, 12)))
+        with pytest.raises(ValueError, match="not a stack"):
+            stack.check_boundary()
+        with pytest.raises(ValueError, match="not a stack"):
+            run_radial(stack, params(), 0.1, 1e-3)
+        with pytest.raises(ValueError, match="not a stack"):
+            blowup_certificate(stack, params())
+        with pytest.raises(ValueError, match="12 samples"):
+            RadialProfile(3.0, 4.0, 10, np.zeros((2, 2, 12)))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.floats(-1e5, 1e5), st.floats(0.05, 20.0), st.floats(0.01, 20.0),
@@ -104,6 +116,54 @@ class TestThetaRhs:
         r = prof.r[1:-1]
         idx = int(np.argmin(np.abs(r - 2.0)))
         assert rhs[idx] == pytest.approx(0.0, abs=1e-8)
+
+
+@st.composite
+def profile_stacks(draw):
+    """(stack, rows, params): 1-40 noisy sine bumps on one grid, each row
+    with its own boundary value theta_b >= 0, and L4 of either sign."""
+    nr, k = draw(st.integers(3, 40)), draw(st.integers(1, 40))
+    R0 = draw(st.floats(0.2, 5.0))
+    R1 = R0 + draw(st.floats(0.1, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [_sine_theta(amp, nr) + rng.normal(0.0, 0.1 * abs(amp), nr + 2)
+            for amp in rng.uniform(-50.0, 50.0, k)]
+    for row in rows:
+        row[0] = row[-1] = draw(st.sampled_from([0.0, 0.25, 1.5]))
+    L4 = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 3.0))
+    p = params(a=draw(st.floats(-1e3, 1e3)), c=draw(st.floats(1e-8, 10.0)),
+               L1=draw(st.floats(0.1, 2.0)), L4=L4)
+    return RadialProfile(R0, R1, nr, rows), rows, p
+
+
+class TestStackedMonitors:
+    """A stack of profiles gives each row's theta_rhs and blowup_functional,
+    bit for bit, and run_radial's monitor passes move no bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(profile_stacks())
+    def test_stack_equals_rows(self, case):
+        stack, rows, p = case
+        one = [RadialProfile(stack.R0, stack.R1, stack.nr, row) for row in rows]
+        with np.errstate(all="ignore"):
+            rhs = theta_rhs(stack, p)
+            assert rhs.tobytes() == np.array([theta_rhs(prof, p) for prof in one]).tobytes()
+            F = blowup_functional(stack, p)
+            assert F.tobytes() == np.array([blowup_functional(prof, p) for prof in one]).tobytes()
+        assert rhs.shape == (len(rows), stack.nr) and F.shape == (len(rows),)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_monitor_chunk_moves_no_bit(self, monkeypatch, chunk):
+        # the deep quench on a coarse annulus: 136 records, a threshold stop
+        prof = RadialProfile.sine_bump(3.0, 4.0, 20, -50.0)
+        p = params(a=-6000.0, c=1e-8)
+        ref = run_radial(prof, p, 0.01, 1e-5)
+        assert len(ref.t) > radial.MONITOR_CHUNK and ref.stop.blown_up
+        monkeypatch.setattr(radial, "MONITOR_CHUNK", chunk)
+        trace = run_radial(prof, p, 0.01, 1e-5)
+        assert trace.stop == ref.stop
+        for name in ("t", "y", "y_minus", "y_plus", "max_abs_theta", "F", "rate"):
+            assert getattr(trace, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 class _FirstStepTaken(Exception):
@@ -988,7 +1048,6 @@ class TestThresholdSearch:
         search = radial.threshold_search(*SEARCH_SETUP, *bracket)
         assert search.runs == tuple(runs)
         assert (search.lo, search.hi) == (lo, hi)
-        assert search.sequential_steps == sum(flag.steps for _, flag in runs)
 
     @SWEEP
     @given(search_brackets(), st.sampled_from(["nonfinite", "backward", "singular", "boundary"]))
@@ -1057,7 +1116,7 @@ class TestThresholdSearch:
         assert shipped_search.args == (0.3, 1.3, 100, params(c=1e-6), 0.5, 1e-4, -0.2, -60.0)
         search = shipped_search.search
         assert (search.lo, search.hi) == (-3.670144653320313, -3.6710571289062504)
-        assert search.sequential_steps == 45_670
+        assert sum(flag.steps for _, flag in search.runs) == 45_670
         assert (search.iterations, search.row_steps) == (13_757, 143_953)
 
 
