@@ -95,6 +95,15 @@ def _dim(Q: QTensor) -> int:
     return 2 if isinstance(Q, QTensor2) else 3
 
 
+def traceless_j2(mt: np.ndarray) -> np.ndarray:
+    """J2 = tr(m^2)/2 of traceless symmetric 3x3 matrices, read from the
+    lower triangle: mt[i, j] (i <= j) holds the entry m[..., j, i], as the
+    planes of m.T do.  Overflows to inf for entries beyond ~1e154."""
+    a, b, c = mt[0, 0], mt[1, 1], mt[2, 2]
+    d, e, f = mt[0, 1], mt[0, 2], mt[1, 2]
+    return 0.5 * (a * a + b * b + c * c) + (d * d + e * e + f * f)
+
+
 def eigvals_traceless_sym3(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of traceless symmetric 3x3 matrices, ascending.
 
@@ -118,7 +127,7 @@ def eigvals_traceless_sym3(m: np.ndarray) -> np.ndarray:
     d, e, f = mt[0, 1], mt[0, 2], mt[1, 2]
     # overflow only hits matrices outside the scale range recomputed below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        j2 = 0.5 * (a * a + b * b + c * c) + (d * d + e * e + f * f)
+        j2 = traceless_j2(mt)
         j3 = a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e)
         u = np.sqrt(np.maximum(j2, 0.0) / 3.0)
         # cos(3 theta) = J3 / (2 u^3); clip guards roundoff at the extremal cases

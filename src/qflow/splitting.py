@@ -25,7 +25,7 @@ import numpy as np
 
 from .energy import LdGParams
 from .pde2d import UnstableStepError
-from .qtensor import QTensor2, QTensor3, eigvals_traceless_sym3
+from .qtensor import QTensor2, QTensor3, eigvals_traceless_sym3, traceless_j2
 
 # Kernel truncation radius in standard deviations.
 KERNEL_TRUNCATION_SIGMAS = 6.0
@@ -79,9 +79,10 @@ class PeriodicField:
 
 @dataclass(frozen=True)
 class HullBounds:
+    """Smallest and largest eigenvalue over a field's grid."""
+
     lambda_min: float
     lambda_max: float
-    per_index: np.ndarray  # (d, 2): min/max over the grid of each sorted eigenvalue
 
     def within(self, other: "HullBounds", tol: float) -> bool:
         return self.lambda_min >= other.lambda_min - tol and self.lambda_max <= other.lambda_max + tol
@@ -96,15 +97,42 @@ class EigenPair:
     lambda2: float
 
 
+# A cell with J2 < (max J2 / 4)(1 - HULL_CANDIDATE_MARGIN) holds neither
+# extreme of the hull.  The margin, 5e-7 relative in u, lies far above the
+# ~1e-15 relative error of J2 and of either eigenvalue path.
+HULL_CANDIDATE_MARGIN = 1e-6
+# Below the smallest normal float J2 rounds by absolute steps (its squares go
+# subnormal, or flush to 0 under ~1.5e-162), which the margin does not bound;
+# at the floor the margin is ~1e9 subnormal steps.
+HULL_J2_FLOOR = float(np.finfo(float).tiny)
+
+
 def hull_bounds(field: PeriodicField) -> HullBounds:
-    lam = field.eigenvalues()
-    # one reduction per eigenvalue plane: numpy reduces an (n, n, d) block
-    # over its first two axes in inner loops of length d, ~25x slower
-    per_index = np.array([[lam[..., k].min(), lam[..., k].max()] for k in range(field.dim)])
-    return HullBounds(
-        lambda_min=float(per_index[:, 0].min()), lambda_max=float(per_index[:, 1].max()),
-        per_index=per_index,
-    )
+    """The smallest and the largest eigenvalue over the grid.
+
+    On 3x3 blocks only the cells that can hold an extreme get eigenvalues.
+    With u = sqrt(J2/3), the roots 2u cos(theta - 2 pi k/3), theta in
+    [0, pi/3], put a block's largest eigenvalue in [u, 2u] and its smallest
+    in [-2u, -u].  So the hull reaches past +-U, the grid's largest u, and a
+    cell with 2u < U holds neither extreme.  eigvals_traceless_sym3 works
+    matrix by matrix, so the candidates keep the bits they have in a call on
+    the whole grid, and so does the hull.  Every cell is evaluated on 2x2
+    blocks, and when max J2 is not finite (an inf or NaN entry, whose hull
+    is NaN, or an overflow) or lies below HULL_J2_FLOOR."""
+    if field.dim == 2:
+        lam = field.eigenvalues()
+    else:
+        m = field.data
+        # planes[i, j] holds m[..., j, i] over the flattened grid (a view for
+        # Fortran-order data); gathered, they give eigvals a Fortran-order block
+        planes = np.asfortranarray(m).T.reshape(3, 3, -1)
+        with np.errstate(over="ignore"):
+            j2 = traceless_j2(planes)
+        top = j2.max()
+        if HULL_J2_FLOOR <= top < math.inf:
+            m = planes[:, :, np.flatnonzero(j2 >= 0.25 * (1.0 - HULL_CANDIDATE_MARGIN) * top)].T
+        lam = eigvals_traceless_sym3(m)
+    return HullBounds(lambda_min=float(lam.min()), lambda_max=float(lam.max()))
 
 
 def heat_kernel_weights(dt: float, L1: float, h: float, n: int) -> np.ndarray:
@@ -424,5 +452,7 @@ def make_hull_spanning_field(n: int, h: float, params: LdGParams, seed: int = 0)
     field = PeriodicField(data, h)
     interval = physical_interval(params, 3)
     hb = hull_bounds(field)
-    assert hb.lambda_min >= interval.lo - 1e-12 and hb.lambda_max <= interval.hi + 1e-12
+    if not (hb.lambda_min >= interval.lo - 1e-12 and hb.lambda_max <= interval.hi + 1e-12):
+        raise ValueError(f"hull-spanning field has hull [{hb.lambda_min!r}, {hb.lambda_max!r}] "
+                         f"outside the physical interval [{interval.lo!r}, {interval.hi!r}]")
     return field

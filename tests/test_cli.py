@@ -292,6 +292,33 @@ class TestRunExperiment:
         assert report.summary["results"]["y0"] > radial.BLOWUP_Y_THRESHOLD
         assert not report.passed
 
+    @pytest.mark.parametrize("mutate", [
+        # the weights sum to 1.05; up to 1 + 2e-2 on this grid (and at 1 + 1e-6)
+        # the check reads PASS, as each heat step lowers the hull's peak more
+        lambda field, out: out.data * 1.05,
+        # a backward heat step of 1e-3 its size: weights 1.001 delta - 1e-3 w
+        lambda field, out: field.data - 1e-3 * (out.data - field.data),
+    ], ids=["scaled-1.05", "backward-1e-3"])
+    def test_trotter_hull_fails_on_a_heat_step_that_leaves_the_hull(self, tmp_path, monkeypatch,
+                                                                   mutate):
+        # negative control: a heat step that is no longer a convex
+        # combination lets the hull-spanning data leave their hull
+        real_heat_step = splitting.heat_step
+
+        def broken(field, dt, L1):
+            out = real_heat_step(field, dt, L1)
+            return splitting.PeriodicField(mutate(field, out), out.h)
+
+        monkeypatch.setattr(splitting, "heat_step", broken)
+        cfg = parse_config(_edited("trotter-convergence", {"n_cells = 64": "n_cells = 32",
+                                                           "n_hi = 64": "n_hi = 16"}))
+        report = run_experiment(cfg, str(tmp_path), emit_svg=False)
+        hull = report.summary["checks"][2]
+        assert hull["name"] == "hull bounds inside initial hull (+1e-8)"
+        assert not hull["passed"] and hull["measured"] > 1e-8
+        assert report.summary["results"]["worst_hull_excess"] == hull["measured"]
+        assert not report.passed
+
     def test_blowup_experiment(self, tmp_path):
         cfg = parse_config(BLOWUP_CFG)
         report = run_experiment(cfg, str(tmp_path))

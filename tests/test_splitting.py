@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.ndimage import convolve1d
 from qflow.energy import LdGParams
 from qflow import splitting
 from qflow.pde2d import UnstableStepError
-from qflow.qtensor import QTensor2, QTensor3, physical_interval
+from qflow.qtensor import QTensor2, QTensor3, eigvals_traceless_sym3, physical_interval
 from qflow.splitting import (
     EigenPair,
     PeriodicField,
@@ -425,6 +426,55 @@ class TestTrotter:
             trotter_solve(random_field(n=8, d=3, seed=11), 0.1, 2, p)
 
 
+def _bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def hull_fields(draw):
+    """(n, n, 3, 3) fields of traceless symmetric blocks, n from 1 to 12,
+    scaled by 2**k, |k| <= 330: random, uniform, zero, uniaxial (double
+    roots), with inf or NaN entries, and the adversarial pair of an oblate
+    cell that holds the largest u and a prolate one that may hold lambda_max
+    with 2 v just above or below U."""
+    kind = draw(st.sampled_from(["random", "uniform", "zero", "uniaxial", "nonfinite",
+                                 "adversarial"]))
+    # sizes and scales from a drawn seed: drawn directly, they cluster at n = 1, k = 0
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(1, 13)), int(rng.integers(-330, 331))
+    if kind == "zero":
+        return np.zeros((n, n, 3, 3))
+    data = random_field(n=n, d=3, seed=seed, scale=1.0).data
+    if kind == "uniform":
+        data = np.broadcast_to(data[0, 0], data.shape).copy()
+    elif kind == "uniaxial":
+        # rotated R diag(-s, -s, 2s) R^T, and unrotated ones whose double root is exact
+        s = rng.normal(size=(n, n))
+        R = np.linalg.qr(rng.normal(size=(n, n, 3, 3)))[0]
+        diag = s[..., None, None] * np.diag([-1.0, -1.0, 2.0])
+        data = np.where(rng.random((n, n))[..., None, None] < 0.5, R @ diag @ np.swapaxes(R, -1, -2),
+                        diag)
+    elif kind == "nonfinite":
+        for _ in range(draw(st.integers(1, 3))):
+            x, y, i, j = rng.integers(0, n, 2).tolist() + rng.integers(0, 3, 2).tolist()
+            data[x, y, i, j] = data[x, y, j, i] = draw(st.sampled_from([math.nan, math.inf,
+                                                                        -math.inf]))
+    elif kind == "adversarial" and n > 1:
+        # u = sqrt(tr(m^2)/6) of every other cell stays below 0.4 U, so the
+        # pair alone decides lambda_max
+        U = float(np.sqrt(np.einsum("...ij,...ij->...", data, data).max() / 6.0)) * 2.5
+        v = 0.5 * U * (1.0 + draw(st.sampled_from([-1e-6, -1e-7, -4e-16, 0.0, 4e-16, 1e-7, 1e-6,
+                                                   0.2])))
+        cells = rng.choice(n * n, 2, replace=False)
+        flat = data.reshape(n * n, 3, 3)
+        flat[cells[0]] = np.diag([U, U, -2.0 * U])
+        flat[cells[1]] = np.diag([-v, -v, 2.0 * v])
+    if draw(st.booleans()):
+        data = np.asfortranarray(data)
+    return data * 2.0**k
+
+
 class TestHullBounds:
     def test_nan_block_is_not_certified(self):
         m = np.zeros((4, 4, 3, 3))
@@ -432,6 +482,16 @@ class TestHullBounds:
         hb = hull_bounds(PeriodicField(m, 0.25))
         assert math.isnan(hb.lambda_min) and math.isnan(hb.lambda_max)
         assert not hb.within(hull_bounds(PeriodicField(np.zeros_like(m), 0.25)), 1e-8)
+
+    def test_spanning_field_outside_the_interval_raises(self, monkeypatch):
+        # a blend toward a state past the interval's ends is refused, also
+        # under python -O, with the hull and the interval in the message
+        pair = stationary_pair(P3)
+        monkeypatch.setattr(splitting, "stationary_pair",
+                            lambda params: EigenPair(1.01 * pair.lambda1, 1.01 * pair.lambda2))
+        with pytest.raises(ValueError, match=r"hull \[-0\.7360.*, 1\.4720.*\] outside the "
+                                             r"physical interval \[-0\.7287.*, 1\.4574.*\]"):
+            make_hull_spanning_field(16, 2 * math.pi / 16, P3, seed=0)
 
     def test_trotter_stops_on_a_nan_initial_block(self):
         fld = make_hull_spanning_field(16, 2 * math.pi / 16, P3, seed=0)
@@ -480,8 +540,43 @@ class TestHullBounds:
         hb = hull_bounds(fld)
         assert hb.lambda_min >= interval.lo and hb.lambda_max <= interval.hi
 
-    def test_per_index_shape(self):
-        fld = random_field(n=8, d=3, seed=13)
-        hb = hull_bounds(fld)
-        assert hb.per_index.shape == (3, 2)
-        assert np.all(hb.per_index[:, 0] <= hb.per_index[:, 1])
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(hull_fields())
+    def test_equals_the_full_grid_hull(self, data):
+        # only the candidate cells get eigenvalues, and the hull keeps the
+        # bits of one eigvals_traceless_sym3 call on every cell
+        hb = hull_bounds(PeriodicField(data, 1.0))
+        lam = eigvals_traceless_sym3(data)
+        if not np.all(np.isfinite(data)):
+            assert math.isnan(hb.lambda_min) and math.isnan(hb.lambda_max)
+            assert np.isnan(lam).any()
+        else:
+            assert _bits(hb.lambda_min) == _bits(lam.min())
+            assert _bits(hb.lambda_max) == _bits(lam.max())
+
+    @pytest.mark.parametrize("U", [2.0**-537, 2.0**511], ids=["j2-underflows", "j2-overflows"])
+    def test_off_scale_grid_takes_every_cell(self, U):
+        # an oblate cell with u = U beside a prolate one that holds
+        # lambda_max = 1.2 U: at 2**-537 the prolate J2 flushes to 0 and the
+        # largest J2 is subnormal; at 2**511 the oblate J2 overflows to inf
+        # while the prolate one stays finite.  Both grids take every cell.
+        data = np.zeros((2, 2, 3, 3))
+        data[0, 0] = np.diag([U, U, -2.0 * U])
+        data[1, 1] = np.diag([-0.6 * U, -0.6 * U, 1.2 * U])
+        hb = hull_bounds(PeriodicField(data, 1.0))
+        assert (hb.lambda_min, hb.lambda_max) == (-2.0 * U, 1.2 * U)
+
+    def test_shipped_field_sends_few_cells(self, monkeypatch):
+        # the shipped trotter-convergence data (P3, 64 cells, seed 0): a
+        # median of 381 of the 4096 cells reach the eigenvalues, at most 591
+        cells = []
+
+        def counting(m):
+            cells.append(np.size(m) // 9)
+            return eigvals_traceless_sym3(m)
+
+        fld = make_hull_spanning_field(64, 2 * math.pi / 64, P3, seed=0)
+        monkeypatch.setattr(splitting, "eigvals_traceless_sym3", counting)
+        res = trotter_solve(fld, 0.25, 8, P3)
+        assert len(cells) == len(res.hulls) == 17
+        assert max(cells) < 0.15 * 64 * 64
