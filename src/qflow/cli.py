@@ -591,13 +591,9 @@ def _exp_physicality(cfg):
 
 def _exp_trotter_convergence(cfg):
     params = cfg.params()
-    d = cfg.d
     h = cfg.period / cfg.n_cells
-    if d == 3:
-        # hull spans the physical interval, so the initial hull is invariant
-        field0 = splitting.make_hull_spanning_field(cfg.n_cells, h, params, seed=cfg.seed)
-    else:
-        field0 = splitting.make_smooth_physical_field(cfg.n_cells, h, params, d, seed=cfg.seed)
+    # hull spans the physical interval, so the initial hull is invariant
+    field0 = splitting.make_hull_spanning_field(cfg.n_cells, h, params, cfg.d, seed=cfg.seed)
     hull0 = hull_bounds(field0)
     # n_lo 2^i up to n_hi
     n_list = [cfg.n_lo << i for i in range((cfg.n_hi // cfg.n_lo).bit_length())]
@@ -730,6 +726,9 @@ EXPERIMENTS = {
     "trotter-convergence": Experiment(
         _exp_trotter_convergence, ("a", "b", "L1", "T"), {},
         ((lambda c: 1 <= c.n_lo <= c.n_hi, "1 <= n_lo <= n_hi required"),
+         # n_hi < 2 n_lo leaves one n, one error and no order
+         (lambda c: 2 * c.n_lo <= c.n_hi,
+          "2 n_lo <= n_hi required: the empirical order needs two error estimates"),
          (lambda c: c.trotter_steps <= MAX_STEPS,
           "2 n_hi = {c.trotter_steps} exceeds the cap of {cap} steps"),
          (lambda c: c.L4 == 0.0, "trotter-convergence requires L4 = 0"),

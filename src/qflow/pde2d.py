@@ -54,7 +54,7 @@ STOP_REACHED_T = "reached T"
 STOP_THRESHOLD = "crossed the blow-up threshold"
 STOP_NONFINITE = "non-finite values"
 STOP_BACKWARD_DIFFUSION = "locally backward diffusion (zeta + L4 theta <= 0)"
-STOP_SMALL = "entered the smallness regime"  # radial.run_radial_flag only
+STOP_SMALL = "entered the smallness regime"  # radial.threshold_search only
 
 
 @dataclass(frozen=True)
@@ -158,12 +158,8 @@ class Field2D:
 
     @classmethod
     def zeros(cls, grid: Grid2D) -> "Field2D":
-        return cls.constant(grid, 0.0, 0.0)
-
-    @classmethod
-    def constant(cls, grid: Grid2D, p0: float, q0: float) -> "Field2D":
         shape = (grid.nx + 2, grid.ny + 2)
-        return cls(grid, np.full(shape, float(p0)), np.full(shape, float(q0)))
+        return cls(grid, np.zeros(shape), np.zeros(shape))
 
     def copy(self) -> "Field2D":
         return Field2D(self.grid, self.p.copy(), self.q.copy())
@@ -171,10 +167,6 @@ class Field2D:
     def max_h2(self) -> float:
         """max over nodes of h^2 = p^2 + q^2 (so |Q|_max = sqrt(2 max_h2))."""
         return float(np.max(self.p * self.p + self.q * self.q))
-
-    def l2_norm(self) -> float:
-        """||Q||_L2 over the rectangle."""
-        return _l2_norm(self.grid, self.p * self.p + self.q * self.q)
 
 
 def _l2_norm(grid: Grid2D, h2: np.ndarray) -> float:
@@ -293,18 +285,20 @@ def discrete_energy(field: Field2D, params: LdGParams, *, h2: np.ndarray | None 
     defect.  The (L3-L2) cross term is a null Lagrangian (constant in time
     under fixed boundary data) and is omitted; the L4 part is a
     central-difference quadrature, for monitoring only.  A caller may pass
-    the nodal h2 = p*p + q*q and the _first_pq it already holds.
+    the nodal h2 = p*p + q*q and the _first_pq it already holds.  Every sum
+    runs over a C-order array, so no bit depends on the fields' memory
+    layout.
     """
     hx, hy = field.grid.hx, field.grid.hy
     w = hx * hy
     zeta = params.zeta
+    p, q = np.ascontiguousarray(field.p), np.ascontiguousarray(field.q)
     e = 0.0
-    for F in (field.p, field.q):
+    for F in (p, q):
         dx = (F[1:, :] - F[:-1, :]) / hx
         dy = (F[:, 1:] - F[:, :-1]) / hy
         e += zeta * w * (float((dx * dx).sum()) + float((dy * dy).sum()))
-    if h2 is None:
-        h2 = field.p * field.p + field.q * field.q
+    h2 = p * p + q * q if h2 is None else np.ascontiguousarray(h2)
     e += w * float(bulk_from_traces(2.0 * h2, params).sum())
     if params.L4 != 0.0:
         P, Q = _slab(field.p), _slab(field.q)
@@ -412,7 +406,7 @@ class RunTrace:
     defect: np.ndarray
     smallness: np.ndarray
     stop: Stop
-    final_field: "Field2D | None" = dc_field(default=None, repr=False)
+    final_field: Field2D = dc_field(repr=False)
 
     def smallness_held(self) -> bool:
         return bool(np.all(self.smallness))
@@ -499,14 +493,12 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
 @dataclass
 class ContinuousDependenceResult:
     """Distances ||Q_i(t) - Q(t)||_L2 of the m perturbed runs from the base
-    run, shape (m, n), with each one's fitted log-slope and initial distance,
-    shape (m,), and the base run's monitors (as in RunTrace), at the n
-    recorded times."""
+    run, shape (m, n), with each one's fitted log-slope, shape (m,), and the
+    base run's monitors (as in RunTrace), at the n recorded times."""
 
     times: np.ndarray
     distances: np.ndarray
     slope: np.ndarray
-    initial_distance: np.ndarray
     energy: np.ndarray
     max_h2: np.ndarray
     l2_q: np.ndarray
@@ -574,6 +566,6 @@ def continuous_dependence_experiment(field0: Field2D, perturbations, params: LdG
     distances = np.array(dists).T
     slope = np.array([_log_slope(times, d) for d in distances])
     return ContinuousDependenceResult(
-        times=times, distances=distances, slope=slope, initial_distance=distances[:, 0],
-        energy=energy, max_h2=max_h2, l2_q=l2_q, smallness=smallness,
+        times=times, distances=distances, slope=slope, energy=energy, max_h2=max_h2,
+        l2_q=l2_q, smallness=smallness,
     )

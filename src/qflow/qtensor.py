@@ -59,17 +59,6 @@ class QTensor3:
             dtype=float,
         )
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "QTensor3":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("expected a 3x3 matrix")
-        if not np.allclose(m, m.T, atol=1e-12):
-            raise ValueError("matrix is not symmetric")
-        if abs(np.trace(m)) > 1e-12 * max(1.0, np.abs(m).max()):
-            raise ValueError("matrix is not traceless")
-        return cls(m[0, 0], m[1, 1], m[0, 1], m[0, 2], m[1, 2])
-
 
 QTensor = Union[QTensor2, QTensor3]
 

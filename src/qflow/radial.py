@@ -672,14 +672,6 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
     return _Batch(outcomes, final, steps, row_steps)
 
 
-def _single(batch: _Batch) -> Stop:
-    """The stop of a one-row march; its exception is raised."""
-    outcome = batch.outcomes[0]
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 # Records per monitor pass of run_radial: at 1024 the pass's stacked
 # temporaries raised the radial benchmark's peak RSS by about 5% (2 MB); at
 # 32 it stayed within noise, and the pass ran as fast as at 8 to 64.
@@ -705,8 +697,9 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float) 
 
     A record keeps t, y and theta; one pass over each MONITOR_CHUNK records'
     stack computes the other monitors, row by row, so no bit depends on the
-    chunk.  Callers that only need the flag use run_radial_flag, which takes
-    the same steps without the monitors and may stop sooner.
+    chunk.  threshold_search, which only needs the flag, takes the same
+    steps without the monitors and may stop sooner.  A profile that fails
+    its boundary check raises its ValueError.
     """
     r = profile0.r
     dx = np.diff(r)
@@ -732,7 +725,9 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float) 
         if len(thetas) == MONITOR_CHUNK:
             monitor_pass()
 
-    stop = _single(_march([profile0], params, T, dt, BLOWUP_Y_THRESHOLD, record))
+    stop = _march([profile0], params, T, dt, BLOWUP_Y_THRESHOLD, record).outcomes[0]
+    if isinstance(stop, Exception):
+        raise stop
     if thetas:
         monitor_pass()
     y_minus, y_plus, max_abs_theta, F, rate = map(np.concatenate, zip(*passes))
@@ -740,32 +735,24 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float) 
                        max_abs_theta=max_abs_theta, F=F, rate=rate, stop=stop)
 
 
-def _flag_march(profiles, params: LdGParams, T: float, dt: float) -> _Batch:
-    """_march for flags only: no monitors, and the smallness stop where it applies."""
+def _theta_small(params: LdGParams, R0: float, R1: float) -> float:
+    """The smallness stop of a flag-only march on the annulus [R0, R1]:
+    2 sqrt(eta1) where it applies, else -inf.
+
+    Under the smallness experiment's hypotheses (L4 != 0, the strict bulk
+    and coercivity assumptions, |a| <= 2 c eta1), max|theta| <= 2 sqrt(eta1),
+    boundary values included, holds at all later times once it holds.  A
+    run that gets there can then neither abort nor, if 4 eta1 (R1^2 - R0^2)/2
+    lies below BLOWUP_Y_THRESHOLD, cross it, so its flag is decided.
+    """
     try:
         eta1 = derived_constants(params, strict=True).eta1
     except ValueError:
         eta1 = math.inf
     # the bound on y of a run in the regime, with a rounding margin
-    y_small = 2.0 * eta1 * (profiles[0].R1**2 - profiles[0].R0**2) * (1.0 + 1e-9)
+    y_small = 2.0 * eta1 * (R1**2 - R0**2) * (1.0 + 1e-9)
     decided = abs(params.a) <= 2.0 * params.c * eta1 and y_small <= BLOWUP_Y_THRESHOLD
-    return _march(profiles, params, T, dt, BLOWUP_Y_THRESHOLD,
-                  theta_small=2.0 * math.sqrt(eta1) if decided else -math.inf)
-
-
-def run_radial_flag(profile0: RadialProfile, params: LdGParams, T: float,
-                    dt: float) -> Stop:
-    """Take the steps of run_radial but compute only what the flag needs.
-
-    The returned stop's blown_up, nonfinite and blowup_time equal those of
-    run_radial(profile0, params, T, dt).stop; its reason may differ.
-    Under the smallness experiment's hypotheses (L4 != 0, the strict bulk
-    and coercivity assumptions, |a| <= 2 c eta1), max|theta| <= 2 sqrt(eta1),
-    boundary values included, holds at all later times once it holds.  A
-    run that gets there can then neither abort nor, if 4 eta1 (R1^2 - R0^2)/2
-    lies below the threshold, cross it, so it stops with STOP_SMALL.
-    """
-    return _single(_flag_march([profile0], params, T, dt))
+    return 2.0 * math.sqrt(eta1) if decided else -math.inf
 
 
 # Bisection levels of threshold_search, and the levels one lock-step batch
@@ -806,8 +793,10 @@ def threshold_search(R0: float, R1: float, nr: int, params: LdGParams, T: float,
     """Bisect the sine-bump amplitude for the blow-up threshold, SEARCH_LEVELS times.
 
     The result is that of the sequential search, which flags amp_lo and
-    amp_hi with run_radial_flag and then bisects: the midpoint replaces
-    the end whose flag it shares.  Here the midpoints of SEARCH_DEPTH
+    amp_hi and then bisects: the midpoint replaces the end whose flag it
+    shares.  A flag is the stop of run_radial's steps with no monitors and
+    with _theta_small's stop (STOP_SMALL), so its blown_up, nonfinite and
+    blowup_time are those of run_radial.  Here the midpoints of SEARCH_DEPTH
     levels march as one lock-step batch (2^SEARCH_DEPTH - 1 candidates),
     each to its own stop (why none leaves early: README, numerical notes).
     The sequential path is then read off the batch: an exception of a run
@@ -815,10 +804,11 @@ def threshold_search(R0: float, R1: float, nr: int, params: LdGParams, T: float,
     """
     runs = []
     counts = [0, 0]
+    theta_small = _theta_small(params, R0, R1)
 
     def march(amps):
-        batch = _flag_march([RadialProfile.sine_bump(R0, R1, nr, amp) for amp in amps],
-                            params, T, dt)
+        batch = _march([RadialProfile.sine_bump(R0, R1, nr, amp) for amp in amps],
+                       params, T, dt, BLOWUP_Y_THRESHOLD, theta_small=theta_small)
         counts[0] += batch.iterations
         counts[1] += batch.row_steps
         return batch.outcomes

@@ -25,7 +25,7 @@ import numpy as np
 
 from .energy import LdGParams
 from .pde2d import UnstableStepError
-from .qtensor import QTensor2, QTensor3, eigvals_traceless_sym3, traceless_j2
+from .qtensor import eigvals_traceless_sym3, physical_interval, traceless_j2
 
 # Kernel truncation radius in standard deviations.
 KERNEL_TRUNCATION_SIGMAS = 6.0
@@ -61,11 +61,6 @@ class PeriodicField:
 
     def copy(self) -> "PeriodicField":
         return PeriodicField(self.data.copy(), self.h)
-
-    @classmethod
-    def constant(cls, n: int, h: float, Q) -> "PeriodicField":
-        m = Q.matrix() if isinstance(Q, (QTensor2, QTensor3)) else np.asarray(Q, float)
-        return cls(np.tile(m, (n, n, 1, 1)), h)
 
     def eigenvalues(self) -> np.ndarray:
         """Per-cell eigenvalues, ascending along the last axis."""
@@ -273,25 +268,21 @@ def _rk4(f, x: list, h: float, nsub: int) -> list:
     return x
 
 
-def bulk_ode_step(Q, dt: float, params: LdGParams, d: int) -> "QTensor2 | QTensor3 | np.ndarray":
-    """RK4 step of the bulk ODE on the independent entries of Q (6 for 3x3,
-    3 for 2x2), read once from its lower triangle.  The result is exactly
-    symmetric; its trace stays zero up to roundoff, as the last diagonal
-    entry is evolved on its own.  Substeps keep dt (|a| + b|Q| + c|Q|^2)
+def bulk_ode_step(Q, dt: float, params: LdGParams, d: int) -> np.ndarray:
+    """RK4 step of the bulk ODE on the independent entries of the (..., d, d)
+    array Q (6 for 3x3, 3 for 2x2), read once from its lower triangle.  The
+    result is exactly symmetric; its trace stays zero up to roundoff, as the
+    last diagonal entry is evolved on its own.  Substeps keep dt (|a| + b|Q| + c|Q|^2)
     <= 0.1; a rate that overflows raises UnstableStepError."""
     if d not in (2, 3):
         raise ValueError("d must be 2 or 3")
-    tensor = isinstance(Q, (QTensor2, QTensor3))
-    arr = Q.matrix() if tensor else np.asarray(Q, dtype=float)
+    arr = np.asarray(Q, dtype=float)
     if arr.shape[-2:] != (d, d):
         raise ValueError(f"expected trailing {d}x{d} blocks")
     nrm = float(np.sqrt(np.einsum("...ij,...ij->...", arr, arr).max())) if arr.size else 0.0
     nsub = _substeps(dt, bulk_rate_bound(params, nrm))
     x = _rk4(lambda y: bulk_ode_rhs(y, params, d), _entries(arr, d), dt / nsub, nsub)
-    if tensor and d == 2:
-        return QTensor2(p=x[0], q=x[2])
-    out = _assemble(x, arr.shape)
-    return QTensor3.from_matrix(out) if tensor else out
+    return _assemble(x, arr.shape)
 
 
 def _eigen_rates(u: np.ndarray, params: LdGParams) -> np.ndarray:
@@ -374,23 +365,6 @@ def field_l2_distance(f1: PeriodicField, f2: PeriodicField) -> float:
     return float(np.sqrt(np.einsum("xyij,xyij->", diff, diff) * f1.h * f1.h))
 
 
-def trace_ode_closed_form_2d(y0: float, a: float, c: float, t):
-    """Exact solution of y' = -2 a y - 2 c y^2 (y = |Q|^2 of the 2D bulk ODE).
-
-    a != 0: y = a y0 e^{-2at} / (a + c y0 (1 - e^{-2at})); a = 0:
-    y = y0 / (1 + 2 c y0 t).
-    """
-    if y0 < 0.0:
-        raise ValueError("y0 must be >= 0")
-    if c <= 0.0:
-        raise ValueError("c must be > 0")
-    t = np.asarray(t, dtype=float)
-    if a == 0.0:
-        return y0 / (1.0 + 2.0 * c * y0 * t)
-    e = np.exp(-2.0 * a * t)
-    return a * y0 * e / (a + c * y0 * (1.0 - e))
-
-
 def stationary_pair(params: LdGParams) -> EigenPair:
     """(-s+/3, 2 s+/3) with s+ = (b + sqrt(b^2 - 24 a c))/(4c); a stationary
     point of the eigenvalue system."""
@@ -406,8 +380,6 @@ def make_smooth_physical_field(n: int, h: float, params: LdGParams, d: int,
                                margin: float = 0.7) -> PeriodicField:
     """Random smooth periodic field scaled so all eigenvalues sit inside the
     physical interval with the given margin."""
-    from .qtensor import physical_interval
-
     rng = np.random.default_rng(seed)
     xs = np.arange(n) * (2.0 * np.pi / n)
     comps = np.zeros((n, n, d, d))
@@ -429,28 +401,30 @@ def make_smooth_physical_field(n: int, h: float, params: LdGParams, d: int,
     return field
 
 
-def make_hull_spanning_field(n: int, h: float, params: LdGParams, seed: int = 0) -> PeriodicField:
-    """Smooth 3x3 physical field whose eigenvalue range spans the whole
+def make_hull_spanning_field(n: int, h: float, params: LdGParams, d: int = 3,
+                             seed: int = 0) -> PeriodicField:
+    """Smooth d x d physical field whose eigenvalue range spans the whole
     physical interval.
 
-    A smooth bump blends the field into the extremal uniaxial state
-    diag(-s+/3, -s+/3, 2s+/3), whose eigenvalues sit exactly at both
-    interval endpoints, so the initial hull bounds equal the invariant
-    interval itself.  Convexity of the largest eigenvalue keeps the blend
-    physical everywhere.
+    A smooth bump blends the field into an extremal state whose eigenvalues
+    sit exactly at both interval endpoints, so the initial hull bounds equal
+    the invariant interval itself: diag(r, -r) with r the interval's hi for
+    d = 2, the uniaxial diag(-s+/3, -s+/3, 2s+/3) for d = 3.  Convexity of
+    the largest eigenvalue keeps the blend physical everywhere.
     """
-    from .qtensor import physical_interval
-
-    base = make_smooth_physical_field(n, h, params, 3, seed=seed, margin=0.6)
-    pair = stationary_pair(params)
-    extremal = np.diag([pair.lambda1, pair.lambda1, -2.0 * pair.lambda1])
+    base = make_smooth_physical_field(n, h, params, d, seed=seed, margin=0.6)
+    interval = physical_interval(params, d)
+    if d == 2:
+        extremal = np.diag([interval.hi, -interval.hi])
+    else:
+        pair = stationary_pair(params)
+        extremal = np.diag([pair.lambda1, pair.lambda1, -2.0 * pair.lambda1])
     xs = np.arange(n)
     # cos^2 bump equal to 1 exactly at the grid node (n//2, n//2)
     cx = np.where(np.abs(xs - n // 2) <= n // 4, np.cos(np.pi * (xs - n // 2) / (n // 2)) ** 2, 0.0)
     chi = cx[:, None] * cx[None, :]
     data = (1.0 - chi)[..., None, None] * base.data + chi[..., None, None] * extremal
     field = PeriodicField(data, h)
-    interval = physical_interval(params, 3)
     hb = hull_bounds(field)
     if not (hb.lambda_min >= interval.lo - 1e-12 and hb.lambda_max <= interval.hi + 1e-12):
         raise ValueError(f"hull-spanning field has hull [{hb.lambda_min!r}, {hb.lambda_max!r}] "

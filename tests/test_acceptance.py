@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from oracles import trace_ode_closed_form_2d
 
 from qflow.energy import (
     LdGParams,
@@ -156,7 +157,7 @@ def test_07_bulk_ode_oracles():
         for _ in range(100):
             out = splitting.bulk_ode_step(out, 0.01, p2, 2)
         y = float(np.sum(out * out))
-        closed = splitting.trace_ode_closed_form_2d(1.0, 1.0, 1.0, 1.0)
+        closed = trace_ode_closed_form_2d(1.0, 1.0, 1.0, 1.0)
         assert abs(y - closed) <= 1e-6
         assert closed == pytest.approx(math.exp(-2.0) / (2.0 - math.exp(-2.0)), rel=1e-14)
 

@@ -145,6 +145,8 @@ BREAKS_ROW = {
     ("trotter-convergence", BULK_SUBSTEPS): ("trotter-convergence", {"T = 0.25": "T = 1e300"}),
     ("trotter-convergence", "1 <= n_lo <= n_hi required"):
         ("trotter-convergence", {"n_lo = 8": "n_lo = 128"}),
+    ("trotter-convergence", "2 n_lo <= n_hi required: the empirical order needs two error estimates"):
+        ("trotter-convergence", {"n_hi = 64": "n_hi = 15"}),
     ("trotter-convergence", "2 n_hi = {c.trotter_steps} exceeds the cap of {cap} steps"):
         ("trotter-convergence", {"n_hi = 64": "n_hi = 500001"}),
     ("trotter-convergence", "trotter-convergence requires L4 = 0"):
@@ -292,15 +294,16 @@ class TestRunExperiment:
         assert report.summary["results"]["y0"] > radial.BLOWUP_Y_THRESHOLD
         assert not report.passed
 
-    @pytest.mark.parametrize("mutate", [
+    @pytest.mark.parametrize("mutate, d", [
         # the weights sum to 1.05; up to 1 + 2e-2 on this grid (and at 1 + 1e-6)
         # the check reads PASS, as each heat step lowers the hull's peak more
-        lambda field, out: out.data * 1.05,
+        (lambda field, out: out.data * 1.05, 3),
         # a backward heat step of 1e-3 its size: weights 1.001 delta - 1e-3 w
-        lambda field, out: field.data - 1e-3 * (out.data - field.data),
-    ], ids=["scaled-1.05", "backward-1e-3"])
+        (lambda field, out: field.data - 1e-3 * (out.data - field.data), 3),
+        (lambda field, out: out.data * 1.05, 2),
+    ], ids=["scaled-1.05", "backward-1e-3", "scaled-1.05-d2"])
     def test_trotter_hull_fails_on_a_heat_step_that_leaves_the_hull(self, tmp_path, monkeypatch,
-                                                                   mutate):
+                                                                   mutate, d):
         # negative control: a heat step that is no longer a convex
         # combination lets the hull-spanning data leave their hull
         real_heat_step = splitting.heat_step
@@ -311,7 +314,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(splitting, "heat_step", broken)
         cfg = parse_config(_edited("trotter-convergence", {"n_cells = 64": "n_cells = 32",
-                                                           "n_hi = 64": "n_hi = 16"}))
+                                                           "n_hi = 64": "n_hi = 16",
+                                                           "d = 3": f"d = {d}"}))
         report = run_experiment(cfg, str(tmp_path), emit_svg=False)
         hull = report.summary["checks"][2]
         assert hull["name"] == "hull bounds inside initial hull (+1e-8)"
@@ -423,6 +427,18 @@ class TestShippedConfigs:
         assert res["orders"] == [1.1474674311046273, 1.0825743097018683, 1.0378612320534766]
         assert res["initial_hull"] == [-0.728713553878169, 1.457427107756338]
         assert res["worst_hull_excess"] == 0.0
+
+    def test_trotter_convergence_2d_passes(self, tmp_path):
+        # the 2x2 data span the invariant interval [-sqrt(|a|/2c), sqrt(|a|/2c)],
+        # as the 3x3 data do theirs, so the bulk ODE cannot grow the hull
+        cfg = parse_config(_edited("trotter-convergence", {"d = 3": "d = 2"}))
+        report = run_experiment(cfg, str(tmp_path), emit_svg=False)
+        assert report.passed
+        res = report.summary["results"]
+        r = qtensor.physical_interval(cfg.params(), 2).hi
+        assert res["initial_hull"] == [-r, r]
+        assert res["worst_hull_excess"] == 0.0
+        assert min(res["orders"]) > 1.0
 
     @pytest.mark.parametrize("name, lines, digest", [
         ("smallness", 1002, "4f3d37a1aed0f67e506e80683d79b70d482c06d98cc702592d368dfb624fd01b"),
@@ -824,6 +840,11 @@ class TestMainEntry:
         ("trotter-convergence", "n_lo = 8", "n_lo = 1",
          "kernel support 125 exceeds the period (64 cells)"),
         ("hedgehog-consistency", "R1 = 4", "R1 = 3.01", "needs R1 - 6 h_s >= R0 + 6 h_s"),
+        # one n gives one error and no order: the run stopped in min() of no orders
+        ("trotter-convergence", "n_hi = 64", "n_hi = 8",
+         "2 n_lo <= n_hi required: the empirical order needs two error estimates"),
+        ("trotter-convergence", "n_hi = 64", "n_hi = 15",
+         "2 n_lo <= n_hi required: the empirical order needs two error estimates"),
     ], ids=["physicality_T_inf", "smallness_T_1e300", "smallness_dt_nan", "energy_decay_T_1e300",
             "physicality_T_1e300", "trotter_convergence_T_1e300", "smallness_C1_0",
             "smallness_L4_1e-300", "energy_decay_L_1e300", "smallness_kmax_0",
@@ -831,7 +852,8 @@ class TestMainEntry:
             "continuous_dependence_eps2_0", "continuous_dependence_eps1_0",
             "physicality_n_rotations_0", "energy_decay_amplitude_0",
             "smallness_amplitude_frac_0", "trotter_convergence_n_lo_1",
-            "hedgehog_consistency_R1_3.01"])
+            "hedgehog_consistency_R1_3.01", "trotter_convergence_n_hi_8",
+            "trotter_convergence_n_hi_15"])
     def test_unusable_time_exit_1(self, tmp_path, capsys, name, old, new, message):
         text = (CONFIGS / f"{name}.cfg").read_text()
         assert old in text

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import constant_field
 
 from qflow import energy
 from qflow.energy import (
@@ -202,7 +203,7 @@ class TestTotalEnergy:
 
     def test_constant_field_bulk_only(self):
         grid = Grid2D.from_extent(16, 16, 1.0, 1.0)
-        fld = Field2D.constant(grid, 0.3, 0.0)
+        fld = constant_field(grid, 0.3, 0.0)
         p = LdGParams(a=0.7, b=0, c=1.3, L1=1, L2=0.2, L3=0.1, L4=0.5)
         expected = bulk_density(QTensor2(0.3, 0.0), p)  # area = 1
         assert total_energy(fld, p) == pytest.approx(expected, rel=1e-12)

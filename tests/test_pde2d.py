@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import constant_field
 
 from qflow import pde2d
 from qflow.energy import LdGParams, derived_constants
@@ -116,7 +117,10 @@ def strided_rhs(field, params):
 
 
 def strided_energy(field, params):
-    """discrete_energy's expressions on shifted 2D views."""
+    """discrete_energy's expressions on shifted 2D views of C-order copies
+    of the fields: np.sum runs in memory order, and the energy's bits do
+    not depend on the fields' layout."""
+    field = Field2D(field.grid, np.ascontiguousarray(field.p), np.ascontiguousarray(field.q))
     hx, hy, w = field.grid.hx, field.grid.hy, field.grid.hx * field.grid.hy
     e = 0.0
     for F in (field.p, field.q):
@@ -161,6 +165,9 @@ class TestSlabStencils:
            L4=st.sampled_from([0.0, 0.7, -1.3]),
            layout=st.sampled_from(["C", "fortran", "view"]),
            seed=st.integers(0, 2**32 - 1))
+    # Fortran order, where numpy sums in memory order: discrete_energy's sums
+    # depended on the layout and missed the oracle by one ulp
+    @example(nx=21, ny=21, hx=1.875, hy=1.75, L4=-1.3, layout="fortran", seed=21)
     def test_bitwise_equal_to_strided_formulas(self, nx, ny, hx, hy, L4, layout, seed):
         if hx == hy:
             hy = 1.5 * hx
@@ -175,7 +182,6 @@ class TestSlabStencils:
         e = discrete_energy(fld, params)
         assert e == strided_energy(fld, params)
         assert discrete_energy(fld, params, h2=p * p + q * q) == e
-        assert fld.l2_norm() == trapezoid_l2(grid, p, q)
         assert field_distance(fld, other) == trapezoid_l2(grid, p - r, q - s)
 
 
@@ -188,7 +194,7 @@ class TestRhsPq:
     def test_constant_field_reduces_to_bulk(self):
         grid = Grid2D.from_extent(8, 8, 1.0, 1.0)
         p0, q0 = 0.3, -0.2
-        fld = Field2D.constant(grid, p0, q0)
+        fld = constant_field(grid, p0, q0)
         params = coercive_params(a=0.7, c=1.1, L4=2.0)
         dp, dq = rhs_pq(fld, params)
         expected_p = -params.a * p0 - 2 * params.c * (p0**2 + q0**2) * p0
@@ -227,7 +233,7 @@ class TestStep:
     def test_constant_linear_decay_factor(self):
         grid = Grid2D.from_extent(8, 8, 1.0, 1.0)
         p0 = 0.4
-        fld = Field2D.constant(grid, p0, 0.0)
+        fld = constant_field(grid, p0, 0.0)
         params = LdGParams(a=1.0, b=0.0, c=0.0, L1=1.0, L2=0.0, L3=0.0, L4=0.0)
         dt = 1e-3
         out = step(fld, dt, params, "explicit-euler")
@@ -470,7 +476,7 @@ class TestRun:
         # the last record's monitors, from one shared h^2, are the public ones
         assert trace.energy[-1] == discrete_energy(fld, params)
         assert trace.max_h2[-1] == fld.max_h2()
-        assert trace.l2_q[-1] == fld.l2_norm()
+        assert trace.l2_q[-1] == field_distance(fld, Field2D.zeros(grid))
 
     def test_step_raises_on_overflow(self):
         grid = Grid2D.from_extent(8, 8, 1.0, 1.0)
@@ -630,7 +636,6 @@ class TestContinuousDependence:
                                                      record_every=3)
             assert np.array_equal(res.distances[i], alone.distances[0])
             assert res.slope[i] == alone.slope[0]
-            assert res.initial_distance[i] == alone.initial_distance[0]
         # the base monitors are those of run
         trace = run(base, self.params, T, dt, record_every=3)
         for name in ("energy", "max_h2", "l2_q", "smallness"):

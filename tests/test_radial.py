@@ -31,7 +31,6 @@ from qflow.radial import (
     dominates_comparison,
     hedgehog_consistency_check,
     run_radial,
-    run_radial_flag,
     solve_banded,
     theta_rhs,
 )
@@ -522,7 +521,16 @@ class TestRunRadial:
         assert trace.stop.nonfinite
 
 
+def flag_run(prof, p, T, dt):
+    """One profile's outcome as threshold_search marches it: run_radial's
+    steps without the monitors, with the smallness stop."""
+    return radial._march([prof], p, T, dt, radial.BLOWUP_Y_THRESHOLD,
+                         theta_small=radial._theta_small(p, prof.R0, prof.R1)).outcomes[0]
+
+
 class TestRunRadialFlag:
+    """The flag run of threshold_search (flag_run) against run_radial."""
+
     # (R0, R1, nr, amplitude, params, T, dt, expected stop)
     CASES = {
         # the thin inner annulus of the threshold search, on both sides of
@@ -540,7 +548,7 @@ class TestRunRadialFlag:
         R0, R1, nr, amp, p, T, dt, stop = self.CASES[name]
         prof = RadialProfile.sine_bump(R0, R1, nr, amp)
         trace = run_radial(prof, p, T, dt)
-        flag = run_radial_flag(prof, p, T, dt)
+        flag = flag_run(prof, p, T, dt)
         assert flag.reason == stop
         assert flag.blown_up == trace.stop.blown_up
         assert flag.nonfinite == trace.stop.nonfinite
@@ -556,7 +564,7 @@ class TestRunRadialFlag:
         prof = RadialProfile.sine_bump(3.0, 4.0, 40, 10.0)
         p = params(c=-1e308, L4=0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            flag = run_radial_flag(prof, p, 0.1, 1e-3)
+            flag = flag_run(prof, p, 0.1, 1e-3)
             trace = run_radial(prof, p, 0.1, 1e-3)
         assert flag.reason == STOP_NONFINITE and flag.t == 0.0
         assert trace.stop.reason == STOP_NONFINITE and trace.stop.nonfinite
@@ -590,7 +598,7 @@ class TestRunRadialFlag:
 
             monkeypatch.setattr(radial, "solve_banded", nan_solution)
         with np.errstate(over="ignore", invalid="ignore"):
-            flag = run_radial_flag(prof, p, 0.05, 1e-3)
+            flag = flag_run(prof, p, 0.05, 1e-3)
             trace = run_radial(prof, p, 0.05, 1e-3)
         assert flag == trace.stop == radial.Stop(STOP_NONFINITE, h, 1)
 
@@ -602,7 +610,7 @@ class TestRunRadialFlag:
     def test_abort_is_not_a_blowup(self, amp, p, stop):
         prof = RadialProfile.sine_bump(3.0, 4.0, 40, amp)
         with np.errstate(over="ignore", invalid="ignore"):
-            flag = run_radial_flag(prof, p, 0.1, 1e-3)
+            flag = flag_run(prof, p, 0.1, 1e-3)
             trace = run_radial(prof, p, 0.1, 1e-3)
         for run in (flag, trace.stop):
             assert run.reason == stop and run.nonfinite
@@ -617,7 +625,7 @@ class TestRunRadialFlag:
     def test_leaves_the_initial_profile_alone(self):
         prof = RadialProfile.sine_bump(0.3, 1.3, 20, -10.0)
         theta0 = prof.theta.copy()
-        run_radial_flag(prof, params(c=1e-6), 0.05, 1e-3)
+        flag_run(prof, params(c=1e-6), 0.05, 1e-3)
         assert np.array_equal(prof.theta, theta0)
 
 
@@ -695,9 +703,9 @@ class TestSolveBanded:
             from qflow import radial
             from qflow.energy import LdGParams
             p = LdGParams(a=-6000.0, b=0.0, c=1e-8, L1=0.5, L2=0.0, L3=0.0, L4=-1.0)
-            flag = radial.run_radial_flag(radial.RadialProfile.sine_bump(3.0, 4.0, 20, -50.0),
-                                          p, 1e-4, 1e-5)
-            assert flag.steps > 0 and radial._dgtsv is not None
+            trace = radial.run_radial(radial.RadialProfile.sine_bump(3.0, 4.0, 20, -50.0),
+                                      p, 1e-4, 1e-5)
+            assert trace.stop.steps > 0 and radial._dgtsv is not None
             assert not [m for m in sys.modules if m.startswith("scipy.linalg")]
             import scipy.linalg
             assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
@@ -755,9 +763,9 @@ def small_regime_runs(draw, a_sign):
 
 
 class TestStopSmall:
-    """run_radial_flag stops a run that enters the smallness regime.
+    """threshold_search's runs stop when they enter the smallness regime.
 
-    Each example runs run_radial and run_radial_flag on the same data: the
+    Each example runs run_radial and flag_run on the same data: the
     flags must agree, and the full trace shows what the early stop skips.
     """
 
@@ -765,7 +773,7 @@ class TestStopSmall:
 
     def _both(self, prof, p):
         with np.errstate(all="ignore"):
-            return run_radial(prof, p, 0.1, 1e-3), run_radial_flag(prof, p, 0.1, 1e-3)
+            return run_radial(prof, p, 0.1, 1e-3), flag_run(prof, p, 0.1, 1e-3)
 
     def _entry(self, trace, cap):
         """Index of the first record after a step with max|theta| <= cap."""
@@ -974,7 +982,7 @@ class TestLockStep:
         expected = [radial._march([prof], params(c=1e-6), 0.05, 1e-3, 1e6) for prof in profiles]
         monkeypatch.setattr(radial, "solve_banded", singular)
         batch = radial._march(profiles, params(c=1e-6), 0.05, 1e-3, 1e6)
-        flag = run_radial_flag(profiles[1], params(c=1e-6), 0.05, 1e-3)
+        flag = flag_run(profiles[1], params(c=1e-6), 0.05, 1e-3)
         # the stop is at the end of the failed first step
         h = _first_step_size(profiles[1], params(c=1e-6), 1e-3)
         assert batch.outcomes[1] == flag == radial.Stop(STOP_NONFINITE, h, 1)
@@ -986,7 +994,7 @@ class TestLockStep:
         th = _sine_theta(-1.0, 10)
         th[-1] = 1.0
         with pytest.raises(ValueError, match="must agree"):
-            run_radial_flag(RadialProfile(0.3, 1.3, 10, th), params(c=1e-6), 0.05, 1e-3)
+            run_radial(RadialProfile(0.3, 1.3, 10, th), params(c=1e-6), 0.05, 1e-3)
 
     def test_needs_one_grid(self):
         profiles = [RadialProfile.sine_bump(0.3, 1.3, 10, -1.0),
@@ -996,7 +1004,7 @@ class TestLockStep:
 
 
 def sequential_search(R0, R1, nr, p, T, dt, amp_lo, amp_hi):
-    """The bisection threshold_search batches, one run_radial_flag at a time.
+    """The bisection threshold_search batches, one flag_run at a time.
 
     Returns the (amplitude, flag) runs in order, ending at an aborted run,
     and the final (lo, hi).
@@ -1004,7 +1012,7 @@ def sequential_search(R0, R1, nr, p, T, dt, amp_lo, amp_hi):
     runs = []
 
     def flag(amp):
-        runs.append((amp, run_radial_flag(RadialProfile.sine_bump(R0, R1, nr, amp), p, T, dt)))
+        runs.append((amp, flag_run(RadialProfile.sine_bump(R0, R1, nr, amp), p, T, dt)))
         return runs[-1][1]
 
     lo, hi = amp_lo, amp_hi
@@ -1061,24 +1069,24 @@ class TestThresholdSearch:
                "backward": radial.Stop(STOP_BACKWARD_DIFFUSION, 0.0, 0),
                "singular": np.linalg.LinAlgError("singular matrix"),
                "boundary": ValueError("boundary values must agree")}[fault]
-        flag_march = radial._flag_march
+        march = radial._march
 
-        def faulty(profiles, *args):
-            batch = flag_march(profiles, *args)
+        def faulty(profiles, *args, **kwargs):
+            batch = march(profiles, *args, **kwargs)
             for i, prof in enumerate(profiles):
                 if prof.theta.tobytes() not in path:
                     batch.outcomes[i] = bad
             return batch
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(radial, "_flag_march", faulty)
+            patch.setattr(radial, "_march", faulty)
             search = radial.threshold_search(*SEARCH_SETUP, *bracket)
         assert search.runs == tuple(runs)
         assert (search.lo, search.hi) == (lo, hi)
 
     def test_exception_on_the_path_is_raised(self, monkeypatch):
         # amp_hi's profile gets a mismatched end, so it fails the boundary
-        # check, as it does for run_radial_flag
+        # check, as it does for run_radial
         bump = RadialProfile.sine_bump
 
         def mismatched(cls, R0, R1, nr, amplitude):

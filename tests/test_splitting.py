@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import trace_ode_closed_form_2d
 from scipy.ndimage import convolve1d
 
 from qflow.energy import LdGParams
 from qflow import splitting
 from qflow.pde2d import UnstableStepError
-from qflow.qtensor import QTensor2, QTensor3, eigvals_traceless_sym3, physical_interval
+from qflow.qtensor import QTensor2, eigvals_traceless_sym3, physical_interval
 from qflow.splitting import (
     EigenPair,
     PeriodicField,
@@ -25,7 +26,6 @@ from qflow.splitting import (
     make_hull_spanning_field,
     make_smooth_physical_field,
     stationary_pair,
-    trace_ode_closed_form_2d,
     trotter_solve,
 )
 
@@ -55,7 +55,7 @@ class TestHeatKernel:
             heat_kernel_weights(10.0, 1.0, 1.0 / 16, 16)
 
     def test_constant_field_unchanged(self):
-        fld = PeriodicField.constant(32, 1.0 / 32, QTensor2(0.3, -0.1))
+        fld = PeriodicField(np.tile(QTensor2(0.3, -0.1).matrix(), (32, 32, 1, 1)), 1.0 / 32)
         out = heat_step(fld, 1e-3, 1.0)
         assert np.abs(out.data - fld.data).max() < 1e-13
 
@@ -134,16 +134,15 @@ class TestHeatCirculant:
 
 class TestBulkOde:
     def test_zero_fixed_point(self):
-        out = bulk_ode_step(QTensor2(0.0, 0.0), 0.5, P2, 2)
-        assert (out.p, out.q) == (0.0, 0.0)
+        out = bulk_ode_step(QTensor2(0.0, 0.0).matrix(), 0.5, P2, 2)
+        assert np.array_equal(out, np.zeros((2, 2)))
 
     def test_2d_matches_bernoulli_closed_form(self):
-        q0 = QTensor2(math.sqrt(0.5), 0.0)  # |Q|^2 = 1
-        out = q0
+        out = QTensor2(math.sqrt(0.5), 0.0).matrix()  # |Q|^2 = 1
         nsteps, dt = 200, 1.0 / 200
         for _ in range(nsteps):
             out = bulk_ode_step(out, dt, P2, 2)
-        y = 2.0 * (out.p**2 + out.q**2)
+        y = float(np.sum(out * out))
         assert y == pytest.approx(trace_ode_closed_form_2d(1.0, 1.0, 1.0, 1.0), abs=1e-9)
         assert y == pytest.approx(0.0725789, abs=1e-6)
 
@@ -372,7 +371,7 @@ class TestTrotter:
         pair = stationary_pair(P3)
         q0 = np.diag([0.3 * pair.lambda1, 0.5 * pair.lambda2,
                       -0.3 * pair.lambda1 - 0.5 * pair.lambda2])
-        fld = PeriodicField.constant(16, 2 * np.pi / 16, q0)
+        fld = PeriodicField(np.tile(q0, (16, 16, 1, 1)), 2 * np.pi / 16)
         res = trotter_solve(fld, 0.25, 8, P3)
         direct = q0.copy()
         for _ in range(8):
