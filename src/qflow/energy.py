@@ -139,7 +139,9 @@ def bulk_from_traces(t2, params: LdGParams, t3=None):
     For a 2x2 Q, t2 = 2 h2 with h2 = p^2 + q^2 gives a h2 + c h2^2 bit for
     bit: the factors 2, 1/2 and 1/4 are powers of two.
     """
-    val = 0.5 * params.a * t2 + 0.25 * params.c * t2 * t2
+    val = 0.25 * params.c * t2
+    val *= t2
+    val += 0.5 * params.a * t2
     return val if t3 is None else val - params.b * t3 / 3.0
 
 
@@ -176,8 +178,11 @@ def elastic_density(Q, gradQ, params: LdGParams) -> float:
 def trapezoid(f: np.ndarray, d) -> np.ndarray:
     """Trapezoid sum of f along its last axis with spacing d (a scalar, or
     the spacings np.diff of the nodes): np.trapezoid's expression, without
-    its argument handling."""
-    return (d * (f[..., 1:] + f[..., :-1]) / 2.0).sum(-1)
+    its argument handling, formed in one array."""
+    s = f[..., 1:] + f[..., :-1]
+    s *= d
+    s /= 2.0
+    return s.sum(-1)
 
 
 def total_energy(field, params: LdGParams) -> float:

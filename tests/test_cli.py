@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -269,6 +270,25 @@ class TestRunExperiment:
         assert not sup["passed"] and sup["measured"] > sup["tolerance"]
         assert not held["passed"]
         assert not report.passed
+
+    def test_smallness_checks_read_every_step(self, tmp_path, monkeypatch):
+        # a peak max h^2 between records, above the bound, while every
+        # recorded max h^2 stays below it: both checks read FAIL
+        real_run = pde2d.run
+
+        def peaked(*args, **kwargs):
+            trace = real_run(*args, **kwargs)
+            return dataclasses.replace(trace, peak_h2=4.0 * trace.small_cap)
+
+        monkeypatch.setattr(pde2d, "run", peaked)
+        cfg = parse_config(_edited("smallness", {"nx = 64": "nx = 16", "ny = 64": "ny = 16",
+                                                 "T = 5": "T = 0.05"}))
+        report = run_experiment(cfg, str(tmp_path), emit_svg=False)
+        sup, held = report.summary["checks"]
+        assert not sup["passed"] and sup["measured"] > sup["tolerance"]
+        assert not held["passed"] and not report.passed
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert rows and all(r.endswith(",1") for r in rows)
 
     def test_blowup_flag_fails_without_the_quench(self, tmp_path):
         # negative control: the shipped blowup data at a = 0 never reach

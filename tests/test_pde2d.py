@@ -640,3 +640,114 @@ class TestContinuousDependence:
         trace = run(base, self.params, T, dt, record_every=3)
         for name in ("energy", "max_h2", "l2_q", "smallness"):
             assert np.array_equal(getattr(res, name), getattr(trace, name))
+
+
+class TestShared:
+    """One _Shared per record: the energy, the RHS and the L2 norm read it
+    with the bits of their standalone calls."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(nx=st.integers(3, 40), ny=st.integers(3, 40),
+           hx=st.floats(0.01, 2.0), hy=st.floats(0.01, 2.0),
+           L4=st.sampled_from([0.0, 0.7, -1.3]),
+           layout=st.sampled_from(["C", "fortran", "view"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_shared_reads_equal_standalone_calls(self, nx, ny, hx, hy, L4, layout, seed):
+        if hx == hy:
+            hy = 1.5 * hx
+        rng = np.random.default_rng(seed)
+        grid = Grid2D(nx=nx, ny=ny, hx=hx, hy=hy)
+        p, q = (laid_out(rng.standard_normal((nx + 2, ny + 2)), layout) for _ in range(2))
+        fld = Field2D(grid, p, q)
+        params = coercive_params(a=rng.normal(), c=0.5 + rng.random(), L2=0.2, L3=-0.1, L4=L4)
+        # as run builds it: from the h^2 it took for max h^2
+        shared = pde2d._Shared(fld, L4, p * p + q * q)
+        energy = discrete_energy(fld, params, shared=shared)
+        rhs = rhs_pq(fld, params, shared=shared)
+        l2 = pde2d._l2_norm(grid, shared.t2)
+        assert energy == discrete_energy(fld, params) == strided_energy(fld, params)
+        for got, alone, ref in zip(rhs, rhs_pq(fld, params), strided_rhs(fld, params)):
+            assert got.shape == (nx, ny) and got.tobytes() == alone.tobytes() == ref.tobytes()
+        # the record's t2 is in C order, as every field run steps is
+        pc, qc = np.ascontiguousarray(p), np.ascontiguousarray(q)
+        assert l2 == pde2d._l2_norm(grid, 2.0 * (pc * pc + qc * qc)) == trapezoid_l2(grid, pc, qc)
+
+
+class TestEveryStep:
+    """run tests finiteness and keeps the peak max h^2 on every step, not
+    only on the recorded ones."""
+
+    @staticmethod
+    def _overshoot(L4):
+        # explicit Euler through a quench whose bulk step overshoots the
+        # well: max h^2 peaks at step 4, between the records of
+        # record_every = 7 (steps 0, 7, 14, 20)
+        grid = Grid2D.from_extent(12, 10, 1.0, 0.8)
+        params = LdGParams(a=-60.0, b=0.0, c=100.0, L1=0.01, L2=0.0, L3=0.0, L4=L4)
+        return smooth_random_field(grid, 0.3, seed=9), params
+
+    def test_peak_between_records(self):
+        f0, params = self._overshoot(0.00549)
+        every = run(f0, params, 0.2, 0.01, scheme="explicit-euler")
+        sparse = run(f0, params, 0.2, 0.01, scheme="explicit-euler", record_every=7)
+        assert int(np.argmax(every.max_h2)) == 4 and np.allclose(sparse.t, [0.0, 0.07, 0.14, 0.2])
+        assert sparse.peak_h2 == every.peak_h2 == every.max_h2.max()
+        assert sparse.max_h2.max() < sparse.peak_h2
+        # L4 puts the flag's cap between the recorded maxima and the peak
+        assert sparse.max_h2.max() < sparse.small_cap < sparse.peak_h2
+        assert np.all(sparse.smallness) and not sparse.smallness_held()
+        assert not every.smallness_held()
+
+    def test_overflowing_square_of_a_finite_value(self):
+        # one explicit step multiplies the field by about 1e159: p stays
+        # finite, p^2 overflows, and the run stops on the threshold, not as
+        # non-finite
+        grid = Grid2D.from_extent(16, 16, 1.0, 1.0)
+        f0 = smooth_random_field(grid, 0.5, seed=7)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run(f0, coercive_params(a=-1e159), 100.0, 1.0, scheme="explicit-euler")
+        assert trace.stop == Stop(STOP_THRESHOLD, 1.0, 1)
+        final = trace.final_field
+        assert np.all(np.isfinite(final.p)) and np.all(np.isfinite(final.q))
+        assert math.isinf(trace.max_h2[-1]) and trace.peak_h2 == math.inf
+        assert list(trace.t) == [0.0, 1.0]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("record_every", [1, 2])
+    def test_nan_from_the_rhs_stops_non_finite(self, monkeypatch, scheme, record_every):
+        # the k-th rhs_pq call feeds step k, recorded or not; a NaN in it
+        # stops the run at step k with the field of step k - 1
+        grid = Grid2D.from_extent(12, 9, 1.0, 0.8)
+        params = coercive_params(a=0.3, L4=0.5)
+        f0 = smooth_random_field(grid, 0.2, seed=9)
+        dt = stability_dt(grid, params) / 2
+        calls = []
+        real = pde2d.rhs_pq
+
+        def poisoned(*args, **kwargs):
+            dp, dq = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 4:
+                dq[2, 3] = np.nan
+            return dp, dq
+
+        monkeypatch.setattr(pde2d, "rhs_pq", poisoned)
+        with np.errstate(invalid="ignore"):
+            trace = run(f0, params, 10 * dt, dt, scheme=scheme, record_every=record_every)
+        monkeypatch.undo()
+        assert trace.stop == Stop(STOP_NONFINITE, 4 * dt, 4)
+        fields = [f0]
+        for _ in range(3):
+            fields.append(step(fields[-1], dt, params, scheme))
+        assert trace.final_field.p.tobytes() == fields[-1].p.tobytes()
+        assert trace.final_field.q.tobytes() == fields[-1].q.tobytes()
+        assert trace.peak_h2 == max(f.max_h2() for f in fields)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_step_raises_on_a_nan(self, scheme):
+        grid = Grid2D.from_extent(8, 8, 1.0, 1.0)
+        fld = smooth_random_field(grid, 0.3, seed=8)
+        fld.p[3, 4] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(UnstableStepError):
+                step(fld, 1e-3, coercive_params(L4=0.5), scheme)
