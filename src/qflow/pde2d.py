@@ -171,8 +171,10 @@ class Field2D:
 
 def _l2_norm(grid: Grid2D, t2: np.ndarray) -> float:
     """||Q||_L2 by trapezoidal quadrature of the nodal t2 = tr(Q^2) = 2 h2,
-    h2 = p^2 + q^2, along each axis."""
-    val = trapezoid(trapezoid(t2, grid.hy), grid.hx)
+    h2 = p^2 + q^2, along each axis.  The sums run over a C-order array (a
+    copy only when t2 is in another layout), so no bit depends on t2's
+    memory layout."""
+    val = trapezoid(trapezoid(np.ascontiguousarray(t2), grid.hy), grid.hx)
     return math.sqrt(max(float(val), 0.0))
 
 

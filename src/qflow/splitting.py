@@ -159,19 +159,31 @@ _FREE = {d: pairs[: d - 1] + pairs[d:] for d, pairs in _PAIRS.items()}
 
 
 def _entries(Q: np.ndarray, d: int) -> list:
-    """The independent entries q[i][j] = Q[..., j, i] in _PAIRS[d] order,
-    read from the lower triangle (as LAPACK eigvalsh reads it): Python
-    floats for one matrix, contiguous planes over the leading axes for a
-    batch."""
-    q = Q.T.tolist() if Q.ndim == 2 else np.asfortranarray(Q).T
+    """The independent entries q[i][j] = Q[j, i] of one d x d matrix in
+    _PAIRS[d] order, as Python floats, read from the lower triangle (as
+    LAPACK eigvalsh reads it)."""
+    q = Q.T.tolist()
     return [q[i][j] for i, j in _PAIRS[d]]
 
 
-def _assemble(x: list, shape: tuple) -> np.ndarray:
+def _stack_entries(Q: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
+    """Write the independent entries of the (..., d, d) array Q, read as
+    _entries reads them, into the rows of the (k, N) stack out; row p holds
+    Q.T[i, j] flattened, a contiguous copy for Fortran-order Q."""
+    rows = out.reshape(out.shape[:1] + Q.shape[-3::-1])
+    for p, (i, j) in enumerate(_PAIRS[d]):
+        rows[p] = Q.T[i, j]
+    return out
+
+
+def _assemble(x, shape: tuple) -> np.ndarray:
     """The exactly symmetric (..., d, d) array, in Fortran order (contiguous
-    planes), whose entries in _PAIRS[d] order are x."""
+    planes), whose entries in _PAIRS[d] order are x: a list of floats or of
+    planes, or a (k, N) stack of flattened planes as _stack_entries writes."""
     out = np.empty(shape, order="F")
     o = out.T
+    if isinstance(x, np.ndarray):
+        x = x.reshape(x.shape[:1] + o.shape[2:])
     for (i, j), v in zip(_PAIRS[shape[-1]], x):
         o[i, j] = o[j, i] = v
     return out
@@ -208,15 +220,31 @@ def heat_step(field: PeriodicField, dt: float, L1: float) -> PeriodicField:
     return PeriodicField(_assemble(x, field.data.shape), field.h)
 
 
-def bulk_ode_rhs(Q, params: LdGParams, d: int):
+def bulk_ode_rhs(Q, params: LdGParams, d: int, *, out=None, scratch=None):
     """-a Q + b (Q^2 - tr(Q^2)/d I) - c Q tr(Q^2); b dropped for d = 2 where
     the matrix combination vanishes structurally (tr(Q^3) = 0).
 
-    One formula on the list of independent entries that _entries reads, and
-    the rates come back as such a list.  A (..., d, d) array is also taken:
-    its lower triangle is read, and the rates come back as an exactly
-    symmetric array in Fortran order."""
-    x = Q if isinstance(Q, list) else _entries(np.asarray(Q, dtype=float), d)
+    Takes the list of independent entries of one matrix that _entries reads,
+    and gives the rates back as such a list.  With out, Q is a (k, N) stack
+    of entries as _stack_entries writes them: the rates are written into the
+    (k, N) array out and the intermediates into the (_SCRATCH[d], N) array
+    scratch.  A (..., d, d) array is also taken: its lower triangle is read,
+    and the rates come back as an exactly symmetric array in Fortran order.
+    Every path gives each entry the bits of the list path."""
+    if out is not None:
+        return _stack_rhs(Q, params, d, out, scratch)
+    if isinstance(Q, list):
+        return _list_rhs(Q, params, d)
+    arr = np.asarray(Q, dtype=float)
+    if arr.ndim == 2:
+        return _assemble(_list_rhs(_entries(arr, d), params, d), arr.shape)
+    x = _stack_entries(arr, d, np.empty((len(_PAIRS[d]), arr.size // (d * d))))
+    return _assemble(_stack_rhs(x, params, d, np.empty_like(x),
+                                np.empty((_SCRATCH[d], x.shape[1]))), arr.shape)
+
+
+def _list_rhs(x: list, params: LdGParams, d: int) -> list:
+    """bulk_ode_rhs on a list of entries, one Python operation per value."""
     # diagonal of Q^2, whose sum is tr(Q^2)
     if d == 2:
         q11, q22, q12 = x
@@ -238,7 +266,57 @@ def bulk_ode_rhs(Q, params: LdGParams, d: int):
             q23 * (q22 + q33) + q12 * q13,
         ]
         rhs = [v + params.b * w for v, w in zip(rhs, dev)]
-    return rhs if isinstance(Q, list) else _assemble(rhs, np.shape(Q))
+    return rhs
+
+
+# Scratch planes of _stack_rhs: Q^2's diagonal, s12 and tr(Q^2) for d = 2;
+# for d = 3 the six entries of Q^2 - tr(Q^2)/3 I, three squares or products,
+# tr(Q^2) and tr(Q^2)/3.
+_SCRATCH = {2: 4, 3: 11}
+
+
+def _stack_rhs(x: np.ndarray, params: LdGParams, d: int, out: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
+    """bulk_ode_rhs on a (k, N) stack, every ufunc writing into out or
+    scratch.  Each value is formed by the operations of _list_rhs in their
+    order (a + b and b + a round alike, as do a b and b a), so a cell gets
+    the bits the list path gives its matrix."""
+    if d == 2:
+        diag, s12, t2 = scratch[:2], scratch[2], scratch[3]
+        np.multiply(x[2], x[2], out=s12)
+        np.multiply(x[:2], x[:2], out=diag)
+        np.add(diag, s12, out=diag)                # q11^2 + s12, s12 + q22^2
+        np.add(diag[0], diag[1], out=t2)
+    else:
+        dev, sq, t2, t3 = scratch[:6], scratch[6:9], scratch[9], scratch[10]
+        diag = dev[:3]
+        np.multiply(x[3:], x[3:], out=sq)          # s12, s13, s23
+        np.multiply(x[:2], x[:2], out=diag[:2])
+        np.add(diag[:2], sq[0], out=diag[:2])      # q11^2 + s12, s12 + q22^2
+        np.add(diag[:2], sq[1:], out=diag[:2])     # + s13, + s23
+        np.add(sq[1], sq[2], out=diag[2])          # s13 + s23
+        np.multiply(x[2], x[2], out=t2)
+        np.add(diag[2], t2, out=diag[2])           # + q33^2
+        np.add(diag[0], diag[1], out=t2)
+        np.add(t2, diag[2], out=t2)
+    b_term = d == 3 and params.b != 0.0
+    if b_term:
+        np.divide(t2, 3.0, out=t3)
+    s = np.multiply(t2, params.c, out=t2)
+    np.subtract(-params.a, s, out=s)               # -a - c tr(Q^2)
+    np.multiply(x, s, out=out)
+    if b_term:
+        np.subtract(diag, t3, out=diag)
+        off = dev[3:]
+        np.add(x[:2], x[1:3], out=off[::2])        # q11 + q22, q22 + q33
+        np.add(x[0], x[2], out=off[1])             # q11 + q33
+        np.multiply(x[3:], off, out=off)           # q12 (q11 + q22), q13 (..), q23 (..)
+        np.multiply(x[3:5], x[5], out=sq[1::-1])   # q13 q23, q12 q23 (reversed)
+        np.multiply(x[3], x[4], out=sq[2])         # q12 q13
+        np.add(off, sq, out=off)
+        np.multiply(dev, params.b, out=dev)
+        np.add(out, dev, out=out)
+    return out
 
 
 def bulk_rate_bound(params: LdGParams, nrm: float) -> float:
@@ -273,7 +351,12 @@ def bulk_ode_step(Q, dt: float, params: LdGParams, d: int) -> np.ndarray:
     array Q (6 for 3x3, 3 for 2x2), read once from its lower triangle.  The
     result is exactly symmetric; its trace stays zero up to roundoff, as the
     last diagonal entry is evolved on its own.  Substeps keep dt (|a| + b|Q| + c|Q|^2)
-    <= 0.1; a rate that overflows raises UnstableStepError."""
+    <= 0.1; a rate that overflows raises UnstableStepError.
+
+    One matrix runs on Python floats.  A field runs on one (k, N) stack of
+    its entries in a workspace allocated once per step: every ufunc writes
+    into it, and the stage sum accumulates k1 + 2 k2 + 2 k3 + k4 left to
+    right, as the list form does, so each cell keeps the bits of its matrix."""
     if d not in (2, 3):
         raise ValueError("d must be 2 or 3")
     arr = np.asarray(Q, dtype=float)
@@ -281,7 +364,29 @@ def bulk_ode_step(Q, dt: float, params: LdGParams, d: int) -> np.ndarray:
         raise ValueError(f"expected trailing {d}x{d} blocks")
     nrm = float(np.sqrt(np.einsum("...ij,...ij->...", arr, arr).max())) if arr.size else 0.0
     nsub = _substeps(dt, bulk_rate_bound(params, nrm))
-    x = _rk4(lambda y: bulk_ode_rhs(y, params, d), _entries(arr, d), dt / nsub, nsub)
+    h = dt / nsub
+    if arr.ndim == 2:
+        return _assemble(_rk4(lambda y: bulk_ode_rhs(y, params, d), _entries(arr, d), h, nsub),
+                         arr.shape)
+    k, n = len(_PAIRS[d]), arr.size // (d * d)
+    work = np.empty((4 * k + _SCRATCH[d], n))
+    # the entries, the stage input, the stage rate and the stage sum
+    x, y, r, acc = work[:4 * k].reshape(4, k, n)
+    scratch = work[4 * k:]
+    _stack_entries(arr, d, x)
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(nsub):
+        bulk_ode_rhs(x, params, d, out=acc, scratch=scratch)    # k1 starts the sum
+        for stage, c in enumerate((half, half, h)):
+            np.multiply(r if stage else acc, c, out=y)
+            np.add(x, y, out=y)                                 # x + c k
+            if stage:                                           # + 2 k2, + 2 k3
+                np.multiply(r, 2.0, out=r)
+                np.add(acc, r, out=acc)
+            bulk_ode_rhs(y, params, d, out=r, scratch=scratch)
+        np.add(acc, r, out=acc)                                 # + k4
+        np.multiply(acc, sixth, out=acc)
+        np.add(x, acc, out=x)
     return _assemble(x, arr.shape)
 
 

@@ -141,7 +141,8 @@ def strided_energy(field, params):
 
 
 def trapezoid_l2(grid, p, q):
-    h2 = 2.0 * (p * p + q * q)
+    # np.trapezoid sums in memory order; a C-order copy fixes the order
+    h2 = np.ascontiguousarray(2.0 * (p * p + q * q))
     return math.sqrt(max(float(
         np.trapezoid(np.trapezoid(h2, dx=grid.hy, axis=1), dx=grid.hx, axis=0)), 0.0))
 
@@ -671,6 +672,31 @@ class TestShared:
         # the record's t2 is in C order, as every field run steps is
         pc, qc = np.ascontiguousarray(p), np.ascontiguousarray(q)
         assert l2 == pde2d._l2_norm(grid, 2.0 * (pc * pc + qc * qc)) == trapezoid_l2(grid, pc, qc)
+
+
+class TestL2Layout:
+    """The L2 norm and field_distance sum over a C-order array, so no bit
+    depends on the memory layout of the arrays they are given."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(nx=st.integers(3, 40), ny=st.integers(3, 40),
+           hx=st.floats(0.01, 2.0), hy=st.floats(0.01, 2.0),
+           layout=st.sampled_from(["fortran", "view"]),
+           seed=st.integers(0, 2**32 - 1))
+    # Fortran order, where numpy sums in memory order: both were one ulp
+    # off the C-order result
+    @example(nx=35, ny=27, hx=1.0, hy=1.0, layout="fortran", seed=27)
+    def test_same_bits_in_every_layout(self, nx, ny, hx, hy, layout, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid2D(nx=nx, ny=ny, hx=hx, hy=hy)
+        t2 = rng.random((nx + 2, ny + 2))
+        assert pde2d._l2_norm(grid, laid_out(t2, layout)) == pde2d._l2_norm(grid, t2)
+        p, q, r, s = (rng.standard_normal((nx + 2, ny + 2)) for _ in range(4))
+
+        def distance(lay):
+            return field_distance(Field2D(grid, lay(p), lay(q)), Field2D(grid, lay(r), lay(s)))
+
+        assert distance(lambda a: laid_out(a, layout)) == distance(lambda a: a)
 
 
 class TestEveryStep:

@@ -1,5 +1,7 @@
 import math
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -258,6 +260,51 @@ class TestEntrywiseKernels:
         d1, d2 = eigen_ode_rhs(EigenPair(l1, l2), P3)
         for i in range(50):
             assert (d1[i], d2[i]) == eigen_ode_rhs(EigenPair(float(l1[i]), float(l2[i])), P3)
+
+
+class TestStackedBulkStep:
+    """A field's bulk step runs RK4 on one stack of its entries in a
+    workspace; a single matrix runs on Python floats."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(d=st.sampled_from([2, 3]), with_b=st.booleans(), nsub=st.integers(1, 3),
+           layout=st.sampled_from(["C", "fortran"]),
+           grid=st.sampled_from([(0, 0), (3, 0), (1, 1), (7,), (3, 5), (6, 6)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_cell_has_the_bits_of_its_matrix(self, d, with_b, nsub, layout, grid, seed):
+        rng = np.random.default_rng(seed)
+        # not symmetric: both paths read the lower triangle
+        data = rng.normal(size=grid + (d, d)) * rng.uniform(0.05, 1.0)
+        if layout == "fortran":
+            data = np.asfortranarray(data)
+        params = LdGParams(a=rng.uniform(-2.0, 2.0), b=rng.uniform(0.5, 4.0) if with_b else 0.0,
+                           c=rng.uniform(0.1, 2.0), L1=1.0, L2=0.0, L3=0.0, L4=0.0)
+        dt = rng.uniform(0.01, 0.2)
+        # both paths run the same number of substeps
+        with mock.patch.object(splitting, "_substeps", lambda T, rate: nsub):
+            out = bulk_ode_step(data, dt, params, d)
+            rhs = bulk_ode_rhs(data, params, d)
+            assert out.shape == rhs.shape == data.shape
+            for cell in np.ndindex(grid):
+                assert out[cell].tobytes() == bulk_ode_step(data[cell], dt, params, d).tobytes()
+                assert rhs[cell].tobytes() == bulk_ode_rhs(data[cell], params, d).tobytes()
+
+    def test_peak_memory_does_not_grow_with_substeps(self):
+        # the shipped trotter-convergence field, at the step size of n = 64
+        data = make_hull_spanning_field(64, 2.0 * math.pi / 64, P3, 3).data
+        peaks = []
+        for nsub in (1, 3, 48):
+            with mock.patch.object(splitting, "_substeps", lambda T, rate: nsub):
+                bulk_ode_step(data, 0.25 / 64, P3, 3)
+                tracemalloc.start()
+                try:
+                    bulk_ode_step(data, 0.25 / 64, P3, 3)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks) - min(peaks) <= 16 * 1024
+        # the workspace, the result and the norms: under 48 planes of 32 KB
+        assert max(peaks) < 48 * data[..., 0, 0].nbytes
 
 
 class TestTraceOdeClosedForm:
