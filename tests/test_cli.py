@@ -314,6 +314,31 @@ class TestRunExperiment:
         assert report.summary["results"]["y0"] > radial.BLOWUP_Y_THRESHOLD
         assert not report.passed
 
+    @pytest.mark.parametrize("broken", [False, True], ids=["plain", "rotated-output"])
+    def test_physicality_equivariance_fails_on_a_step_that_rotates(self, tmp_path, monkeypatch,
+                                                                   broken):
+        # negative control: a bulk step that turns each output block by a
+        # fixed rotation of 1e-6 rad no longer commutes with rotations
+        real_step = cli.bulk_ode_step
+        c, s = math.cos(1e-6), math.sin(1e-6)
+        turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+        def rotated(Q, dt, params, d):
+            return turn @ real_step(Q, dt, params, d) @ turn.T
+
+        if broken:
+            monkeypatch.setattr(cli, "bulk_ode_step", rotated)
+        cfg = parse_config(_edited("physicality", {"T = 10": "T = 1", "n_grid = 20": "n_grid = 8"}))
+        report = run_experiment(cfg, str(tmp_path), emit_svg=False)
+        equi = report.summary["checks"][2]
+        assert equi["name"] == "O(3)-equivariance of the bulk flow"
+        assert equi["measured"] == report.summary["results"]["equivariance_error"]
+        assert equi["passed"] is not broken and report.passed is not broken
+        if broken:
+            assert equi["measured"] > 1e-7
+        else:
+            assert equi["measured"] <= 1e-14
+
     @pytest.mark.parametrize("mutate, d", [
         # the weights sum to 1.05; up to 1 + 2e-2 on this grid (and at 1 + 1e-6)
         # the check reads PASS, as each heat step lowers the hull's peak more

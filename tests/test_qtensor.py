@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -142,6 +143,38 @@ class TestEigenvalues:
         assert lam[0, 0] == pytest.approx([-3.0, 1.0, 2.0], abs=1e-14)
         assert lam[0, 1] == pytest.approx([-1e-95, 0.0, 1e-95], abs=1e-109)
         assert (lam[3, 3] == 0.0).all()
+
+    @staticmethod
+    def pinned_batch():
+        """A fixed batch of 3x3 blocks, not exactly symmetric: random and
+        rotated uniaxial (double-root) blocks, exact double roots, zero
+        blocks, inf and NaN entries, and blocks scaled by 1e-120 and 1e120."""
+        rng = np.random.default_rng(2606)
+        m = rng.normal(size=(96, 3, 3))
+        m[:, 2, 2] = -(m[:, 0, 0] + m[:, 1, 1])
+        for k in range(16):
+            R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            m[k] = R @ np.diag([-1.0, -1.0, 2.0] if k % 2 else [1.0, 1.0, -2.0]) @ R.T
+        m[16] = np.diag([0.5, 0.5, -1.0])
+        m[17] = np.diag([-0.25, 0.5, -0.25])
+        m[18:21] = 0.0
+        m[21, 1, 0] = np.inf
+        m[22, 2, 2] = -np.inf
+        m[23, 2, 1] = np.nan
+        m[24:32] *= 1e-120
+        m[32:40] *= 1e120
+        return m
+
+    def test_output_bytes_pinned(self):
+        # the bits of every path: a batch in C and in Fortran order, a grid
+        # of blocks, and single blocks, the redone ones among them
+        m = self.pinned_batch()
+        outs = [eigvals_traceless_sym3(m), eigvals_traceless_sym3(np.asfortranarray(m)),
+                eigvals_traceless_sym3(m.reshape(8, 12, 3, 3)),
+                *(eigvals_traceless_sym3(m[k]) for k in (0, 16, 18, 21, 30, 50))]
+        assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+        digest = hashlib.sha256(b"".join(out.tobytes() for out in outs)).hexdigest()
+        assert digest == "137337d18e60763eb5ec74132346da7cee03fba49e3171790c16594656c4ce17"
 
     def test_sum_to_zero(self):
         rng = np.random.default_rng(4)

@@ -5,8 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import trace_ode_closed_form_2d
 from scipy.ndimage import convolve1d
 
@@ -263,14 +264,19 @@ class TestEntrywiseKernels:
 
 
 class TestStackedBulkStep:
-    """A field's bulk step runs RK4 on one stack of its entries in a
-    workspace; a single matrix runs on Python floats."""
+    """The bulk step runs RK4 on one stack of a field's entries in a
+    workspace; each cell keeps the bits that the list form gives its matrix."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(d=st.sampled_from([2, 3]), with_b=st.booleans(), nsub=st.integers(1, 3),
            layout=st.sampled_from(["C", "fortran"]),
-           grid=st.sampled_from([(0, 0), (3, 0), (1, 1), (7,), (3, 5), (6, 6)]),
+           grid=st.sampled_from([(), (0, 0), (3, 0), (1, 1), (7,), (3, 5), (6, 6)]),
            seed=st.integers(0, 2**32 - 1))
+    @example(d=3, with_b=True, nsub=3, layout="fortran", grid=(3, 5), seed=1)
+    @example(d=3, with_b=False, nsub=2, layout="C", grid=(), seed=2)
+    @example(d=2, with_b=True, nsub=1, layout="fortran", grid=(6, 6), seed=3)
+    @example(d=2, with_b=False, nsub=3, layout="C", grid=(7,), seed=4)
+    @example(d=3, with_b=True, nsub=1, layout="C", grid=(0, 0), seed=5)
     def test_each_cell_has_the_bits_of_its_matrix(self, d, with_b, nsub, layout, grid, seed):
         rng = np.random.default_rng(seed)
         # not symmetric: both paths read the lower triangle
@@ -280,14 +286,16 @@ class TestStackedBulkStep:
         params = LdGParams(a=rng.uniform(-2.0, 2.0), b=rng.uniform(0.5, 4.0) if with_b else 0.0,
                            c=rng.uniform(0.1, 2.0), L1=1.0, L2=0.0, L3=0.0, L4=0.0)
         dt = rng.uniform(0.01, 0.2)
-        # both paths run the same number of substeps
+        # the stack runs the oracle's number of substeps
         with mock.patch.object(splitting, "_substeps", lambda T, rate: nsub):
             out = bulk_ode_step(data, dt, params, d)
-            rhs = bulk_ode_rhs(data, params, d)
-            assert out.shape == rhs.shape == data.shape
-            for cell in np.ndindex(grid):
-                assert out[cell].tobytes() == bulk_ode_step(data[cell], dt, params, d).tobytes()
-                assert rhs[cell].tobytes() == bulk_ode_rhs(data[cell], params, d).tobytes()
+        rhs = bulk_ode_rhs(data, params, d)
+        assert out.shape == rhs.shape == data.shape
+        for cell in np.ndindex(grid):
+            step = oracles.list_bulk_step(data[cell], dt, params, d, nsub)
+            assert out[cell].tobytes() == step.tobytes()
+            rates = oracles.list_bulk_rhs(oracles.entries(data[cell], d), params, d)
+            assert rhs[cell].tobytes() == oracles.symmetric_from_entries(rates, d).tobytes()
 
     def test_peak_memory_does_not_grow_with_substeps(self):
         # the shipped trotter-convergence field, at the step size of n = 64
@@ -305,6 +313,34 @@ class TestStackedBulkStep:
         assert max(peaks) - min(peaks) <= 16 * 1024
         # the workspace, the result and the norms: under 48 planes of 32 KB
         assert max(peaks) < 48 * data[..., 0, 0].nbytes
+
+
+class TestEigenOdeIntegrate:
+    """The eigenvalue pair runs RK4 in place in one workspace per call; each
+    pair keeps the bits that the list form of its rates gives it."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(shape=st.sampled_from([(), (1,), (6,), (3, 4), (2, 1, 3)]),
+           form=st.sampled_from(["array", "list", "fortran"]), with_b=st.booleans(),
+           nsub=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(), form="list", with_b=True, nsub=3, seed=1)
+    @example(shape=(3, 4), form="fortran", with_b=True, nsub=2, seed=2)
+    @example(shape=(6,), form="array", with_b=False, nsub=4, seed=3)
+    @example(shape=(1,), form="list", with_b=False, nsub=1, seed=4)
+    def test_each_pair_has_the_bits_of_the_list_form(self, shape, form, with_b, nsub, seed):
+        rng = np.random.default_rng(seed)
+        l1, l2 = rng.uniform(-0.8, 0.8, size=(2,) + shape)
+        params = LdGParams(a=rng.uniform(-2.0, 2.0), b=rng.uniform(0.5, 4.0) if with_b else 0.0,
+                           c=rng.uniform(0.1, 2.0), L1=1.0, L2=0.0, L3=0.0, L4=0.0)
+        T = rng.uniform(0.005, 0.05)
+        args = {"array": (l1, l2), "list": (l1.tolist(), l2.tolist()),
+                "fortran": (np.array(l1, order="F"), np.array(l2, order="F"))}[form]
+        with mock.patch.object(splitting, "_substeps", lambda T, rate: nsub):
+            o1, o2 = eigen_ode_integrate(*args, params, T)
+        assert np.shape(o1) == np.shape(o2) == shape
+        for idx in np.ndindex(shape):
+            r1, r2 = oracles.list_eigen_integrate(float(l1[idx]), float(l2[idx]), params, T, nsub)
+            assert struct.pack("dd", o1[idx], o2[idx]) == struct.pack("dd", r1, r2)
 
 
 class TestTraceOdeClosedForm:
