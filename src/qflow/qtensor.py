@@ -93,6 +93,10 @@ def traceless_j2(mt: np.ndarray) -> np.ndarray:
     return 0.5 * (a * a + b * b + c * c) + (d * d + e * e + f * f)
 
 
+# The shifts 2 pi k / 3 of the trigonometric roots, k = 2, 1, 0
+_ROOT_SHIFTS = np.array([2.0 * np.pi * k / 3.0 for k in (2, 1, 0)])
+
+
 def eigvals_traceless_sym3(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of traceless symmetric 3x3 matrices, ascending.
 
@@ -118,30 +122,33 @@ def eigvals_traceless_sym3(m: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         j2 = traceless_j2(mt)
         j3 = a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e)
-        u = np.sqrt(np.maximum(j2, 0.0) / 3.0)
-        # cos(3 theta) = J3 / (2 u^3); clip guards roundoff at the extremal cases
-        arg = np.where(u > 0.0, j3 / np.maximum(2.0 * u**3, 1e-300), 0.0)
-        theta = np.arccos(np.clip(arg, -1.0, 1.0)) / 3.0
-        two_u = np.where(u > 0.0, 2.0 * u, 0.0)
-        lam = np.empty((3,) + np.shape(u))
-        for i, k in enumerate((2, 1, 0)):
-            # + 0.0 turns the -0.0 of a zero matrix into 0.0
-            lam[i] = two_u * np.cos(theta - 2.0 * np.pi * k / 3.0) + 0.0
+        # j2 is a sum of squares: +0.0 or more, or NaN
+        u = np.sqrt(j2 / 3.0)
+        nonzero = u > 0.0
+        # cos(3 theta) = J3 / (2 u^3); the bounds guard roundoff at the extremal cases
+        arg = np.where(nonzero, j3 / np.maximum(2.0 * u**3, 1e-300), 0.0)
+        theta = np.arccos(np.minimum(np.maximum(arg, -1.0), 1.0)) / 3.0
+        two_u = np.where(nonzero, 2.0 * u, 0.0)
+        # the roots for k = 2, 1, 0 as one (3, ...) pass; + 0.0 turns the
+        # -0.0 of a zero matrix into 0.0
+        lam = np.cos(theta - _ROOT_SHIFTS.reshape((3,) + (1,) * theta.ndim))
+        np.multiply(two_u, lam, out=lam)
+        np.add(lam, 0.0, out=lam)
+        gap = np.minimum(lam[1] - lam[0], lam[2] - lam[1])
         lam, u = lam.T, u.T
-        gap = np.minimum(lam[..., 1] - lam[..., 0], lam[..., 2] - lam[..., 1])
-    near_double = (gap < 1e-4 * u) & (u > 0.0)
+    near_double = (gap.T < 1e-4 * u) & nonzero.T
     # u**3 and det(m) leave the normal float range unless 1e-90 <= u <= 1e90
     # (u even underflows to 0 for a nonzero m below ~1e-154), so finite
     # nonzero matrices of such a scale are recomputed too; an inf or NaN
     # entry makes u inf or NaN, and its eigenvalues NaN
     off_scale = ~((u >= 1e-90) & (u <= 1e90))
-    if np.any(off_scale):
+    if off_scale.any():
         amax = np.abs(m).max(axis=(-2, -1))
         finite = amax < np.inf
         off_scale &= (amax > 0.0) & finite
         lam = np.where(finite[..., None], lam, np.nan)
     redo = near_double | off_scale
-    if np.any(redo):
+    if redo.any():
         if lam.ndim == 1:
             return np.linalg.eigvalsh(m)
         lam[redo] = np.linalg.eigvalsh(m[redo])

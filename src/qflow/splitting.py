@@ -158,18 +158,11 @@ _PAIRS = {2: ((0, 0), (1, 1), (0, 1)), 3: ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2
 _FREE = {d: pairs[: d - 1] + pairs[d:] for d, pairs in _PAIRS.items()}
 
 
-def _entries(Q: np.ndarray, d: int) -> list:
-    """The independent entries q[i][j] = Q[j, i] of one d x d matrix in
-    _PAIRS[d] order, as Python floats, read from the lower triangle (as
-    LAPACK eigvalsh reads it)."""
-    q = Q.T.tolist()
-    return [q[i][j] for i, j in _PAIRS[d]]
-
-
 def _stack_entries(Q: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
-    """Write the independent entries of the (..., d, d) array Q, read as
-    _entries reads them, into the rows of the (k, N) stack out; row p holds
-    Q.T[i, j] flattened, a contiguous copy for Fortran-order Q."""
+    """Write the independent entries of the (..., d, d) array Q, read from
+    its lower triangle (as LAPACK eigvalsh reads it), into the rows of the
+    (k, N) stack out; row p holds Q.T[i, j] flattened, a contiguous copy for
+    Fortran-order Q."""
     rows = out.reshape(out.shape[:1] + Q.shape[-3::-1])
     for p, (i, j) in enumerate(_PAIRS[d]):
         rows[p] = Q.T[i, j]
@@ -178,8 +171,8 @@ def _stack_entries(Q: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
 
 def _assemble(x, shape: tuple) -> np.ndarray:
     """The exactly symmetric (..., d, d) array, in Fortran order (contiguous
-    planes), whose entries in _PAIRS[d] order are x: a list of floats or of
-    planes, or a (k, N) stack of flattened planes as _stack_entries writes."""
+    planes), whose entries in _PAIRS[d] order are x: a list of planes, or a
+    (k, N) stack of flattened planes as _stack_entries writes."""
     out = np.empty(shape, order="F")
     o = out.T
     if isinstance(x, np.ndarray):
@@ -224,49 +217,17 @@ def bulk_ode_rhs(Q, params: LdGParams, d: int, *, out=None, scratch=None):
     """-a Q + b (Q^2 - tr(Q^2)/d I) - c Q tr(Q^2); b dropped for d = 2 where
     the matrix combination vanishes structurally (tr(Q^3) = 0).
 
-    Takes the list of independent entries of one matrix that _entries reads,
-    and gives the rates back as such a list.  With out, Q is a (k, N) stack
-    of entries as _stack_entries writes them: the rates are written into the
-    (k, N) array out and the intermediates into the (_SCRATCH[d], N) array
-    scratch.  A (..., d, d) array is also taken: its lower triangle is read,
-    and the rates come back as an exactly symmetric array in Fortran order.
-    Every path gives each entry the bits of the list path."""
+    With out, Q is a (k, N) stack of entries as _stack_entries writes them:
+    the rates are written into the (k, N) array out and the intermediates
+    into the (_SCRATCH[d], N) array scratch.  Otherwise Q is a (..., d, d)
+    array, one matrix or a field: its lower triangle is read, and the rates
+    come back as an exactly symmetric array in Fortran order."""
     if out is not None:
         return _stack_rhs(Q, params, d, out, scratch)
-    if isinstance(Q, list):
-        return _list_rhs(Q, params, d)
     arr = np.asarray(Q, dtype=float)
-    if arr.ndim == 2:
-        return _assemble(_list_rhs(_entries(arr, d), params, d), arr.shape)
     x = _stack_entries(arr, d, np.empty((len(_PAIRS[d]), arr.size // (d * d))))
     return _assemble(_stack_rhs(x, params, d, np.empty_like(x),
                                 np.empty((_SCRATCH[d], x.shape[1]))), arr.shape)
-
-
-def _list_rhs(x: list, params: LdGParams, d: int) -> list:
-    """bulk_ode_rhs on a list of entries, one Python operation per value."""
-    # diagonal of Q^2, whose sum is tr(Q^2)
-    if d == 2:
-        q11, q22, q12 = x
-        s12 = q12 * q12
-        diag = [q11 * q11 + s12, s12 + q22 * q22]
-    else:
-        q11, q22, q33, q12, q13, q23 = x
-        s12, s13, s23 = q12 * q12, q13 * q13, q23 * q23
-        diag = [q11 * q11 + s12 + s13, s12 + q22 * q22 + s23, s13 + s23 + q33 * q33]
-    t2 = sum(diag[1:], diag[0])
-    s = -params.a - params.c * t2
-    rhs = [s * v for v in x]
-    if d == 3 and params.b != 0.0:
-        t3 = t2 / 3.0
-        # Q^2 - tr(Q^2)/3 I on the same entries
-        dev = [p - t3 for p in diag] + [
-            q12 * (q11 + q22) + q13 * q23,
-            q13 * (q11 + q33) + q12 * q23,
-            q23 * (q22 + q33) + q12 * q13,
-        ]
-        rhs = [v + params.b * w for v, w in zip(rhs, dev)]
-    return rhs
 
 
 # Scratch planes of _stack_rhs: Q^2's diagonal, s12 and tr(Q^2) for d = 2;
@@ -278,9 +239,9 @@ _SCRATCH = {2: 4, 3: 11}
 def _stack_rhs(x: np.ndarray, params: LdGParams, d: int, out: np.ndarray,
                scratch: np.ndarray) -> np.ndarray:
     """bulk_ode_rhs on a (k, N) stack, every ufunc writing into out or
-    scratch.  Each value is formed by the operations of _list_rhs in their
-    order (a + b and b + a round alike, as do a b and b a), so a cell gets
-    the bits the list path gives its matrix."""
+    scratch.  Each value is formed by one fixed sequence of operations per
+    matrix (a + b and b + a round alike, as do a b and b a), so a cell gets
+    the same bits in a stack of any size or layout."""
     if d == 2:
         diag, s12, t2 = scratch[:2], scratch[2], scratch[3]
         np.multiply(x[2], x[2], out=s12)
@@ -332,17 +293,27 @@ def _substeps(T: float, rate: float) -> int:
     return max(1, int(math.ceil(count)))
 
 
-def _rk4(f, x: list, h: float, nsub: int) -> list:
-    """nsub classical RK4 steps of size h for x' = f(x), where x and f(x)
-    are lists of floats or arrays combined entry by entry."""
+def _rk4(rates, x: np.ndarray, work, h: float, nsub: int) -> np.ndarray:
+    """nsub classical RK4 steps of size h for x' = rates(x), in place on x.
+
+    rates(y, out) writes the rates of y into out; work holds three arrays of
+    x's shape (the stage input, the stage rate and the stage sum), which
+    every ufunc writes into.  The stage sum accumulates k1 + 2 k2 + 2 k3 + k4
+    left to right before x + (h/6) sum."""
+    y, r, acc = work
     half, sixth = 0.5 * h, h / 6.0
     for _ in range(nsub):
-        k1 = f(x)
-        k2 = f([v + half * k for v, k in zip(x, k1)])
-        k3 = f([v + half * k for v, k in zip(x, k2)])
-        k4 = f([v + h * k for v, k in zip(x, k3)])
-        x = [v + sixth * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-             for v, r1, r2, r3, r4 in zip(x, k1, k2, k3, k4)]
+        rates(x, acc)                                           # k1 starts the sum
+        for stage, c in enumerate((half, half, h)):
+            np.multiply(r if stage else acc, c, out=y)
+            np.add(x, y, out=y)                                 # x + c k
+            if stage:                                           # + 2 k2, + 2 k3
+                np.multiply(r, 2.0, out=r)
+                np.add(acc, r, out=acc)
+            rates(y, r)
+        np.add(acc, r, out=acc)                                 # + k4
+        np.multiply(acc, sixth, out=acc)
+        np.add(x, acc, out=x)
     return x
 
 
@@ -351,12 +322,11 @@ def bulk_ode_step(Q, dt: float, params: LdGParams, d: int) -> np.ndarray:
     array Q (6 for 3x3, 3 for 2x2), read once from its lower triangle.  The
     result is exactly symmetric; its trace stays zero up to roundoff, as the
     last diagonal entry is evolved on its own.  Substeps keep dt (|a| + b|Q| + c|Q|^2)
-    <= 0.1; a rate that overflows raises UnstableStepError.
+    <= 0.1 for the largest |Q|; a rate that overflows raises UnstableStepError.
 
-    One matrix runs on Python floats.  A field runs on one (k, N) stack of
-    its entries in a workspace allocated once per step: every ufunc writes
-    into it, and the stage sum accumulates k1 + 2 k2 + 2 k3 + k4 left to
-    right, as the list form does, so each cell keeps the bits of its matrix."""
+    The matrices, one or a field, run as one (k, N) stack of their entries
+    in a workspace allocated once per step, so each keeps the bits it has
+    in a stack of any size with the same substeps."""
     if d not in (2, 3):
         raise ValueError("d must be 2 or 3")
     arr = np.asarray(Q, dtype=float)
@@ -364,40 +334,39 @@ def bulk_ode_step(Q, dt: float, params: LdGParams, d: int) -> np.ndarray:
         raise ValueError(f"expected trailing {d}x{d} blocks")
     nrm = float(np.sqrt(np.einsum("...ij,...ij->...", arr, arr).max())) if arr.size else 0.0
     nsub = _substeps(dt, bulk_rate_bound(params, nrm))
-    h = dt / nsub
-    if arr.ndim == 2:
-        return _assemble(_rk4(lambda y: bulk_ode_rhs(y, params, d), _entries(arr, d), h, nsub),
-                         arr.shape)
     k, n = len(_PAIRS[d]), arr.size // (d * d)
     work = np.empty((4 * k + _SCRATCH[d], n))
-    # the entries, the stage input, the stage rate and the stage sum
-    x, y, r, acc = work[:4 * k].reshape(4, k, n)
+    # the entries, then the stage input, the stage rate and the stage sum
+    x, *stages = work[:4 * k].reshape(4, k, n)
     scratch = work[4 * k:]
     _stack_entries(arr, d, x)
-    half, sixth = 0.5 * h, h / 6.0
-    for _ in range(nsub):
-        bulk_ode_rhs(x, params, d, out=acc, scratch=scratch)    # k1 starts the sum
-        for stage, c in enumerate((half, half, h)):
-            np.multiply(r if stage else acc, c, out=y)
-            np.add(x, y, out=y)                                 # x + c k
-            if stage:                                           # + 2 k2, + 2 k3
-                np.multiply(r, 2.0, out=r)
-                np.add(acc, r, out=acc)
-            bulk_ode_rhs(y, params, d, out=r, scratch=scratch)
-        np.add(acc, r, out=acc)                                 # + k4
-        np.multiply(acc, sixth, out=acc)
-        np.add(x, acc, out=x)
+    _rk4(lambda y, out: bulk_ode_rhs(y, params, d, out=out, scratch=scratch),
+         x, stages, dt / nsub, nsub)
     return _assemble(x, arr.shape)
 
 
-def _eigen_rates(u: np.ndarray, params: LdGParams) -> np.ndarray:
+def _eigen_rates(u: np.ndarray, params: LdGParams, out=None, scratch=None) -> np.ndarray:
     """Rates of the stacked pair u = (lambda1, lambda2), shape (2, ...), of
-    the diagonal 3D bulk ODE, stacked the same way."""
-    s = u * u
-    s12 = u[0] * u[1]
-    common = 2.0 * params.c * (s[0] + s[1] + s12) + params.a
-    # y - u common has the bits of -u common + y, with one ufunc call fewer
-    return params.b * (s - 2.0 * s[::-1] - 2.0 * s12) / 3.0 - u * common
+    the diagonal 3D bulk ODE, stacked the same way: written into out, with
+    the (4, ...) array scratch for the intermediates, when out is given."""
+    if out is None:
+        out, scratch = np.empty_like(u), np.empty((4,) + u.shape[1:])
+    s, s12, common = scratch[:2], scratch[2, ...], scratch[3, ...]
+    np.multiply(u, u, out=s)
+    np.multiply(u[0], u[1], out=s12)
+    np.add(s[0], s[1], out=common)
+    np.add(common, s12, out=common)
+    np.multiply(2.0 * params.c, common, out=common)
+    np.add(common, params.a, out=common)
+    # b (s - 2 s[::-1] - 2 s12) / 3 - u common
+    np.multiply(s[::-1], 2.0, out=out)
+    np.subtract(s, out, out=out)
+    np.multiply(s12, 2.0, out=s12)
+    np.subtract(out, s12, out=out)
+    np.multiply(out, params.b, out=out)
+    np.divide(out, 3.0, out=out)
+    np.multiply(u, common, out=s)
+    return np.subtract(out, s, out=out)
 
 
 def eigen_ode_rhs(pair: EigenPair, params: LdGParams):
@@ -407,12 +376,18 @@ def eigen_ode_rhs(pair: EigenPair, params: LdGParams):
 
 
 def eigen_ode_integrate(lambda1, lambda2, params: LdGParams, T: float):
-    """Vectorized RK4 integration of the eigenvalue system to time T, on the
-    pair stacked as one (2, ...) array."""
+    """RK4 integration of the eigenvalue system to time T, in place on the
+    pair stacked as one (2, N) array, with the RK4 stages and the scratch of
+    the rates in a workspace allocated once per call."""
     lam = np.array([lambda1, lambda2], dtype=float)
     nrm = float(max(np.abs(lam).max(), 1e-12)) * math.sqrt(6.0)
     nsub = _substeps(T, bulk_rate_bound(params, nrm))
-    [lam] = _rk4(lambda y: [_eigen_rates(y[0], params)], [lam], T / nsub, nsub)
+    n = lam.size // 2
+    # the three RK4 stages, then the scratch of _eigen_rates
+    work = np.empty((10, n))
+    scratch = work[6:]
+    _rk4(lambda y, out: _eigen_rates(y, params, out, scratch), lam.reshape(2, n),
+         work[:6].reshape(3, 2, n), T / nsub, nsub)
     return lam[0], lam[1]
 
 

@@ -462,7 +462,7 @@ class TestShippedConfigs:
         assert hashlib.sha256(data).hexdigest() == (
             "91a4a9fa5430304238c5c1efee40cc9e6c0d17b6bd8c11e16a584601e4a43d20"
         )
-        assert report.summary["results"]["equivariance_error"] == 1.9984014443252818e-15
+        assert report.summary["results"]["equivariance_error"] == 8.881784197001252e-16
 
     def test_trotter_convergence_results_pinned(self, tmp_path):
         cfg = parse_config((CONFIGS / "trotter-convergence.cfg").read_text())
@@ -603,7 +603,7 @@ class TestSplitSpans:
          {"bulk_ode_rhs": 280, "bulk_ode_step": 56, "heat_step": 56, "hull_bounds": 117,
           "eigen_ode_integrate": 0, "eigvals_traceless_sym3": 118}),
         ("physicality", PHYSICALITY,
-         {"bulk_ode_rhs": 1448, "bulk_ode_step": 6, "heat_step": 0, "hull_bounds": 0,
+         {"bulk_ode_rhs": 292, "bulk_ode_step": 1, "heat_step": 0, "hull_bounds": 0,
           "eigen_ode_integrate": 50, "eigvals_traceless_sym3": 0}),
     ])
     def test_spans_called(self, tmp_path, monkeypatch, name, edits, counts):

@@ -342,6 +342,23 @@ class TestEigenOdeIntegrate:
             r1, r2 = oracles.list_eigen_integrate(float(l1[idx]), float(l2[idx]), params, T, nsub)
             assert struct.pack("dd", o1[idx], o2[idx]) == struct.pack("dd", r1, r2)
 
+    def test_peak_memory_does_not_grow_with_substeps(self):
+        rng = np.random.default_rng(15)
+        l1, l2 = rng.uniform(-0.7, 0.7, size=(2, 4096))
+        peaks = []
+        for nsub in (1, 3, 48):
+            with mock.patch.object(splitting, "_substeps", lambda T, rate: nsub):
+                eigen_ode_integrate(l1, l2, P3, 0.2)
+                tracemalloc.start()
+                try:
+                    eigen_ode_integrate(l1, l2, P3, 0.2)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks) - min(peaks) <= 16 * 1024
+        # the pair, the workspace and the result: under 16 planes of 32 KB
+        assert max(peaks) < 16 * l1.nbytes
+
 
 class TestTraceOdeClosedForm:
     def test_zero(self):
