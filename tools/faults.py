@@ -2,18 +2,19 @@
 
   python3 tools/faults.py --workload split [--experiment LABEL ...] [--rounds 5] [--seed 0]
 
-Runs the experiments of one ``perfbench/workloads.py`` workload in order, in
-this process, or only those named by ``--experiment`` (repeatable, by the
-workload's labels, e.g. ``physicality``), for ``--rounds`` rounds, through ``qflow.cli.parse_config`` and
-``run_experiment`` with SVG output on, as ``qflow run`` writes it, into a
-temporary directory that is removed at the end.  The seed is set in every
-config, as ``qflow run --seed`` sets it.  For each run it prints the round,
-the experiment, the minor page faults (``ru_minflt``) and the wall time
-around ``run_experiment``, and the process's peak resident set
-(``ru_maxrss``) after it; then the median faults and wall time per
-experiment over the rounds after the first, which is warm-up.  A run that
-returns its heap to the system and grows it again takes faults on every
-step; a run that reuses its memory takes few after the first round.
+Runs the experiments of one ``perfbench/workloads.py`` workload in order, or
+only those named by ``--experiment`` (repeatable, by the workload's labels,
+e.g. ``physicality``), in this process, for ``--rounds`` rounds, through
+``qflow.cli.parse_config`` and ``run_experiment`` with SVG output on, as
+``qflow run`` writes it, into a temporary directory that is removed at the
+end.  The seed is set in every config, as ``qflow run --seed`` sets it.  For
+each run it prints the round, the experiment, the minor page faults
+(``ru_minflt``) and the wall time around ``run_experiment``, and the
+process's peak resident set (``ru_maxrss``) after it; then the median
+faults and wall time per experiment over the rounds after the first, which
+is warm-up.  A run that returns its heap to the system and grows it again
+takes faults on every step; a run that reuses its memory takes few after
+the first round.
 
 Standard library plus qflow, imported from this checkout's ``src/``.  The
 BLAS and OpenMP pools are pinned to one thread before numpy loads.
