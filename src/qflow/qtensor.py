@@ -95,6 +95,7 @@ def traceless_j2(mt: np.ndarray) -> np.ndarray:
 
 # The shifts 2 pi k / 3 of the trigonometric roots, k = 2, 1, 0
 _ROOT_SHIFTS = np.array([2.0 * np.pi * k / 3.0 for k in (2, 1, 0)])
+_ROOT_SHIFTS.flags.writeable = False
 
 
 def eigvals_traceless_sym3(m: np.ndarray) -> np.ndarray:

@@ -99,23 +99,3 @@ class TestFaults:
         assert lines[1].split() == ["0", "trotter-convergence", "30000", "0.600", "42.00"]
         assert lines[-2].split() == ["trotter-convergence", "800", "0.450"]
         assert lines[-1].split() == ["physicality", "1", "0.250"]
-
-    def test_experiment_option_runs_only_the_named_ones(self, monkeypatch, capsys):
-        seen = []
-
-        def record(experiments, rounds, seed, workdir):
-            seen.append([label for label, _ in experiments])
-            return iter([])
-
-        monkeypatch.setattr(faults, "measure", record)
-        assert faults.main(["--workload", "split", "--experiment", "physicality"]) == 0
-        # repeated, in the workload's order
-        assert faults.main(["--workload", "split", "--experiment", "coercivity-report",
-                            "--experiment", "trotter-convergence"]) == 0
-        assert faults.main(["--workload", "split"]) == 0
-        assert seen == [["physicality"], ["trotter-convergence", "coercivity-report"],
-                        ["trotter-convergence", "physicality", "coercivity-report"]]
-        with pytest.raises(SystemExit) as exc:
-            faults.main(["--workload", "split", "--experiment", "blowup"])
-        assert exc.value.code == 2
-        assert "not an experiment of split: blowup" in capsys.readouterr().err

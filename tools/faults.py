@@ -1,20 +1,18 @@
 """Minor page faults, wall time and peak RSS per experiment of a benchmark workload.
 
-  python3 tools/faults.py --workload split [--experiment LABEL ...] [--rounds 5] [--seed 0]
+  python3 tools/faults.py --workload split [--rounds 5] [--seed 0]
 
-Runs the experiments of one ``perfbench/workloads.py`` workload in order, or
-only those named by ``--experiment`` (repeatable, by the workload's labels,
-e.g. ``physicality``), in this process, for ``--rounds`` rounds, through
-``qflow.cli.parse_config`` and ``run_experiment`` with SVG output on, as
-``qflow run`` writes it, into a temporary directory that is removed at the
-end.  The seed is set in every config, as ``qflow run --seed`` sets it.  For
-each run it prints the round, the experiment, the minor page faults
-(``ru_minflt``) and the wall time around ``run_experiment``, and the
-process's peak resident set (``ru_maxrss``) after it; then the median
-faults and wall time per experiment over the rounds after the first, which
-is warm-up.  A run that returns its heap to the system and grows it again
-takes faults on every step; a run that reuses its memory takes few after
-the first round.
+Runs the experiments of one ``perfbench/workloads.py`` workload in order, in
+this process, for ``--rounds`` rounds, through ``qflow.cli.parse_config`` and
+``run_experiment`` with SVG output on, as ``qflow run`` writes it, into a
+temporary directory that is removed at the end.  The seed is set in every
+config, as ``qflow run --seed`` sets it.  For each run it prints the round,
+the experiment, the minor page faults (``ru_minflt``) and the wall time
+around ``run_experiment``, and the process's peak resident set
+(``ru_maxrss``) after it; then the median faults and wall time per
+experiment over the rounds after the first, which is warm-up.  A run that
+returns its heap to the system and grows it again takes faults on every
+step; a run that reuses its memory takes few after the first round.
 
 Standard library plus qflow, imported from this checkout's ``src/``.  The
 BLAS and OpenMP pools are pinned to one thread before numpy loads.
@@ -75,17 +73,10 @@ def main(argv=None) -> int:
     workloads = _workloads()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=sorted(workloads))
-    ap.add_argument("--experiment", action="append", metavar="LABEL",
-                    help="run only this experiment of the workload (repeatable)")
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     experiments = [(label, ROOT / path) for label, path, _ in workloads[args.workload]]
-    if args.experiment:
-        unknown = set(args.experiment) - {label for label, _ in experiments}
-        if unknown:
-            ap.error(f"not an experiment of {args.workload}: {', '.join(sorted(unknown))}")
-        experiments = [(label, path) for label, path in experiments if label in args.experiment]
     rows = []
     print(f"{'round':>5}  {'experiment':<26}{'minflt':>9}{'wall_s':>9}{'maxrss_mb':>11}")
     with tempfile.TemporaryDirectory() as tmp:
