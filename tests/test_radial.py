@@ -646,6 +646,9 @@ def tridiagonal_systems(draw):
     return ab, scale * rng.standard_normal(n)
 
 
+CORNER_SYSTEM = (np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]), np.ones(3))
+
+
 class TestSolveBanded:
     @PROPERTY
     @given(tridiagonal_systems())
@@ -655,16 +658,19 @@ class TestSolveBanded:
         assert solve_banded(ab.copy(), b.copy()).tobytes() == ref.tobytes()
 
     @PROPERTY
-    @given(tridiagonal_systems(), st.data())
-    def test_non_finite_entry_raises(self, system, data):
-        ab, b = system
-        bad = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
-        n = b.size
-        where = data.draw(st.integers(0, 4 * n - 1))  # any band entry or b
-        if where < 3 * n:
-            ab[where // n, where % n] = bad
-        else:
-            b[where - 3 * n] = bad
+    @given(tridiagonal_systems(), st.sampled_from([np.inf, -np.inf, np.nan]),
+           st.integers(0, 3), st.integers(-300, 299))
+    # the band corners gtsv never reads, and the last entry of b
+    @example(CORNER_SYSTEM, np.inf, 0, 0)
+    @example(CORNER_SYSTEM, np.nan, 0, 0)
+    @example(CORNER_SYSTEM, np.inf, 2, -1)
+    @example(CORNER_SYSTEM, np.nan, 2, -1)
+    @example(CORNER_SYSTEM, -np.inf, 3, -1)
+    @example(CORNER_SYSTEM, np.nan, 3, -1)
+    def test_non_finite_entry_raises(self, system, bad, row, col):
+        # any band entry (row 0-2) or b (row 3); col is taken modulo n
+        ab, b = (x.copy() for x in system)
+        (ab[row] if row < 3 else b)[col % b.size] = bad
         with pytest.raises(ValueError):
             scipy.linalg.solve_banded((1, 1), ab.copy(), b.copy())
         with pytest.raises(ValueError):
@@ -1126,6 +1132,29 @@ class TestThresholdSearch:
         assert (search.lo, search.hi) == (-3.670144653320313, -3.6710571289062504)
         assert sum(flag.steps for _, flag in search.runs) == 45_670
         assert (search.iterations, search.row_steps) == (13_757, 143_953)
+
+    def test_shipped_search_stops_pinned(self, shipped_search):
+        # every run's stop, to the bit: amp_lo, amp_hi, then the 16 midpoints
+        assert [(amp, f.reason, f.t, f.steps) for amp, f in shipped_search.search.runs] == [
+            (-0.2, STOP_SMALL, 0.0001, 1),
+            (-60.0, STOP_THRESHOLD, 0.003036655882054587, 202),
+            (-30.1, STOP_THRESHOLD, 0.006385467941925631, 239),
+            (-15.15, STOP_THRESHOLD, 0.013739375732659041, 295),
+            (-7.675, STOP_THRESHOLD, 0.032032170646141576, 477),
+            (-3.9375, STOP_THRESHOLD, 0.13291102477243255, 1486),
+            (-2.06875, STOP_SMALL, 0.14690000000000014, 1469),
+            (-3.003125, STOP_SMALL, 0.21019999999999317, 2102),
+            (-3.4703125, STOP_SMALL, 0.2777999999999857, 2778),
+            (-3.70390625, STOP_THRESHOLD, 0.23302901212390043, 2487),
+            (-3.587109375, STOP_SMALL, 0.3231999999999807, 3232),
+            (-3.6455078125, STOP_SMALL, 0.384399999999974, 3844),
+            (-3.67470703125, STOP_THRESHOLD, 0.3335038625062006, 3492),
+            (-3.660107421875, STOP_SMALL, 0.4289999999999691, 4290),
+            (-3.6674072265625, STOP_SMALL, 0.4923999999999621, 4924),
+            (-3.6710571289062504, STOP_THRESHOLD, 0.41930100438749784, 4350),
+            (-3.6692321777343753, STOP_REACHED_T, 0.5, 5001),
+            (-3.670144653320313, STOP_REACHED_T, 0.5, 5001),
+        ]
 
 
 class TestPoincareStep:
