@@ -99,7 +99,12 @@ class RadialProfile:
         return prof
 
 
-def _rhs_parts(theta, d1, d2, r, r2, zeta_r, half_c, params: LdGParams, *out):
+def _rhs_constants(p: LdGParams) -> tuple:
+    """(zeta, L4, a, c/2, 0.5, 6, 4 zeta), _rhs_parts's scalar operands, as 0-d arrays."""
+    return tuple(np.array(v, float) for v in (p.zeta, p.L4, p.a, 0.5 * p.c, 0.5, 6.0, 4.0 * p.zeta))
+
+
+def _rhs_parts(theta, d1, d2, r, r2, zeta_r, consts, *out):
     """The radial RHS expl + D d2 + adv d1 - 4 zeta theta/r^2 from theta and
     its derivatives d1, d2 at the radii r, and its parts (D, adv, expl, rhs).
 
@@ -107,7 +112,7 @@ def _rhs_parts(theta, d1, d2, r, r2, zeta_r, half_c, params: LdGParams, *out):
     L4 theta/r and expl = L4 (d1^2/2 + 6 theta^2/r^2) - a theta -
     (c/2) theta^3; the stepper takes D d2 + adv d1 - 4 zeta theta/r^2
     implicitly and expl explicitly.  r2 = r**2, zeta_r = zeta/r and
-    half_c = 0.5 c are passed in, so that the stepper forms them once.
+    consts = _rhs_constants(params) are passed in: the stepper forms them once.
 
     out is (D, adv, expl, rhs, scratch), five float arrays shaped as theta
     that the parts are written into (scratch holds products on the way);
@@ -117,33 +122,34 @@ def _rhs_parts(theta, d1, d2, r, r2, zeta_r, half_c, params: LdGParams, *out):
     if not out:
         out = np.empty((5,) + theta.shape)
     D, adv, expl, rhs, tmp = out
-    zeta, L4 = params.zeta, params.L4
-    np.multiply(L4, theta, out=D)
-    np.divide(D, r, out=adv)
-    np.add(zeta_r, adv, out=adv)
-    np.add(zeta, D, out=D)
+    zeta, L4, a, half_c, half, six, four_zeta = consts
+    mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
+    mul(L4, theta, D)
+    div(D, r, adv)
+    add(zeta_r, adv, adv)
+    add(zeta, D, D)
     # expl = L4 (0.5 d1 d1 + 6 theta theta / r2) - a theta - half_c (theta theta theta)
-    np.multiply(0.5, d1, out=expl)
-    np.multiply(expl, d1, out=expl)
-    np.multiply(6.0, theta, out=tmp)
-    np.multiply(tmp, theta, out=tmp)
-    np.divide(tmp, r2, out=tmp)
-    np.add(expl, tmp, out=expl)
-    np.multiply(L4, expl, out=expl)
-    np.multiply(params.a, theta, out=tmp)
-    np.subtract(expl, tmp, out=expl)
-    np.multiply(theta, theta, out=tmp)
-    np.multiply(tmp, theta, out=tmp)
-    np.multiply(half_c, tmp, out=tmp)
-    np.subtract(expl, tmp, out=expl)
+    mul(half, d1, expl)
+    mul(expl, d1, expl)
+    mul(six, theta, tmp)
+    mul(tmp, theta, tmp)
+    div(tmp, r2, tmp)
+    add(expl, tmp, expl)
+    mul(L4, expl, expl)
+    mul(a, theta, tmp)
+    sub(expl, tmp, expl)
+    mul(theta, theta, tmp)
+    mul(tmp, theta, tmp)
+    mul(half_c, tmp, tmp)
+    sub(expl, tmp, expl)
     # rhs = expl + D d2 + adv d1 - 4 zeta theta / r2
-    np.multiply(D, d2, out=rhs)
-    np.add(expl, rhs, out=rhs)
-    np.multiply(adv, d1, out=tmp)
-    np.add(rhs, tmp, out=rhs)
-    np.multiply(4.0 * zeta, theta, out=tmp)
-    np.divide(tmp, r2, out=tmp)
-    np.subtract(rhs, tmp, out=rhs)
+    mul(D, d2, rhs)
+    add(expl, rhs, rhs)
+    mul(adv, d1, tmp)
+    add(rhs, tmp, rhs)
+    mul(four_zeta, theta, tmp)
+    div(tmp, r2, tmp)
+    sub(rhs, tmp, rhs)
     return D, adv, expl, rhs
 
 
@@ -158,8 +164,8 @@ def theta_rhs(profile: RadialProfile, params: LdGParams) -> np.ndarray:
     d1 = (th[..., 2:] - th[..., :-2]) / (2.0 * dr)
     d2 = (th[..., 2:] - 2.0 * th[..., 1:-1] + th[..., :-2]) / (dr * dr)
     r = profile.r[1:-1]
-    return _rhs_parts(th[..., 1:-1], d1, d2, r, r**2, params.zeta / r, 0.5 * params.c,
-                      params)[3]
+    return _rhs_parts(th[..., 1:-1], d1, d2, r, r**2, params.zeta / r,
+                      _rhs_constants(params))[3]
 
 
 def _signed_part(theta: np.ndarray, L4: float) -> np.ndarray:
@@ -431,7 +437,8 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     Raises ValueError if ab or b holds an inf or NaN, as scipy's
     check_finite does, and LinAlgError if the matrix is singular.
     """
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+    if not (np.logical_and.reduce(np.isfinite(ab), axis=None)  # .all() minus its Python layer
+            and np.logical_and.reduce(np.isfinite(b), axis=None)):
         raise ValueError("array must not contain infs or NaNs")
     gtsv = _dgtsv if _dgtsv is not None else _load_dgtsv()
     x, info = gtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1, 1)[3:]
@@ -494,10 +501,12 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
     ri = (r + np.zeros((m0, 1))).ravel()[1:-1]
     ri2 = ri**2
     node_terms = np.array([ri, ri2, zeta / ri, 4.0 * zeta / ri2])
-    half_c = 0.5 * params.c
-    two_dr = 2.0 * dr
-    dr_mul = dr * dr
-    dr_pow = dr**2
+    # _rhs_parts's and the step's scalars as 0-d arrays: faster ufunc calls, same bits
+    consts = _rhs_constants(params)
+    two_dr, dr_mul, dr_pow, two, minus_two, one, theta_floor, f_floor, frac, dt0, T0 = (
+        np.array(v, float)
+        for v in (2.0 * dr, dr * dr, dr**2, 2.0, -2.0, 1.0, 1e-12, 1e-15, STEP_FRACTION, dt, T))
+    mul, div, add, sub, maximum = np.multiply, np.divide, np.add, np.subtract, np.maximum
     # reduceat bounds of the rows' interior segments of the run, with the
     # ring segments between them
     bounds_all = (np.arange(m0)[:, None] * W + np.array([0, nr])).ravel()[:-1]
@@ -550,18 +559,15 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
         # with a ring node in it (h_pair is minus the pair's smaller h),
         # which leaves a ring node the equation x = theta, uncoupled from
         # its neighbours
-        np.copyto(h_in, h[:, None])
-        np.minimum(h_run[:-1], h_run[1:], out=h_pair)
-        np.negative(h_pair, out=h_pair)
-        np.multiply(h_pair, co_up[:-1], out=ab[0, 1:])
-        np.multiply(h_run, diag, out=ab[1])
-        np.subtract(1.0, ab[1], out=ab[1])
-        np.multiply(h_pair, co_down[1:], out=ab[2, :-1])
-        np.multiply(h_run, expl, out=b)
-        np.add(thi, b, out=b)
+        mul(h_pair, co_up[:-1], ab[0, 1:])
+        mul(h_run, diag, ab[1])
+        sub(one, ab[1], ab[1])
+        mul(h_pair, co_down[1:], ab[2, :-1])
+        mul(h_run, expl, b)
+        add(thi, b, b)
         # boundary contributions from the fixed ring values
-        np.add(b_first, h * co_down[::W] * th_left, out=b_first)
-        np.add(b_last, h * co_up[nr - 1::W] * th_right, out=b_last)
+        add(b_first, h * co_down[::W] * th_left, b_first)
+        add(b_last, h * co_up[nr - 1::W] * th_right, b_last)
 
     while True:
         if changed:
@@ -570,7 +576,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
             if m == 0:
                 break
             alive = np.ones(m, dtype=bool)
-            changed = False
+            changed, h_key = False, None  # the new workspace holds no couplings
             n = m * W - 2
             ri, ri2, zeta_ri, react = node_terms[:, :n]
             bounds = bounds_all[:2 * m - 1]
@@ -596,38 +602,42 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
             thi, th_up, th_down = f[1:-1], f[2:], f[:-2]
             th_in, th_left, th_right = th[:, 1:-1], th[:, 0], th[:, -1]
         # d1 = (th_up - th_down) / two_dr and d2 = (th_up - 2 thi + th_down) / dr_mul
-        np.subtract(th_up, th_down, out=d1)
-        np.divide(d1, two_dr, out=d1)
-        np.multiply(2.0, thi, out=d2)
-        np.subtract(th_up, d2, out=d2)
-        np.add(d2, th_down, out=d2)
-        np.divide(d2, dr_mul, out=d2)
-        _rhs_parts(thi, d1, d2, ri, ri2, zeta_ri, half_c, params, D, adv, expl, full, scratch)
+        sub(th_up, th_down, d1)
+        div(d1, two_dr, d1)
+        mul(two, thi, d2)
+        sub(th_up, d2, d2)
+        add(d2, th_down, d2)
+        div(d2, dr_mul, d2)
+        _rhs_parts(thi, d1, d2, ri, ri2, zeta_ri, consts, D, adv, expl, full, scratch)
         # min over the non-NaN entries: (D <= 0).any(), also true if only a
         # ring node between rows has D <= 0
         if np.fmin.reduce(D) <= 0.0:
             stop(np.fmin.reduceat(D, bounds)[::2] <= 0.0, STOP_BACKWARD_DIFFUSION)
             if changed:
                 continue
-        scale = np.maximum(amax, 1e-12)
-        fmax = np.maximum(np.maximum.reduceat(np.abs(full, out=scratch), bounds)[::2], 1e-15)
+        scale = maximum(amax, theta_floor)
+        fmax = maximum(maximum.reduceat(np.absolute(full, scratch), bounds)[::2], f_floor)
         # min(dt, x, T - t) of one run: fmin, like Python's min, passes a NaN x over
-        h = np.fmin(STEP_FRACTION * scale / fmax, np.minimum(dt, T - t))
+        h = np.fmin(frac * scale / fmax, np.minimum(dt0, T0 - t))
         # co_d2 = D / dr_pow and co_d1 = adv / two_dr (held in scratch);
         # co_up and co_down are the coefficients of theta_{i+1} and
         # theta_{i-1} in row i
-        np.divide(D, dr_pow, out=co_d2)
-        np.divide(adv, two_dr, out=scratch)
-        np.add(co_d2, scratch, out=co_up)
-        np.subtract(co_d2, scratch, out=co_down)
-        np.multiply(-2.0, co_d2, out=diag)
-        np.subtract(diag, react, out=diag)
+        div(D, dr_pow, co_d2)
+        div(adv, two_dr, scratch)
+        add(co_d2, scratch, co_up)
+        sub(co_d2, scratch, co_down)
+        mul(minus_two, co_d2, diag)
+        sub(diag, react, diag)
+        # h per node and h_pair change only with h (gtsv writes to system alone)
+        if h_key != (h_key := h.tobytes()):
+            np.copyto(h_in, h[:, None])
+            np.minimum(h_run[:-1], h_run[1:], out=h_pair)  # minimum's positional out is deprecated
+            np.negative(h_pair, h_pair)
         fill()
         row_steps += m  # every row takes this step, one whose solve fails too
         try:
             solve_banded(ab, b)  # the solution is returned in b's memory
-            new_amax = np.maximum(np.maximum.reduceat(np.abs(b, out=scratch), bounds)[::2],
-                                  edge)
+            new_amax = maximum(maximum.reduceat(np.absolute(b, scratch), bounds)[::2], edge)
             top = float(np.maximum.reduce(new_amax))
             batched = math.isfinite(top)
         except ValueError:  # LinAlgError is one too
@@ -899,7 +909,7 @@ def hedgehog_consistency_check(theta, params: LdGParams, sample_points,
     r = np.array(radii)
     th_r, dth_r, ddth_r = (np.array([float(fn(rc)) for rc in radii]) for fn in theta)
     vals = _rhs_parts(th_r, dth_r, ddth_r, r, np.array([rc**2 for rc in radii]),
-                      params.zeta / r, 0.5 * params.c, params)[3]
+                      params.zeta / r, _rhs_constants(params))[3]
     # member j of the stack is sample j's stencil: x down its rows, y along
     # its columns
     xs = samples[:, 0, None, None] + offsets[:, None]

@@ -875,6 +875,16 @@ def lockstep_batches(draw):
     return profiles, p, T, 1e-3, y_threshold, theta_small
 
 
+def _thin_batch(amps, theta_b=(), theta_small=-math.inf):
+    """A lockstep_batches draw on the threshold search's thin annulus: rows
+    amp sin(pi s) on 14 nodes, with boundary values theta_b (0 past its end)."""
+    thetas = [_sine_theta(a, 12) for a in amps]
+    for theta, tb in zip(thetas, theta_b):
+        theta[0] = theta[-1] = tb
+    return ([RadialProfile(0.3, 1.3, 12, th) for th in thetas], params(c=1e-6), 0.05, 1e-3, 1e6,
+            theta_small)
+
+
 def _outcome_key(outcome):
     if isinstance(outcome, Exception):
         return type(outcome), str(outcome)
@@ -901,6 +911,12 @@ class TestLockStep:
 
     @SWEEP
     @given(lockstep_batches())
+    # the rows' h differ in the first 4 steps and agree from the 5th
+    @example(_thin_batch([-3.0, -0.5]))
+    # rows 1 and 2 reach T at steps 50 and 51, row 0 runs on to step 300
+    @example(_thin_batch([-10.0, -0.5, -3.0]))
+    # nonzero boundary values, and h that differ and agree by turns
+    @example(_thin_batch([-2.0, -0.5, -3.0], theta_b=[0.25, 0.0, 0.5]))
     def test_rows_equal_one_row_runs(self, batch_args):
         self._check_rows(*batch_args)
 

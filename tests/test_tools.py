@@ -17,6 +17,7 @@ def _load(name):
 
 bench_pairs = _load("bench_pairs")
 faults = _load("faults")
+lockstep = _load("lockstep")
 
 
 def _report(wall, setup, rss, failed=0):
@@ -99,3 +100,22 @@ class TestFaults:
         assert lines[1].split() == ["0", "trotter-convergence", "30000", "0.600", "42.00"]
         assert lines[-2].split() == ["trotter-convergence", "800", "0.450"]
         assert lines[-1].split() == ["physicality", "1", "0.250"]
+
+
+class TestLockstep:
+    def test_every_row_takes_every_step(self):
+        rows = list(lockstep.measure([1, 3], 1))
+        # T = 0.02 in steps of dt = 1e-4, the last one a rounding sliver
+        assert [row[:2] for row in rows] == [(1, 201), (3, 201)]
+        assert all(us > 0.0 for _, _, us in rows)
+
+    def test_report_lists_every_row_count(self, monkeypatch, capsys):
+        def canned(rows, repeats):
+            return ((m, 201, 50.0 + m) for m in rows)
+
+        monkeypatch.setattr(lockstep, "measure", canned)
+        assert lockstep.main(["--repeats", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["rows", "steps", "us/step"]
+        assert [line.split()[0] for line in lines[1:]] == ["1", "2", "4", "8", "15", "31"]
+        assert lines[-1].split() == ["31", "201", "81.0"]
