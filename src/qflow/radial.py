@@ -616,7 +616,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
             if changed:
                 continue
         scale = maximum(amax, theta_floor)
-        fmax = maximum(maximum.reduceat(np.absolute(full, scratch), bounds)[::2], f_floor)
+        fmax = maximum(maximum.reduceat(np.abs(full, scratch), bounds)[::2], f_floor)
         # min(dt, x, T - t) of one run: fmin, like Python's min, passes a NaN x over
         h = np.fmin(frac * scale / fmax, np.minimum(dt0, T0 - t))
         # co_d2 = D / dr_pow and co_d1 = adv / two_dr (held in scratch);
@@ -637,7 +637,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
         row_steps += m  # every row takes this step, one whose solve fails too
         try:
             solve_banded(ab, b)  # the solution is returned in b's memory
-            new_amax = maximum(maximum.reduceat(np.absolute(b, scratch), bounds)[::2], edge)
+            new_amax = maximum(maximum.reduceat(np.abs(b, scratch), bounds)[::2], edge)
             top = float(np.maximum.reduce(new_amax))
             batched = math.isfinite(top)
         except ValueError:  # LinAlgError is one too
