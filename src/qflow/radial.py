@@ -437,8 +437,7 @@ def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     Raises ValueError if ab or b holds an inf or NaN, as scipy's
     check_finite does, and LinAlgError if the matrix is singular.
     """
-    if not (np.logical_and.reduce(np.isfinite(ab), axis=None)  # .all() minus its Python layer
-            and np.logical_and.reduce(np.isfinite(b), axis=None)):
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     gtsv = _dgtsv if _dgtsv is not None else _load_dgtsv()
     x, info = gtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1, 1)[3:]

@@ -103,18 +103,33 @@ class TestFaults:
 
 
 class TestLockstep:
-    def test_every_row_takes_every_step(self):
-        rows = list(lockstep.measure([1, 3], 1))
+    def test_every_row_takes_every_step(self, monkeypatch):
+        monkeypatch.setattr(lockstep, "REPEATS", 1)
+        rows = list(lockstep.measure([1, 3]))
         # T = 0.02 in steps of dt = 1e-4, the last one a rounding sliver
         assert [row[:2] for row in rows] == [(1, 201), (3, 201)]
         assert all(us > 0.0 for _, _, us in rows)
 
+    def test_a_row_that_stops_early_is_refused(self, monkeypatch):
+        from qflow import radial
+
+        march = radial._march
+
+        def one_row_short(*args, **kwargs):
+            batch = march(*args, **kwargs)
+            return batch._replace(row_steps=batch.row_steps - 1)
+
+        monkeypatch.setattr(lockstep, "REPEATS", 1)
+        monkeypatch.setattr(radial, "_march", one_row_short)
+        with pytest.raises(RuntimeError, match="a row stopped early"):
+            list(lockstep.measure([3]))
+
     def test_report_lists_every_row_count(self, monkeypatch, capsys):
-        def canned(rows, repeats):
+        def canned(rows):
             return ((m, 201, 50.0 + m) for m in rows)
 
         monkeypatch.setattr(lockstep, "measure", canned)
-        assert lockstep.main(["--repeats", "1"]) == 0
+        assert lockstep.main() == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["rows", "steps", "us/step"]
         assert [line.split()[0] for line in lines[1:]] == ["1", "2", "4", "8", "15", "31"]
