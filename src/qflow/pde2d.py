@@ -459,11 +459,13 @@ def _finite(field: Field2D) -> bool:
     return bool(np.all(np.isfinite(field.p)) and np.all(np.isfinite(field.q)))
 
 
-def _check_step_args(dt: float, scheme: str) -> None:
+def _check_step_args(dt: float, scheme: str, record_every: int = 1) -> None:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
 
 
 def step(field: Field2D, dt: float, params: LdGParams, scheme: str = "imex") -> Field2D:
@@ -542,7 +544,7 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
     trace's peak_h2 is the largest max h^2 over every step.
     """
     params.validate(strict=True)
-    _check_step_args(dt, scheme)
+    _check_step_args(dt, scheme, record_every)
     small_cap = _smallness_cap(derived_constants(params).eta1)
     grid = field0.grid
     if len(field0.p) != grid.nx + 2:
@@ -647,6 +649,7 @@ def continuous_dependence_experiment(field0: Field2D, perturbations, params: LdG
     The fields are marched as stacks of at most STACK_NODES nodes, each
     member with the bits of its own run.
     """
+    _check_step_args(dt, scheme, record_every)
     perturbations = list(perturbations)
     for d in perturbations:
         for F in (d.p, d.q):

@@ -496,6 +496,16 @@ class TestShippedConfigs:
         assert len(data.splitlines()) == lines
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_smallness_128_trace_csv_pinned(self, tmp_path):
+        # the benchmark's 128x128 config, read from where the benchmark keeps it
+        path = CONFIGS.parent / "perfbench" / "configs" / "smallness-128.cfg"
+        run_experiment(parse_config(path.read_text()), str(tmp_path), emit_svg=False)
+        data = (tmp_path / "trace.csv").read_bytes()
+        assert len(data.splitlines()) == 22
+        assert hashlib.sha256(data).hexdigest() == (
+            "00a2d58f8fa9f97371e30fc5fb5af4e90cefaeb5d12f83a3f0ee1ba6b6a7dfc0"
+        )
+
     def test_rectangle_results_pinned(self, shipped_run):
         def results(name):
             return shipped_run(name)[1]

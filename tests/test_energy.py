@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import constant_field
 
 from qflow import energy
@@ -15,6 +17,7 @@ from qflow.energy import (
     oseen_frank_forward,
     oseen_frank_inverse,
     total_energy,
+    trapezoid,
 )
 from qflow.pde2d import Field2D, Grid2D
 from qflow.qtensor import QTensor2, QTensor3
@@ -234,6 +237,37 @@ class TestTotalEnergy:
         assert abs(coarse - fine) <= 1e-3 * abs(fine)
         # analytic value: zeta int |grad p|^2 = 2 * pi^2/2 = pi^2
         assert fine == pytest.approx(np.pi**2, rel=1e-4)
+
+
+class TestTrapezoid:
+    """trapezoid halves its sums with s *= 0.5.  x * 0.5 and x / 2.0 round
+    the same real x/2, so they agree bit for bit on every double: finite,
+    subnormal, infinite and NaN."""
+
+    DOUBLES = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(f=st.lists(DOUBLES, min_size=2, max_size=40), d=DOUBLES)
+    @example(f=[5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308, 1e-310],
+             d=1.0)
+    @example(f=[math.inf, -math.inf, math.nan, -math.nan, 1.7976931348623157e308, -0.0, 0.0],
+             d=1.7976931348623157e308)
+    @example(f=[1.0, 3.0, 0.1], d=math.nan)
+    def test_halving_equals_division_by_two(self, f, d):
+        f = np.array(f)
+        with np.errstate(all="ignore"):
+            assert (f * 0.5).tobytes() == (f / 2.0).tobytes()
+            # the expression before the change, np.trapezoid's
+            s = f[1:] + f[:-1]
+            s *= d
+            s /= 2.0
+            assert np.float64(trapezoid(f, d)).tobytes() == s.sum().tobytes()
+            # a spacing per interval, as the radial quadratures pass
+            dx = np.full(len(f) - 1, d)
+            s = f[1:] + f[:-1]
+            s *= dx
+            s /= 2.0
+            assert np.float64(trapezoid(f, dx)).tobytes() == s.sum().tobytes()
 
 
 class TestOseenFrank:

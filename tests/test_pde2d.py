@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -479,6 +480,41 @@ class TestRun:
         assert trace.max_h2[-1] == fld.max_h2()
         assert trace.l2_q[-1] == field_distance(fld, Field2D.zeros(grid))
 
+    def test_off_config_run_pinned(self):
+        # a run no shipped CSV covers: explicit Euler with L4 != 0,
+        # record_every = 3 (the last record off the stride), hx != hy and a
+        # nonzero Dirichlet ring, which holds the peak max h^2
+        grid = Grid2D(nx=19, ny=13, hx=0.05, hy=0.07)
+        f0 = smooth_random_field(grid, 0.3, seed=5)
+        x, y = grid.nodes()
+        ring = np.ones(f0.p.shape, bool)
+        ring[1:-1, 1:-1] = False
+        f0.p[ring] = (0.1 * np.cos(3 * x)[:, None] * np.sin(2 * y + 1)[None, :])[ring]
+        f0.q[ring] = (0.05 + 0.02 * x[:, None] - 0.03 * y[None, :])[ring]
+        params = LdGParams(a=-0.4, b=0.0, c=1.5, L1=1.0, L2=0.2, L3=-0.1, L4=0.8)
+        dt = stability_dt(grid, params) / 2
+        trace = run(f0, params, 40 * dt, dt, scheme="explicit-euler", record_every=3)
+        assert trace.stop == Stop(STOP_REACHED_T, 40 * dt, 40) and len(trace.t) == 15
+        assert trace.peak_h2.hex() == "0x1.70a3d70a3d708p-5"
+        digest = hashlib.sha256()
+        for name in ("t", "energy", "max_h2", "l2_q", "l2_dqdt", "defect", "smallness"):
+            digest.update(getattr(trace, name).tobytes())
+        digest.update(trace.final_field.p.tobytes())
+        digest.update(trace.final_field.q.tobytes())
+        assert digest.hexdigest() == (
+            "b416d729fcd3c3159a64e1cc3f40a21abea9c647f6bb29eb5ccc2bcd382d8b9b")
+
+    @pytest.mark.parametrize("record_every", [0, -2])
+    def test_rejects_record_every_below_one(self, monkeypatch, record_every):
+        # 0 divided by zero at step 1, -2 recorded every second step
+        def no_work(*args, **kwargs):
+            raise AssertionError("stepped before checking record_every")
+
+        monkeypatch.setattr(pde2d, "rhs_pq", no_work)
+        f0 = smooth_random_field(Grid2D.from_extent(8, 8, 1.0, 1.0), 0.2, seed=1)
+        with pytest.raises(ValueError, match="record_every must be at least 1"):
+            run(f0, coercive_params(), 1e-2, 1e-3, record_every=record_every)
+
     def test_step_raises_on_overflow(self):
         grid = Grid2D.from_extent(8, 8, 1.0, 1.0)
         fld = smooth_random_field(grid, 0.3, seed=8)
@@ -502,6 +538,14 @@ class TestLockStep:
            hx=st.floats(0.05, 1.0), hy=st.floats(0.05, 1.0),
            L4=st.sampled_from([0.0, 0.6]), scheme=st.sampled_from(SCHEMES),
            seed=st.integers(0, 2**32 - 1))
+    # the least grid; drawn stacks of 2 and 3 fields with L4 != 0, one per
+    # scheme; 4 fields whose interiors outnumber one member's nodes twice
+    @example(k=1, nx=3, ny=3, hx=0.05, hy=0.05, L4=0.0, scheme="explicit-euler", seed=0)
+    @example(k=2, nx=14, ny=3, hx=0.596797159018289, hy=0.08352604884358492, L4=0.6,
+             scheme="explicit-euler", seed=15649763)
+    @example(k=3, nx=8, ny=10, hx=0.5153733737459723, hy=0.7837985457908703, L4=0.6,
+             scheme="imex", seed=215)
+    @example(k=4, nx=14, ny=13, hx=0.05, hy=0.9, L4=0.6, scheme="imex", seed=7)
     def test_members_keep_the_bits_of_their_own_steps(self, k, nx, ny, hx, hy, L4, scheme, seed):
         if nx == ny:
             ny += 1
@@ -600,6 +644,18 @@ class TestContinuousDependence:
                 continuous_dependence_experiment(
                     self.base, [self._pert(1e-8), pert], self.params, 0.1, 1e-3)
 
+    @pytest.mark.parametrize("record_every", [0, -2])
+    def test_rejects_record_every_below_one(self, monkeypatch, record_every):
+        # 0 divided by zero at step 1, -2 recorded every second step
+        def no_work(*args, **kwargs):
+            raise AssertionError("stepped before checking record_every")
+
+        for name in ("step", "discrete_energy"):
+            monkeypatch.setattr(pde2d, name, no_work)
+        with pytest.raises(ValueError, match="record_every must be at least 1"):
+            continuous_dependence_experiment(self.base, [self._pert(1e-8)], self.params, 0.01,
+                                             1e-3, record_every=record_every)
+
     # each side without its corners, which the other sides share
     @pytest.mark.parametrize("side", [(0, slice(1, -1)), (-1, slice(1, -1)),
                                       (slice(1, -1), 0), (slice(1, -1), -1)])
@@ -653,6 +709,18 @@ class TestShared:
            L4=st.sampled_from([0.0, 0.7, -1.3]),
            layout=st.sampled_from(["C", "fortran", "view"]),
            seed=st.integers(0, 2**32 - 1))
+    # drawn rows: each layout and each L4, the least grid and the largest
+    @example(nx=3, ny=3, hx=0.25, hy=0.25, L4=0.0, layout="C", seed=3)
+    @example(nx=3, ny=3, hx=0.5248648021467968, hy=0.5248648021467968, L4=-1.3,
+             layout="fortran", seed=198)
+    @example(nx=13, ny=19, hx=1.0910154654147068, hy=0.6035484994136463, L4=-1.3, layout="C",
+             seed=38908952)
+    @example(nx=37, ny=34, hx=0.8107244146715934, hy=0.17788435582893453, L4=0.7,
+             layout="fortran", seed=180)
+    @example(nx=17, ny=35, hx=0.8997047795660204, hy=0.2, L4=0.7, layout="view", seed=32146172)
+    @example(nx=38, ny=38, hx=1.1017809946073496, hy=1.1017809946073496, L4=-1.3, layout="view",
+             seed=38)
+    @example(nx=40, ny=40, hx=0.01, hy=2.0, L4=0.7, layout="C", seed=40)
     def test_shared_reads_equal_standalone_calls(self, nx, ny, hx, hy, L4, layout, seed):
         if hx == hy:
             hy = 1.5 * hx
