@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .energy import LdGParams, bulk_from_traces, derived_constants, trapezoid
+from .energy import LdGParams, derived_constants, trapezoid
 
 # Explicit-Euler stability fraction: dt <= CFL_FRACTION * min(hx,hy)^2 / zeta.
 # The cubic term's stiffness is data-dependent; a runtime non-finite guard
@@ -169,13 +169,73 @@ class Field2D:
         return float(np.max(self.p * self.p + self.q * self.q))
 
 
-def _l2_norm(grid: Grid2D, t2: np.ndarray) -> float:
+class _Pool:
+    """Scratch arrays of `size` entries (one field's nodes, or one stack's)
+    for the temporaries of rhs_pq, discrete_energy, the L2 norm and the step.
+
+    take(shape) hands out the array given back last, or a new one while
+    none is spare, as a C-order view of its first entries; give() takes
+    back arrays whose values are spent.  The pool so holds as many arrays
+    as its caller has taken and not given back at the most, and no more.
+    run keeps one pool for all its steps, which fills in the first and is
+    reused after; a call outside run builds its own, which goes with it.
+    """
+
+    __slots__ = ("size", "spare", "runs")
+
+    def __init__(self, size: int):
+        self.size = size
+        self.spare = []
+        self.runs = {}  # id(allocation): its run of `size` entries
+
+    def take(self, shape) -> np.ndarray:
+        if self.spare:
+            a = self.spare.pop()
+            if a.shape == shape:  # a given-back array of this shape is the view
+                return a
+            run = self.runs[id(a.base)]
+        else:
+            # a run that starts on a 64-byte line (numpy's own arrays start
+            # on any 16 bytes), so that every pool array has the alignment
+            # of the widest vector stores
+            raw = np.empty(self.size + 7)
+            start = -raw.__array_interface__["data"][0] % 64 // 8
+            run = self.runs[id(raw)] = raw[start:start + self.size]
+        return run[:math.prod(shape)].reshape(shape)
+
+    def give(self, *arrays) -> None:
+        self.spare.extend(arrays)  # each a view of its run, as take made it
+
+
+def _l2_norm(grid: Grid2D, t2: np.ndarray, pool: _Pool | None = None) -> float:
     """||Q||_L2 by trapezoidal quadrature of the nodal t2 = tr(Q^2) = 2 h2,
-    h2 = p^2 + q^2, along each axis.  The sums run over a C-order array (a
-    copy only when t2 is in another layout), so no bit depends on t2's
-    memory layout."""
-    val = trapezoid(trapezoid(np.ascontiguousarray(t2), grid.hy), grid.hx)
+    h2 = p^2 + q^2, along each axis: energy.trapezoid's expression, its
+    inner sums over a C-order array (a copy only when t2 is in another
+    layout), so no bit depends on t2's memory layout.
+
+    The neighbour sums along y are formed in a pool array over t2 read as
+    one flat run, as one-dimensional operations; the run also pairs each
+    row's last node with the next row's first, and the row sums skip those.
+    """
+    t2 = np.ascontiguousarray(t2)
+    pool = pool or _Pool(t2.size)
+    s = pool.take(t2.shape)
+    f, pairs = t2.reshape(-1), s.reshape(-1)[:-1]
+    np.add(f[1:], f[:-1], pairs)
+    pairs *= grid.hy
+    pairs *= 0.5
+    val = trapezoid(s[:, :-1].sum(-1), grid.hx)
+    pool.give(s)
     return math.sqrt(max(float(val), 0.0))
+
+
+def _sum_squares(p: np.ndarray, q: np.ndarray, out: np.ndarray, pool: _Pool) -> np.ndarray:
+    """h2 = p^2 + q^2 formed in out, with q^2 in a pool array."""
+    np.multiply(p, p, out)
+    t = np.multiply(q, q, pool.take(q.shape))
+    out += t
+    pool.give(t)
+    return out
 
 
 def smooth_random_field(grid: Grid2D, amplitude: float, seed: int = 0, kmax: int = 2) -> Field2D:
@@ -234,33 +294,46 @@ class _Shared:
     notes): the C-order components p, q and their slabs P, Q; the nodal
     h2 = p^2 + q^2 and t2 = tr(Q^2) = 2 h2; 2q on the slab; with L4 != 0 the
     first derivatives (d1p, d2p, d1q, d2q) and the six products that the
-    energy's cubic term and the RHS's L4 terms both form.  rhs_pq writes
-    over the derivatives and products and drops them, so it reads them last.
+    energy's cubic term and the RHS's L4 terms both form.  All but p, q and
+    a caller's h2 are arrays of the pool, a new one unless one is given;
+    t2 is formed when first read.  discrete_energy spends t2 (a later read
+    forms it again); rhs_pq spends the rest but h2, so it reads them last.
     """
 
-    __slots__ = ("p", "q", "P", "Q", "h2", "t2", "q2", "first", "squares", "cross")
+    __slots__ = ("pool", "p", "q", "P", "Q", "h2", "_t2", "q2", "first", "squares", "cross")
 
-    def __init__(self, field: Field2D, L4: float, h2: np.ndarray | None = None):
+    def __init__(self, field: Field2D, L4: float, h2: np.ndarray | None = None,
+                 pool: _Pool | None = None):
+        self.pool = pool = pool or _Pool(field.p.size)
+        take = pool.take
         self.p, self.q = p, q = np.ascontiguousarray(field.p), np.ascontiguousarray(field.q)
         if h2 is None:
-            h2 = p * p
-            h2 += q * q
-        self.h2 = h2 = np.ascontiguousarray(h2)
-        self.t2 = 2.0 * h2
+            h2 = _sum_squares(p, q, take(p.shape), pool)
+        self.h2 = np.ascontiguousarray(h2)
+        self._t2 = None
         self.P, self.Q = P, Q = _slab(p), _slab(q)
-        self.q2 = 2.0 * Q()
+        n = (len(P()),)
+        self.q2 = np.multiply(Q(), 2.0, take(n))
         if L4 != 0.0:
             hx2, hy2 = 2.0 * field.grid.hx, 2.0 * field.grid.hy
             self.first = dp1, dp2, dq1, dq2 = (
-                _quotient(P(1, 0), P(-1, 0), hx2), _quotient(P(0, 1), P(0, -1), hy2),
-                _quotient(Q(1, 0), Q(-1, 0), hx2), _quotient(Q(0, 1), Q(0, -1), hy2))
-            self.squares = dp1 * dp1, dq1 * dq1, dp2 * dp2, dq2 * dq2
-            self.cross = dp1 * dp2, dq1 * dq2
+                _quotient(P(1, 0), P(-1, 0), hx2, take(n)),
+                _quotient(P(0, 1), P(0, -1), hy2, take(n)),
+                _quotient(Q(1, 0), Q(-1, 0), hx2, take(n)),
+                _quotient(Q(0, 1), Q(0, -1), hy2, take(n)))
+            self.squares = tuple(np.multiply(d, d, take(n)) for d in (dp1, dq1, dp2, dq2))
+            self.cross = np.multiply(dp1, dp2, take(n)), np.multiply(dq1, dq2, take(n))
+
+    @property
+    def t2(self) -> np.ndarray:
+        if self._t2 is None:
+            self._t2 = np.multiply(self.h2, 2.0, self.pool.take(self.h2.shape))
+        return self._t2
 
 
 def _quotient(a, b, den, out=None):
     """(a - b) / den, formed in out (a fresh array by default)."""
-    d = np.subtract(a, b, out=out)
+    d = np.subtract(a, b, out)
     d /= den
     return d
 
@@ -268,23 +341,24 @@ def _quotient(a, b, den, out=None):
 def rhs_pq(field: Field2D, params: LdGParams, *, shared: _Shared | None = None):
     """(dp/dt, dq/dt) on interior nodes, second-order central differences on
     slabs; with L4 = 0 no first or mixed derivative is formed.  Shape
-    (nx, ny) for one field, (k, nx, ny) for a stack of k.  A caller may pass
-    the field's _Shared, whose derivatives and products this writes over.
+    (nx, ny) for one field, (k, nx, ny) for a stack of k, each an array of
+    the pool.  A caller may pass the field's _Shared, whose derivatives and
+    products this writes over and gives back.
 
-    Each term is one fresh or spent array updated in place, in the order of
-    the expressions in the module docstring; the L4 terms in first
-    derivatives come first, so that their inputs are scratch for the rest.
+    Each term is one pool array updated in place, in the order of the
+    expressions in the module docstring; the L4 terms in first derivatives
+    come first, so that their inputs are scratch for the rest.
     """
     grid = field.grid
     hx, hy = grid.hx, grid.hy
     zeta, L4, a, c = params.zeta, params.L4, params.a, params.c
     s = shared or _Shared(field, L4)
-    P, Q = s.P, s.Q
+    pool, P, Q = s.pool, s.P, s.Q
     p, q = P(), Q()
-    free = []  # arrays whose values are spent
+    take, give, n = pool.take, pool.give, p.shape
 
     def scratch():
-        return free.pop() if free else np.empty_like(p)
+        return take(n)
 
     if L4 != 0.0:
         dp1, dp2, dq1, dq2 = s.first
@@ -294,47 +368,47 @@ def rhs_pq(field: Field2D, params: LdGParams, *, shared: _Shared | None = None):
         xp -= dp2sq
         xp += dq2sq
         for u, v in ((dp1, dq2), (dp2, dq1)):
-            np.multiply(u, 2.0, out=dq1sq)
+            np.multiply(u, 2.0, dq1sq)
             dq1sq *= v
             xp += dq1sq
         xp *= L4
         # 2 L4 [d1q d2q - d1p d2p + d1p d1q - d2p d2q]
         xq -= dp1dp2
-        np.multiply(dp1, dq1, out=dp1dp2)
+        np.multiply(dp1, dq1, dp1dp2)
         xq += dp1dp2
-        np.multiply(dp2, dq2, out=dp1dp2)
+        np.multiply(dp2, dq2, dp1dp2)
         xq -= dp1dp2
         xq *= 2.0 * L4
-        free += [dq1sq, dp2sq, dq2sq, dp1dp2, dp1, dp2, dq1, dq2]
+        give(dq1sq, dp2sq, dq2sq, dp1dp2, dp1, dp2, dq1, dq2)
         s.first = s.squares = s.cross = None  # spent
     else:
         xp = xq = None
 
     def second(at, f2, di, dj, den):
         # (at(di, dj) - 2 f + at(-di, -dj)) / den
-        d = np.subtract(at(di, dj), f2, out=scratch())
+        d = np.subtract(at(di, dj), f2, scratch())
         d += at(-di, -dj)
         d /= den
         return d
 
-    c2h2 = np.multiply(_slab(s.h2)(), 2.0 * c, out=scratch())
+    c2h2 = np.multiply(_slab(s.h2)(), 2.0 * c, scratch())
     rhs = []
     for at, f, x in ((P, p, xp), (Q, q, xq)):
-        f2 = s.q2 if f is q else np.multiply(p, 2.0, out=scratch())
+        f2 = s.q2 if f is q else np.multiply(p, 2.0, scratch())
         d11, d22 = second(at, f2, 1, 0, hx * hx), second(at, f2, 0, 1, hy * hy)
         if f is p:
-            free.append(f2)
+            give(f2)
         # zeta Lap f - a f - 2c h2 f
-        acc = np.add(d11, d22, out=scratch())
+        acc = np.add(d11, d22, scratch())
         acc *= zeta
-        t = np.multiply(f, a, out=scratch())
+        t = np.multiply(f, a, scratch())
         acc -= t
-        np.multiply(c2h2, f, out=t)
+        np.multiply(c2h2, f, t)
         acc -= t
         if L4 != 0.0:
             acc += x
             # 2 L4 (p d11 + 2 q d12 - p d22), d12 the mixed derivative
-            d12 = np.subtract(at(1, 1), at(1, -1), out=t)
+            d12 = np.subtract(at(1, 1), at(1, -1), t)
             d12 -= at(-1, 1)
             d12 += at(-1, -1)
             d12 /= 4.0 * hx * hy
@@ -345,10 +419,18 @@ def rhs_pq(field: Field2D, params: LdGParams, *, shared: _Shared | None = None):
             d11 -= d22
             d11 *= 2.0 * L4
             acc += d11
-        free += [d11, d22, t]
+        give(d11, d22, t)
         rhs.append(acc)
     k = len(field.p) // (grid.nx + 2)
-    return tuple(_interior(acc, grid, k).copy() for acc in rhs)
+    out = []
+    for acc in rhs:
+        inner = _interior(acc, grid, k)
+        out.append(pool.take(inner.shape))
+        np.copyto(out[-1], inner)
+        give(acc)
+    give(*(x for x in (c2h2, xp, xq, s.q2, s._t2) if x is not None))
+    s.q2 = s._t2 = None  # spent
+    return tuple(out)
 
 
 def discrete_energy(field: Field2D, params: LdGParams, *, h2: np.ndarray | None = None,
@@ -361,39 +443,68 @@ def discrete_energy(field: Field2D, params: LdGParams, *, h2: np.ndarray | None 
     defect.  The (L3-L2) cross term is a null Lagrangian (constant in time
     under fixed boundary data) and is omitted; the L4 part is a
     central-difference quadrature, for monitoring only.  A caller may pass
-    the nodal h2 = p*p + q*q, or the field's _Shared.  Every sum runs over a
+    the nodal h2 = p*p + q*q, or the field's _Shared, whose t2 this writes
+    over; every temporary is an array of its pool.  Every sum runs over a
     C-order array, so no bit depends on the fields' memory layout.
     """
     hx, hy = field.grid.hx, field.grid.hy
     w = hx * hy
     zeta = params.zeta
     s = shared or _Shared(field, params.L4, h2)
+    pool = s.pool
+    take, give = pool.take, pool.give
 
-    def squares_sum(a, b, h):
-        d = _quotient(a, b, h)
+    def squares_sum(F, h, along_y):
+        # the sum of ((F[i+1] - F[i]) / h)^2 over the neighbours along x or
+        # y, over a C-order array of the differences; along y they are
+        # formed over F read as one flat run, and the differences across
+        # rows left out when the rest is copied out
+        if along_y:
+            run = take(F.shape)
+            f = F.reshape(-1)
+            np.subtract(f[1:], f[:-1], run.reshape(-1)[:-1])
+            d = take((F.shape[0], F.shape[1] - 1))
+            np.copyto(d, run[:, :-1])
+            give(run)
+        else:
+            d = np.subtract(F[1:], F[:-1], take((F.shape[0] - 1, F.shape[1])))
+        d /= h
         d *= d
-        return float(d.sum())
+        total = float(d.sum())
+        give(d)
+        return total
 
+    # bulk_from_traces(t2, params) first, formed over the spent t2
+    t2, s._t2 = s.t2, None
+    bulk = np.multiply(t2, 0.25 * params.c, take(t2.shape))
+    bulk *= t2
+    t2 *= 0.5 * params.a
+    bulk += t2
+    bulk_sum = float(bulk.sum())
+    give(bulk, t2)
     e = 0.0
     for F in (s.p, s.q):
-        e += zeta * w * (squares_sum(F[1:, :], F[:-1, :], hx)
-                         + squares_sum(F[:, 1:], F[:, :-1], hy))
-    e += w * float(bulk_from_traces(s.t2, params).sum())
+        e += zeta * w * (squares_sum(F, hx, False) + squares_sum(F, hy, True))
+    e += w * bulk_sum
     if params.L4 != 0.0:
         # p (d1p^2 + d1q^2 - d2p^2 - d2q^2) + 2 q (d1p d2p + d1q d2q)
         dp1sq, dq1sq, dp2sq, dq2sq = s.squares
-        cubic = dp1sq + dq1sq
+        n = dp1sq.shape
+        cubic = np.add(dp1sq, dq1sq, take(n))
         cubic -= dp2sq
         cubic -= dq2sq
         cubic *= s.P()
-        x = np.add(*s.cross)
+        x = np.add(*s.cross, take(n))
         x *= s.q2
         cubic += x
-        # twice the interior, written into the spent x as a contiguous
-        # (nx, ny) array: the sum runs over it as on the 2D views
-        nx, ny = field.grid.nx, field.grid.ny
-        x = np.multiply(_interior(cubic, field.grid), 2.0, out=x[:nx * ny].reshape(nx, ny))
+        give(x)
+        # twice the interior, as a contiguous (nx, ny) array: the sum runs
+        # over it as on the 2D views
+        x = take((field.grid.nx, field.grid.ny))
+        np.copyto(x, _interior(cubic, field.grid))
+        x *= 2.0
         e += params.L4 * w * float(x.sum())
+        give(cubic, x)
     return e
 
 
@@ -427,36 +538,49 @@ def _imex_symbol(nx: int, ny: int, mx: float, my: float) -> np.ndarray:
     return lam
 
 
-def _advance(field: Field2D, dp: np.ndarray, dq: np.ndarray, dt: float,
-             params: LdGParams, scheme: str, check: bool = True) -> Field2D:
-    """One step of `step` from the RHS (dp, dq) = rhs_pq(field, params),
-    which it writes over.  Raises UnstableStepError on a non-finite value
-    unless check is False."""
-    grid = field.grid
+def _increment(grid: Grid2D, rhs, dt: float, params: LdGParams, scheme: str,
+               pool: _Pool) -> None:
+    """dt times the increment (u_new - u)/dt of one step, written over the
+    RHS rhs = (dp, dq) of rhs_pq; imex takes one pool array besides."""
     if scheme == "imex":
         zeta = params.zeta
         if zeta <= 0.0:
             raise ValueError("imex scheme needs zeta > 0")
         # (I - dt zeta L_h) delta = rhs with delta = 0 on the ring, solved
-        # exactly in the sine basis that diagonalizes the 5-point operator;
-        # one GEMM per (nx, ny) plane, 2k planes for a stack of k
+        # exactly in the sine basis that diagonalizes the 5-point operator:
+        # Sx (Sx rhs Sy / lam) Sy, one GEMM per (nx, ny) plane, k planes
+        # per component for a stack of k
         Sx, Sy = _sine_basis(grid.nx)[0], _sine_basis(grid.ny)[0]
         lam = _imex_symbol(grid.nx, grid.ny, dt * zeta / grid.hx**2, dt * zeta / grid.hy**2)
-        r = Sx @ np.stack((dp, dq)).reshape(-1, grid.nx, grid.ny) @ Sy
-        r /= lam
-        dp, dq = (Sx @ r @ Sy).reshape((2,) + dp.shape)
+        t = pool.take(rhs[0].shape)
+        for d in rhs:
+            np.matmul(Sx, d, t)
+            np.matmul(t, Sy, d)
+            d /= lam
+            np.matmul(Sx, d, t)
+            np.matmul(t, Sy, d)
+        pool.give(t)
+    for d in rhs:
+        d *= dt
+
+
+def _advance(field: Field2D, dp: np.ndarray, dq: np.ndarray, dt: float,
+             params: LdGParams, scheme: str, pool: _Pool) -> Field2D:
+    """One step of `step` from the RHS (dp, dq) = rhs_pq(field, params),
+    which it writes over, into a new field.  Raises UnstableStepError on a
+    non-finite value."""
+    _increment(field.grid, (dp, dq), dt, params, scheme, pool)
     out = field.copy()
-    shape = dp.shape[:-2] + (grid.nx + 2, grid.ny + 2)  # a view per member of a stack
+    shape = dp.shape[:-2] + (field.grid.nx + 2, field.grid.ny + 2)  # a view per member of a stack
     for F, delta in ((out.p, dp), (out.q, dq)):
-        delta *= dt
         F.reshape(shape)[..., 1:-1, 1:-1] += delta
-    if check and not _finite(out):
+    if not _finite(out.p, out.q):
         raise UnstableStepError("non-finite values after step")
     return out
 
 
-def _finite(field: Field2D) -> bool:
-    return bool(np.all(np.isfinite(field.p)) and np.all(np.isfinite(field.q)))
+def _finite(*arrays) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def _check_step_args(dt: float, scheme: str, record_every: int = 1) -> None:
@@ -480,7 +604,8 @@ def step(field: Field2D, dt: float, params: LdGParams, scheme: str = "imex") -> 
     Raises UnstableStepError if the step produces non-finite values.
     """
     _check_step_args(dt, scheme)
-    return _advance(field, *rhs_pq(field, params), dt, params, scheme)
+    shared = _Shared(field, params.L4)
+    return _advance(field, *rhs_pq(field, params, shared=shared), dt, params, scheme, shared.pool)
 
 
 @dataclass
@@ -512,19 +637,24 @@ class RunTrace:
         return bool(self.peak_h2 <= self.small_cap)
 
 
-def _dqdt_norm2(dp, dq, w):
-    # |dQ/dt|_F^2 = 2 (pdot^2 + qdot^2), midpoint quadrature over interior
-    return 2.0 * w * (float((dp * dp).sum()) + float((dq * dq).sum()))
+def _dqdt_norm2(dp, dq, w, pool):
+    # |dQ/dt|_F^2 = 2 (pdot^2 + qdot^2), midpoint quadrature over interior,
+    # the squares in one pool array
+    d = pool.take(dp.shape)
+    total = float(np.multiply(dp, dp, d).sum()) + float(np.multiply(dq, dq, d).sum())
+    pool.give(d)
+    return 2.0 * w * total
 
 
-def _step_dqdt_norm2(new: Field2D, old: Field2D, dt: float, w: float) -> float:
-    """_dqdt_norm2 of the difference quotient (new - old) / dt, formed in
-    one array."""
-    d, sums = None, []
-    for a, b in ((new.p, old.p), (new.q, old.q)):
-        d = _quotient(a[1:-1, 1:-1], b[1:-1, 1:-1], dt, out=d)
+def _step_dqdt_norm2(new, old, dt: float, w: float, pool: _Pool) -> float:
+    """_dqdt_norm2 of the difference quotients (new - old) / dt of the
+    interiors new = (p, q) and old, formed in one pool array."""
+    d, sums = pool.take(new[0].shape), []
+    for a, b in zip(new, old):
+        _quotient(a, b, dt, d)
         d *= d
         sums.append(float(d.sum()))
+    pool.give(d)
     return 2.0 * w * (sums[0] + sums[1])
 
 
@@ -549,59 +679,86 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
     grid = field0.grid
     if len(field0.p) != grid.nx + 2:
         raise ValueError("run takes one field, not a lock-step stack")
+    fld = field0.copy()
+    rows, stop, peak_h2 = _march(fld, params, max(1, int(round(T / dt))), dt, scheme,
+                                 record_every, small_cap)
+    return RunTrace(*(np.array(series) for series in zip(*rows)), stop=stop, peak_h2=peak_h2,
+                    small_cap=small_cap, final_field=fld)
+
+
+def _march(fld: Field2D, params: LdGParams, nsteps: int, dt: float, scheme: str,
+           record_every: int, small_cap: float):
+    """run's steps, in place on fld: the rows of the RunTrace series, one
+    tuple per record, the stop and the peak max h^2.  Every temporary is an
+    array of one pool, which goes when this returns."""
+    grid = fld.grid
     w = grid.hx * grid.hy
     # ||Q||_L2^2 <= 2 max h^2 Lx Ly, as the trapezoid weights sum to the
     # area; below this max h^2 (less a rounding margin) no trapezoid is needed
     quiet_h2 = BLOWUP_L2_THRESHOLD ** 2 / (2.0 * grid.Lx * grid.Ly * (1.0 + 1e-6))
-    nsteps = max(1, int(round(T / dt)))
+    pool = _Pool(fld.p.size)
+    interior = fld.p[1:-1, 1:-1], fld.q[1:-1, 1:-1]
+    finite0 = _finite(fld.p, fld.q)  # each later field is tested before it is kept
+    rows = []
 
-    fld = field0.copy()
-    rows = []  # the RunTrace series, one tuple per record
-
-    # one _Shared per record serves the energy, the RHS and the L2 norm
-    def record(t, field, h2, mh2, energy_before, dissipation):
-        shared = _Shared(field, params.L4, h2)
-        energy = discrete_energy(field, params, shared=shared)
-        rhs = rhs_pq(field, params, shared=shared)
+    # one _Shared per step serves the L2 norm, the energy and the RHS
+    def record(t, shared, mh2, energy_before, dissipation):
+        l2 = _l2_norm(grid, shared.t2, pool)
+        energy = discrete_energy(fld, params, shared=shared)
+        rhs = rhs_pq(fld, params, shared=shared)
         defect = 0.0 if energy_before is None else abs(energy - energy_before + dissipation)
-        rows.append((t, energy, mh2, _l2_norm(grid, shared.t2), math.sqrt(_dqdt_norm2(*rhs, w)),
-                     defect, mh2 <= small_cap))
+        rows.append((t, energy, mh2, l2, math.sqrt(_dqdt_norm2(*rhs, w, pool)), defect,
+                     mh2 <= small_cap))
         return energy, rhs
 
-    # the RHS of the field last recorded is the one the next step needs
-    h2 = fld.p * fld.p + fld.q * fld.q
+    # h2 of the field, ring included; each step rewrites its interior.  The
+    # RHS of the field last recorded is the one the next step needs
+    h2 = _sum_squares(fld.p, fld.q, pool.take(fld.p.shape), pool)
     peak_h2 = float(h2.max())
-    energy, rhs = record(0.0, fld, h2, peak_h2, None, 0.0)
+    shared = _Shared(fld, params.L4, h2, pool)
+    energy, rhs = record(0.0, shared, peak_h2, None, 0.0)
     stop = Stop(STOP_REACHED_T, nsteps * dt, nsteps)
     acc_dissipation = 0.0
     # overflow on the way to a detected blow-up is expected, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nsteps + 1):
             if rhs is None:
-                rhs = rhs_pq(fld, params)
-            new = _advance(fld, *rhs, dt, params, scheme, check=False)
-            rhs = None
-            h2 = new.p * new.p
-            h2 += new.q * new.q
+                rhs = rhs_pq(fld, params, shared=shared)
+            # the new interiors, formed over the RHS; the field takes them
+            # only once they are known to be finite
+            new, rhs = rhs, None
+            _increment(grid, new, dt, params, scheme, pool)
+            # old: contiguous copies of the interiors, so that the passes
+            # below each run over contiguous arrays
+            old = []
+            for a, f in zip(new, interior):
+                old.append(pool.take(a.shape))
+                np.copyto(old[-1], f)
+                a += old[-1]
+            t = _sum_squares(*new, pool.take(a.shape), pool)
+            np.copyto(h2[1:-1, 1:-1], t)
+            pool.give(t)
             mh2 = float(h2.max())
             # a finite max h^2 means finite p and q; p^2 can overflow while
             # p is finite, so an infinite one takes the exact test
-            if not math.isfinite(mh2) and not _finite(new):
+            if not math.isfinite(mh2) and not (finite0 and _finite(*new)):
                 stop = Stop(STOP_NONFINITE, n * dt, n)
                 break
             peak_h2 = max(peak_h2, mh2)
-            acc_dissipation += dt * _step_dqdt_norm2(new, fld, dt, w)
-            fld = new
+            acc_dissipation += dt * _step_dqdt_norm2(new, old, dt, w, pool)
+            for f, a in zip(interior, new):
+                np.copyto(f, a)
+            pool.give(*new, *old)
+            shared = _Shared(fld, params.L4, h2, pool)
             if n % record_every and n != nsteps and (
-                    mh2 <= quiet_h2 or _l2_norm(grid, 2.0 * h2) <= BLOWUP_L2_THRESHOLD):
+                    mh2 <= quiet_h2 or _l2_norm(grid, shared.t2, pool) <= BLOWUP_L2_THRESHOLD):
                 continue
-            energy, rhs = record(n * dt, fld, h2, mh2, energy, acc_dissipation)
+            energy, rhs = record(n * dt, shared, mh2, energy, acc_dissipation)
             acc_dissipation = 0.0
             if rows[-1][3] > BLOWUP_L2_THRESHOLD:
                 stop = Stop(STOP_THRESHOLD, n * dt, n)
                 break
-    return RunTrace(*(np.array(series) for series in zip(*rows)), stop=stop, peak_h2=peak_h2,
-                    small_cap=small_cap, final_field=fld)
+    return rows, stop, peak_h2
 
 
 @dataclass
@@ -670,9 +827,10 @@ def continuous_dependence_experiment(field0: Field2D, perturbations, params: LdG
         base, *others = (f for s in stacks for f in s.members())
         shared = _Shared(base, params.L4)
         mh2 = float(shared.h2.max())
+        l2 = _l2_norm(grid, shared.t2, shared.pool)  # before the energy writes over t2
         times.append(t)
-        monitors.append((discrete_energy(base, params, shared=shared), mh2,
-                         _l2_norm(grid, shared.t2), mh2 <= small_cap))
+        monitors.append((discrete_energy(base, params, shared=shared), mh2, l2,
+                         mh2 <= small_cap))
         dists.append([field_distance(base, f) for f in others])
 
     observe(0.0)

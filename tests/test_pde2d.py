@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -504,6 +505,29 @@ class TestRun:
         assert digest.hexdigest() == (
             "b416d729fcd3c3159a64e1cc3f40a21abea9c647f6bb29eb5ccc2bcd382d8b9b")
 
+    def test_live_peak_of_a_128_run(self):
+        # smallness-128's data: 128^2, IMEX, L4 = 1.  The run's temporaries
+        # come from one pool that lives for the run, so the traced peak
+        # stays at or under the 2,408,696 bytes that the run reached with
+        # new arrays on every step, and more steps add no array to it
+        eta1 = derived_constants(coercive_params(a=0.0, L4=1.0)).eta1
+        params = coercive_params(a=0.9 * 2.0 * eta1, L4=1.0)
+        f0 = smooth_random_field(Grid2D.from_extent(128, 128, 1.0, 1.0),
+                                 0.9 * math.sqrt(2.0 * eta1), seed=0)
+        run(f0, params, 5e-3, 5e-3)  # caches the sine basis and the symbol
+        peaks = []
+        for steps in (5, 20):
+            tracemalloc.start()
+            try:
+                run(f0, params, steps * 5e-3, 5e-3, record_every=10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 2_408_696
+        # a record's row and Python's free lists add a few KB; one more
+        # pool array would add 139 KB
+        assert peaks[1] - peaks[0] < f0.p.nbytes // 8
+
     @pytest.mark.parametrize("record_every", [0, -2])
     def test_rejects_record_every_below_one(self, monkeypatch, record_every):
         # 0 divided by zero at step 1, -2 recorded every second step
@@ -740,6 +764,25 @@ class TestShared:
         # the record's t2 is in C order, as every field run steps is
         pc, qc = np.ascontiguousarray(p), np.ascontiguousarray(q)
         assert l2 == pde2d._l2_norm(grid, 2.0 * (pc * pc + qc * qc)) == trapezoid_l2(grid, pc, qc)
+
+
+class TestPool:
+    """The run's scratch arrays: reused last given first, every one on a
+    64-byte line, never more than are out at once."""
+
+    def test_reuse_alignment_and_count(self):
+        pool = pde2d._Pool(20)
+        a, b = pool.take((3, 4)), pool.take((17,))
+        assert a.shape == (3, 4) and b.shape == (17,) and a.base is not b.base
+        assert all(x.ctypes.data % 64 == 0 for x in (a, b))
+        pool.give(a, b)
+        # the last given back first; the same shape is the same view
+        assert pool.take((17,)) is b
+        c = pool.take((4, 5))
+        assert c.base is a.base and c.ctypes.data == a.ctypes.data
+        pool.give(b, c)
+        held = {id(x.base) for x in (pool.take((2,)), pool.take((20,)))}
+        assert held == {id(a.base), id(b.base)} and len(pool.runs) == 2
 
 
 class TestL2Layout:
