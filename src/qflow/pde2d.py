@@ -19,6 +19,7 @@ satisfies the dissipation identity exactly up to the O(dt^2) Euler defect.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -169,6 +170,16 @@ class Field2D:
         return float(np.max(self.p * self.p + self.q * self.q))
 
 
+def _aligned(n: int, lead: int = 0) -> np.ndarray:
+    """n new float64 entries, the one at index lead on a 64-byte line.
+    numpy's arrays start on any 16 bytes; the widest vector stores write
+    64, and a ufunc writes up to twice as fast into an array that starts on
+    a line of them (README, numerical notes)."""
+    raw = np.empty(n + 7)
+    start = -(ctypes.addressof(ctypes.c_char.from_buffer(raw)) + 8 * lead) % 64 // 8
+    return raw[start:start + n]
+
+
 class _Pool:
     """Scratch arrays of `size` entries (one field's nodes, or one stack's)
     for the temporaries of rhs_pq, discrete_energy, the L2 norm and the step.
@@ -179,32 +190,35 @@ class _Pool:
     as its caller has taken and not given back at the most, and no more.
     run keeps one pool for all its steps, which fills in the first and is
     reused after; a call outside run builds its own, which goes with it.
+
+    An aligned pool's arrays start on 64-byte lines (see _aligned).  Finding
+    the line costs a ctypes call per array, which only a pool that lives
+    for many steps earns back.
     """
 
-    __slots__ = ("size", "spare", "runs")
+    __slots__ = ("size", "aligned", "spare", "runs")
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, aligned: bool = False):
         self.size = size
+        self.aligned = aligned
         self.spare = []
-        self.runs = {}  # id(allocation): its run of `size` entries
+        self.runs = {}  # id(allocation): the view of `size` entries in it
 
     def take(self, shape) -> np.ndarray:
-        if self.spare:
-            a = self.spare.pop()
+        spare = self.spare
+        if spare:
+            a = spare.pop()
             if a.shape == shape:  # a given-back array of this shape is the view
                 return a
             run = self.runs[id(a.base)]
         else:
-            # a run that starts on a 64-byte line (numpy's own arrays start
-            # on any 16 bytes), so that every pool array has the alignment
-            # of the widest vector stores
-            raw = np.empty(self.size + 7)
-            start = -raw.__array_interface__["data"][0] % 64 // 8
-            run = self.runs[id(raw)] = raw[start:start + self.size]
-        return run[:math.prod(shape)].reshape(shape)
+            run = _aligned(self.size) if self.aligned else np.empty(self.size)[:]
+            self.runs[id(run.base)] = run
+        view = run[:math.prod(shape)]
+        return view if len(shape) == 1 else view.reshape(shape)
 
     def give(self, *arrays) -> None:
-        self.spare.extend(arrays)  # each a view of its run, as take made it
+        self.spare.extend(arrays)  # each a view of its allocation, as take made it
 
 
 def _l2_norm(grid: Grid2D, t2: np.ndarray, pool: _Pool | None = None) -> float:
@@ -565,11 +579,11 @@ def _increment(grid: Grid2D, rhs, dt: float, params: LdGParams, scheme: str,
 
 
 def _advance(field: Field2D, dp: np.ndarray, dq: np.ndarray, dt: float,
-             params: LdGParams, scheme: str, pool: _Pool) -> Field2D:
+             params: LdGParams, scheme: str) -> Field2D:
     """One step of `step` from the RHS (dp, dq) = rhs_pq(field, params),
     which it writes over, into a new field.  Raises UnstableStepError on a
     non-finite value."""
-    _increment(field.grid, (dp, dq), dt, params, scheme, pool)
+    _increment(field.grid, (dp, dq), dt, params, scheme, _Pool(dp.size))
     out = field.copy()
     shape = dp.shape[:-2] + (field.grid.nx + 2, field.grid.ny + 2)  # a view per member of a stack
     for F, delta in ((out.p, dp), (out.q, dq)):
@@ -604,8 +618,7 @@ def step(field: Field2D, dt: float, params: LdGParams, scheme: str = "imex") -> 
     Raises UnstableStepError if the step produces non-finite values.
     """
     _check_step_args(dt, scheme)
-    shared = _Shared(field, params.L4)
-    return _advance(field, *rhs_pq(field, params, shared=shared), dt, params, scheme, shared.pool)
+    return _advance(field, *rhs_pq(field, params), dt, params, scheme)
 
 
 @dataclass
@@ -679,7 +692,13 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
     grid = field0.grid
     if len(field0.p) != grid.nx + 2:
         raise ValueError("run takes one field, not a lock-step stack")
-    fld = field0.copy()
+    # the field's copy, each component placed so that its slab (the run of
+    # the interior nodes that the stencils read) starts on a 64-byte line
+    comps = []
+    for F in (field0.p, field0.q):
+        comps.append(_aligned(F.size, F.shape[1] + 1).reshape(F.shape))
+        comps[-1][...] = F
+    fld = Field2D(grid, *comps)
     rows, stop, peak_h2 = _march(fld, params, max(1, int(round(T / dt))), dt, scheme,
                                  record_every, small_cap)
     return RunTrace(*(np.array(series) for series in zip(*rows)), stop=stop, peak_h2=peak_h2,
@@ -696,7 +715,7 @@ def _march(fld: Field2D, params: LdGParams, nsteps: int, dt: float, scheme: str,
     # ||Q||_L2^2 <= 2 max h^2 Lx Ly, as the trapezoid weights sum to the
     # area; below this max h^2 (less a rounding margin) no trapezoid is needed
     quiet_h2 = BLOWUP_L2_THRESHOLD ** 2 / (2.0 * grid.Lx * grid.Ly * (1.0 + 1e-6))
-    pool = _Pool(fld.p.size)
+    pool = _Pool(fld.p.size, aligned=True)
     interior = fld.p[1:-1, 1:-1], fld.q[1:-1, 1:-1]
     finite0 = _finite(fld.p, fld.q)  # each later field is tested before it is kept
     rows = []

@@ -767,14 +767,17 @@ class TestShared:
 
 
 class TestPool:
-    """The run's scratch arrays: reused last given first, every one on a
-    64-byte line, never more than are out at once."""
+    """The run's scratch arrays: the last given back is reused first, an
+    aligned pool's arrays start on 64-byte lines, and the pool holds no
+    more arrays than are out at once."""
 
-    def test_reuse_alignment_and_count(self):
-        pool = pde2d._Pool(20)
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_reuse_alignment_and_count(self, aligned):
+        pool = pde2d._Pool(20, aligned)
         a, b = pool.take((3, 4)), pool.take((17,))
         assert a.shape == (3, 4) and b.shape == (17,) and a.base is not b.base
-        assert all(x.ctypes.data % 64 == 0 for x in (a, b))
+        if aligned:
+            assert a.ctypes.data % 64 == b.ctypes.data % 64 == 0
         pool.give(a, b)
         # the last given back first; the same shape is the same view
         assert pool.take((17,)) is b
