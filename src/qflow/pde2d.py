@@ -171,30 +171,21 @@ class Field2D:
 
 
 def _aligned(n: int, lead: int = 0) -> np.ndarray:
-    """n new float64 entries, the one at index lead on a 64-byte line.
-    numpy's arrays start on any 16 bytes; the widest vector stores write
-    64, and a ufunc writes up to twice as fast into an array that starts on
-    a line of them (README, numerical notes)."""
+    """n new float64 entries, entry lead on a 64-byte line, where numpy's
+    arrays start on any 16 bytes (README, numerical notes)."""
     raw = np.empty(n + 7)
     start = -(ctypes.addressof(ctypes.c_char.from_buffer(raw)) + 8 * lead) % 64 // 8
     return raw[start:start + n]
 
 
 class _Pool:
-    """Scratch arrays of `size` entries (one field's nodes, or one stack's)
-    for the temporaries of rhs_pq, discrete_energy, the L2 norm and the step.
-
-    take(shape) hands out the array given back last, or a new one while
-    none is spare, as a C-order view of its first entries; give() takes
-    back arrays whose values are spent.  The pool so holds as many arrays
-    as its caller has taken and not given back at the most, and no more.
-    run keeps one pool for all its steps, which fills in the first and is
-    reused after; a call outside run builds its own, which goes with it.
-
-    An aligned pool's arrays start on 64-byte lines (see _aligned).  Finding
-    the line costs a ctypes call per array, which only a pool that lives
-    for many steps earns back.
-    """
+    """Scratch arrays of `size` entries for the temporaries of one field,
+    or one stack: take(shape) hands out, as a C-order view of its first
+    entries, the array given back last by give(), or a new one while none
+    is spare, so the pool holds no more arrays than its caller has out at
+    once.  run keeps one pool for all its steps, its arrays _aligned (a
+    ctypes call per array, which a pool for one call does not earn back);
+    a call outside run builds its own."""
 
     __slots__ = ("size", "aligned", "spare", "runs")
 
@@ -202,7 +193,7 @@ class _Pool:
         self.size = size
         self.aligned = aligned
         self.spare = []
-        self.runs = {}  # id(allocation): the view of `size` entries in it
+        self.runs = {}  # aligned: id(allocation): its run of `size` entries
 
     def take(self, shape) -> np.ndarray:
         spare = self.spare
@@ -210,10 +201,12 @@ class _Pool:
             a = spare.pop()
             if a.shape == shape:  # a given-back array of this shape is the view
                 return a
-            run = self.runs[id(a.base)]
-        else:
-            run = _aligned(self.size) if self.aligned else np.empty(self.size)[:]
+            run = self.runs[id(a.base)] if self.aligned else a.base
+        elif self.aligned:
+            run = _aligned(self.size)
             self.runs[id(run.base)] = run
+        else:
+            run = np.empty(self.size)
         view = run[:math.prod(shape)]
         return view if len(shape) == 1 else view.reshape(shape)
 
@@ -223,14 +216,10 @@ class _Pool:
 
 def _l2_norm(grid: Grid2D, t2: np.ndarray, pool: _Pool | None = None) -> float:
     """||Q||_L2 by trapezoidal quadrature of the nodal t2 = tr(Q^2) = 2 h2,
-    h2 = p^2 + q^2, along each axis: energy.trapezoid's expression, its
-    inner sums over a C-order array (a copy only when t2 is in another
-    layout), so no bit depends on t2's memory layout.
-
-    The neighbour sums along y are formed in a pool array over t2 read as
-    one flat run, as one-dimensional operations; the run also pairs each
-    row's last node with the next row's first, and the row sums skip those.
-    """
+    h2 = p^2 + q^2, along each axis (energy.trapezoid's expression) over a
+    C-order array (a copy only when t2 is in another layout), so no bit
+    depends on t2's layout.  The neighbour sums along y run over t2 read as
+    one flat run; the row sums skip its pairs across rows."""
     t2 = np.ascontiguousarray(t2)
     pool = pool or _Pool(t2.size)
     s = pool.take(t2.shape)
@@ -438,9 +427,8 @@ def rhs_pq(field: Field2D, params: LdGParams, *, shared: _Shared | None = None):
     k = len(field.p) // (grid.nx + 2)
     out = []
     for acc in rhs:
-        inner = _interior(acc, grid, k)
-        out.append(pool.take(inner.shape))
-        np.copyto(out[-1], inner)
+        out.append(take(_interior(acc, grid, k).shape))
+        np.copyto(out[-1], _interior(acc, grid, k))
         give(acc)
     give(*(x for x in (c2h2, xp, xq, s.q2, s._t2) if x is not None))
     s.q2 = s._t2 = None  # spent
@@ -469,10 +457,8 @@ def discrete_energy(field: Field2D, params: LdGParams, *, h2: np.ndarray | None 
     take, give = pool.take, pool.give
 
     def squares_sum(F, h, along_y):
-        # the sum of ((F[i+1] - F[i]) / h)^2 over the neighbours along x or
-        # y, over a C-order array of the differences; along y they are
-        # formed over F read as one flat run, and the differences across
-        # rows left out when the rest is copied out
+        # sum of ((F[i+1] - F[i]) / h)^2 over the neighbours along x or y;
+        # along y over F read as one flat run, less its pairs across rows
         if along_y:
             run = take(F.shape)
             f = F.reshape(-1)
@@ -488,7 +474,7 @@ def discrete_energy(field: Field2D, params: LdGParams, *, h2: np.ndarray | None 
         give(d)
         return total
 
-    # bulk_from_traces(t2, params) first, formed over the spent t2
+    # bulk_from_traces(t2, params), over the spent t2
     t2, s._t2 = s.t2, None
     bulk = np.multiply(t2, 0.25 * params.c, take(t2.shape))
     bulk *= t2
@@ -512,8 +498,7 @@ def discrete_energy(field: Field2D, params: LdGParams, *, h2: np.ndarray | None 
         x *= s.q2
         cubic += x
         give(x)
-        # twice the interior, as a contiguous (nx, ny) array: the sum runs
-        # over it as on the 2D views
+        # twice the interior, contiguous: the sum runs as on the 2D views
         x = take((field.grid.nx, field.grid.ny))
         np.copyto(x, _interior(cubic, field.grid))
         x *= 2.0
@@ -651,8 +636,7 @@ class RunTrace:
 
 
 def _dqdt_norm2(dp, dq, w, pool):
-    # |dQ/dt|_F^2 = 2 (pdot^2 + qdot^2), midpoint quadrature over interior,
-    # the squares in one pool array
+    # |dQ/dt|_F^2 = 2 (pdot^2 + qdot^2), midpoint quadrature over interior
     d = pool.take(dp.shape)
     total = float(np.multiply(dp, dp, d).sum()) + float(np.multiply(dq, dq, d).sum())
     pool.give(d)
@@ -692,13 +676,11 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
     grid = field0.grid
     if len(field0.p) != grid.nx + 2:
         raise ValueError("run takes one field, not a lock-step stack")
-    # the field's copy, each component placed so that its slab (the run of
-    # the interior nodes that the stencils read) starts on a 64-byte line
-    comps = []
-    for F in (field0.p, field0.q):
-        comps.append(_aligned(F.size, F.shape[1] + 1).reshape(F.shape))
-        comps[-1][...] = F
-    fld = Field2D(grid, *comps)
+    # the field's copy, each component's slab on a 64-byte line
+    fld = Field2D(grid, *(_aligned(F.size, F.shape[1] + 1).reshape(F.shape)
+                          for F in (field0.p, field0.q)))
+    np.copyto(fld.p, field0.p)
+    np.copyto(fld.q, field0.q)
     rows, stop, peak_h2 = _march(fld, params, max(1, int(round(T / dt))), dt, scheme,
                                  record_every, small_cap)
     return RunTrace(*(np.array(series) for series in zip(*rows)), stop=stop, peak_h2=peak_h2,
@@ -707,9 +689,8 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
 
 def _march(fld: Field2D, params: LdGParams, nsteps: int, dt: float, scheme: str,
            record_every: int, small_cap: float):
-    """run's steps, in place on fld: the rows of the RunTrace series, one
-    tuple per record, the stop and the peak max h^2.  Every temporary is an
-    array of one pool, which goes when this returns."""
+    """run's steps, in place on fld: the RunTrace rows, one per record, the
+    stop and the peak max h^2; the pool of their temporaries goes with it."""
     grid = fld.grid
     w = grid.hx * grid.hy
     # ||Q||_L2^2 <= 2 max h^2 Lx Ly, as the trapezoid weights sum to the
@@ -743,12 +724,10 @@ def _march(fld: Field2D, params: LdGParams, nsteps: int, dt: float, scheme: str,
         for n in range(1, nsteps + 1):
             if rhs is None:
                 rhs = rhs_pq(fld, params, shared=shared)
-            # the new interiors, formed over the RHS; the field takes them
-            # only once they are known to be finite
+            # the new interiors, formed over the RHS from contiguous copies
+            # of the old; the field takes them once they are known finite
             new, rhs = rhs, None
             _increment(grid, new, dt, params, scheme, pool)
-            # old: contiguous copies of the interiors, so that the passes
-            # below each run over contiguous arrays
             old = []
             for a, f in zip(new, interior):
                 old.append(pool.take(a.shape))

@@ -18,6 +18,7 @@ def _load(name):
 bench_pairs = _load("bench_pairs")
 faults = _load("faults")
 lockstep = _load("lockstep")
+rectstep = _load("rectstep")
 
 
 def _report(wall, setup, rss, failed=0):
@@ -134,3 +135,26 @@ class TestLockstep:
         assert lines[0].split() == ["rows", "steps", "us/step"]
         assert [line.split()[0] for line in lines[1:]] == ["1", "2", "4", "8", "15", "31"]
         assert lines[-1].split() == ["31", "201", "81.0"]
+
+
+class TestRectstep:
+    def test_every_case_is_timed(self, monkeypatch):
+        monkeypatch.setattr(rectstep, "REPEATS", 1)
+        monkeypatch.setattr(rectstep, "STEPS", 2)
+        rows = list(rectstep.measure([8]))
+        assert [row[:3] for row in rows] == [("smallness", "imex", 8),
+                                             ("energy-decay", "explicit-euler", 8)]
+        assert all(us > 0.0 for *_, us in rows)
+
+    def test_report_lists_every_case(self, monkeypatch, capsys):
+        def canned(sizes):
+            return ((name, "imex", n, 100.0 + n) for name in rectstep.EXPERIMENTS for n in sizes)
+
+        monkeypatch.setattr(rectstep, "measure", canned)
+        assert rectstep.main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["experiment", "scheme", "grid", "us/step"]
+        assert [line.split()[::2] for line in lines[1:]] == [
+            ["smallness", "64^2"], ["smallness", "128^2"],
+            ["energy-decay", "64^2"], ["energy-decay", "128^2"]]
+        assert lines[-1].split() == ["energy-decay", "imex", "128^2", "228.0"]
