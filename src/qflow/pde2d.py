@@ -127,8 +127,8 @@ class Field2D:
 
     The ring carries the Dirichlet data and is never modified by the
     stepping routines.  A lock-step stack of k fields on one grid has
-    k (nx+2) rows, field after field (see `stack`); rhs_pq, step and
-    _advance take a stack, the monitors read one field.
+    k (nx+2) rows, field after field (see `stack`); rhs_pq and step take
+    a stack, the monitors read one field.
     """
 
     def __init__(self, grid: Grid2D, p: np.ndarray, q: np.ndarray):
@@ -232,15 +232,6 @@ def _l2_norm(grid: Grid2D, t2: np.ndarray, pool: _Pool | None = None) -> float:
     return math.sqrt(max(float(val), 0.0))
 
 
-def _sum_squares(p: np.ndarray, q: np.ndarray, out: np.ndarray, pool: _Pool) -> np.ndarray:
-    """h2 = p^2 + q^2 formed in out, with q^2 in a pool array."""
-    np.multiply(p, p, out)
-    t = np.multiply(q, q, pool.take(q.shape))
-    out += t
-    pool.give(t)
-    return out
-
-
 def smooth_random_field(grid: Grid2D, amplitude: float, seed: int = 0, kmax: int = 2) -> Field2D:
     """Random low-mode sine field with zero boundary, scaled so that
     max |Q| = sqrt(2) max h equals `amplitude`."""
@@ -311,7 +302,8 @@ class _Shared:
         take = pool.take
         self.p, self.q = p, q = np.ascontiguousarray(field.p), np.ascontiguousarray(field.q)
         if h2 is None:
-            h2 = _sum_squares(p, q, take(p.shape), pool)
+            h2 = p * p
+            h2 += q * q
         self.h2 = np.ascontiguousarray(h2)
         self._t2 = None
         self.P, self.Q = P, Q = _slab(p), _slab(q)
@@ -563,21 +555,6 @@ def _increment(grid: Grid2D, rhs, dt: float, params: LdGParams, scheme: str,
         d *= dt
 
 
-def _advance(field: Field2D, dp: np.ndarray, dq: np.ndarray, dt: float,
-             params: LdGParams, scheme: str) -> Field2D:
-    """One step of `step` from the RHS (dp, dq) = rhs_pq(field, params),
-    which it writes over, into a new field.  Raises UnstableStepError on a
-    non-finite value."""
-    _increment(field.grid, (dp, dq), dt, params, scheme, _Pool(dp.size))
-    out = field.copy()
-    shape = dp.shape[:-2] + (field.grid.nx + 2, field.grid.ny + 2)  # a view per member of a stack
-    for F, delta in ((out.p, dp), (out.q, dq)):
-        F.reshape(shape)[..., 1:-1, 1:-1] += delta
-    if not _finite(out.p, out.q):
-        raise UnstableStepError("non-finite values after step")
-    return out
-
-
 def _finite(*arrays) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
 
@@ -603,7 +580,15 @@ def step(field: Field2D, dt: float, params: LdGParams, scheme: str = "imex") -> 
     Raises UnstableStepError if the step produces non-finite values.
     """
     _check_step_args(dt, scheme)
-    return _advance(field, *rhs_pq(field, params), dt, params, scheme)
+    rhs = rhs_pq(field, params)
+    _increment(field.grid, rhs, dt, params, scheme, _Pool(rhs[0].size))
+    out = field.copy()
+    shape = rhs[0].shape[:-2] + (field.grid.nx + 2, field.grid.ny + 2)  # a view per member of a stack
+    for F, delta in zip((out.p, out.q), rhs):
+        F.reshape(shape)[..., 1:-1, 1:-1] += delta
+    if not _finite(out.p, out.q):
+        raise UnstableStepError("non-finite values after step")
+    return out
 
 
 @dataclass
@@ -713,7 +698,8 @@ def _march(fld: Field2D, params: LdGParams, nsteps: int, dt: float, scheme: str,
 
     # h2 of the field, ring included; each step rewrites its interior.  The
     # RHS of the field last recorded is the one the next step needs
-    h2 = _sum_squares(fld.p, fld.q, pool.take(fld.p.shape), pool)
+    h2 = fld.p * fld.p
+    h2 += fld.q * fld.q
     peak_h2 = float(h2.max())
     shared = _Shared(fld, params.L4, h2, pool)
     energy, rhs = record(0.0, shared, peak_h2, None, 0.0)
@@ -733,9 +719,10 @@ def _march(fld: Field2D, params: LdGParams, nsteps: int, dt: float, scheme: str,
                 old.append(pool.take(a.shape))
                 np.copyto(old[-1], f)
                 a += old[-1]
-            t = _sum_squares(*new, pool.take(a.shape), pool)
+            t, u = (np.multiply(a, a, pool.take(a.shape)) for a in new)
+            t += u
             np.copyto(h2[1:-1, 1:-1], t)
-            pool.give(t)
+            pool.give(t, u)
             mh2 = float(h2.max())
             # a finite max h^2 means finite p and q; p^2 can overflow while
             # p is finite, so an infinite one takes the exact test
