@@ -163,7 +163,13 @@ class Field2D:
         return cls(grid, np.zeros(shape), np.zeros(shape))
 
     def copy(self) -> "Field2D":
-        return Field2D(self.grid, self.p.copy(), self.q.copy())
+        """A copy, each component placed so that its slab (the run of the
+        interior nodes that the stencils read) starts on a 64-byte line."""
+        out = Field2D(self.grid, *(_aligned(F.size, F.shape[1] + 1).reshape(F.shape)
+                                   for F in (self.p, self.q)))
+        np.copyto(out.p, self.p)
+        np.copyto(out.q, self.q)
+        return out
 
     def max_h2(self) -> float:
         """max over nodes of h^2 = p^2 + q^2 (so |Q|_max = sqrt(2 max_h2))."""
@@ -661,11 +667,7 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
     grid = field0.grid
     if len(field0.p) != grid.nx + 2:
         raise ValueError("run takes one field, not a lock-step stack")
-    # the field's copy, each component's slab on a 64-byte line
-    fld = Field2D(grid, *(_aligned(F.size, F.shape[1] + 1).reshape(F.shape)
-                          for F in (field0.p, field0.q)))
-    np.copyto(fld.p, field0.p)
-    np.copyto(fld.q, field0.q)
+    fld = field0.copy()
     rows, stop, peak_h2 = _march(fld, params, max(1, int(round(T / dt))), dt, scheme,
                                  record_every, small_cap)
     return RunTrace(*(np.array(series) for series in zip(*rows)), stop=stop, peak_h2=peak_h2,
