@@ -332,8 +332,8 @@ class _Shared:
         return self._t2
 
 
-def _quotient(a, b, den, out=None):
-    """(a - b) / den, formed in out (a fresh array by default)."""
+def _quotient(a, b, den, out):
+    """(a - b) / den, formed in out."""
     d = np.subtract(a, b, out)
     d /= den
     return d
