@@ -187,19 +187,17 @@ def _aligned(n: int, lead: int = 0) -> np.ndarray:
 class _Pool:
     """Scratch arrays of `size` entries for the temporaries of one field,
     or one stack: take(shape) hands out, as a C-order view of its first
-    entries, the array given back last by give(), or a new one while none
-    is spare, so the pool holds no more arrays than its caller has out at
-    once.  run keeps one pool for all its steps, its arrays _aligned (a
-    ctypes call per array, which a pool for one call does not earn back);
-    a call outside run builds its own."""
+    entries, the array given back last by give(), or a new _aligned one
+    while none is spare, so the pool holds no more arrays than its caller
+    has out at once.  run keeps one pool for all its steps; a call outside
+    run builds its own."""
 
-    __slots__ = ("size", "aligned", "spare", "runs")
+    __slots__ = ("size", "spare", "runs")
 
-    def __init__(self, size: int, aligned: bool = False):
+    def __init__(self, size: int):
         self.size = size
-        self.aligned = aligned
         self.spare = []
-        self.runs = {}  # aligned: id(allocation): its run of `size` entries
+        self.runs = {}  # id(allocation): its run of `size` entries
 
     def take(self, shape) -> np.ndarray:
         spare = self.spare
@@ -207,12 +205,10 @@ class _Pool:
             a = spare.pop()
             if a.shape == shape:  # a given-back array of this shape is the view
                 return a
-            run = self.runs[id(a.base)] if self.aligned else a.base
-        elif self.aligned:
+            run = self.runs[id(a.base)]
+        else:
             run = _aligned(self.size)
             self.runs[id(run.base)] = run
-        else:
-            run = np.empty(self.size)
         view = run[:math.prod(shape)]
         return view if len(shape) == 1 else view.reshape(shape)
 
@@ -433,8 +429,7 @@ def rhs_pq(field: Field2D, params: LdGParams, *, shared: _Shared | None = None):
     return tuple(out)
 
 
-def discrete_energy(field: Field2D, params: LdGParams, *, h2: np.ndarray | None = None,
-                    shared: _Shared | None = None) -> float:
+def discrete_energy(field: Field2D, params: LdGParams, *, shared: _Shared | None = None) -> float:
     """Scheme-matched discrete energy.
 
     Quadratic part as a sum over edge differences, bulk as a nodal sum: for
@@ -443,14 +438,15 @@ def discrete_energy(field: Field2D, params: LdGParams, *, h2: np.ndarray | None 
     defect.  The (L3-L2) cross term is a null Lagrangian (constant in time
     under fixed boundary data) and is omitted; the L4 part is a
     central-difference quadrature, for monitoring only.  A caller may pass
-    the nodal h2 = p*p + q*q, or the field's _Shared, whose t2 this writes
-    over; every temporary is an array of its pool.  Every sum runs over a
-    C-order array, so no bit depends on the fields' memory layout.
+    the field's _Shared, whose t2 this writes over; every temporary is an
+    array of its pool.  Every sum runs over a C-order array, so no bit
+    depends on the fields' memory layout.  Takes one field, not a stack.
     """
+    _one_field(field, "discrete_energy")
     hx, hy = field.grid.hx, field.grid.hy
     w = hx * hy
     zeta = params.zeta
-    s = shared or _Shared(field, params.L4, h2)
+    s = shared or _Shared(field, params.L4)
     pool = s.pool
     take, give = pool.take, pool.give
 
@@ -553,12 +549,18 @@ def _increment(grid: Grid2D, rhs, dt: float, params: LdGParams, scheme: str,
         for d in rhs:
             np.matmul(Sx, d, t)
             np.matmul(t, Sy, d)
-            d /= lam
+            for plane in d.reshape(-1, *lam.shape):  # a stack's broadcast would buffer
+                plane /= lam
             np.matmul(Sx, d, t)
             np.matmul(t, Sy, d)
         pool.give(t)
     for d in rhs:
         d *= dt
+
+
+def _one_field(field: Field2D, caller: str) -> None:
+    if len(field.p) != field.grid.nx + 2:
+        raise ValueError(f"{caller} takes one field, not a lock-step stack")
 
 
 def _finite(*arrays) -> bool:
@@ -586,8 +588,10 @@ def step(field: Field2D, dt: float, params: LdGParams, scheme: str = "imex") -> 
     Raises UnstableStepError if the step produces non-finite values.
     """
     _check_step_args(dt, scheme)
-    rhs = rhs_pq(field, params)
-    _increment(field.grid, rhs, dt, params, scheme, _Pool(rhs[0].size))
+    shared = _Shared(field, params.L4)
+    rhs = rhs_pq(field, params, shared=shared)
+    _increment(field.grid, rhs, dt, params, scheme, shared.pool)
+    del shared  # its pool's spare arrays go before the new field comes
     out = field.copy()
     shape = rhs[0].shape[:-2] + (field.grid.nx + 2, field.grid.ny + 2)  # a view per member of a stack
     for F, delta in zip((out.p, out.q), rhs):
@@ -634,18 +638,6 @@ def _dqdt_norm2(dp, dq, w, pool):
     return 2.0 * w * total
 
 
-def _step_dqdt_norm2(new, old, dt: float, w: float, pool: _Pool) -> float:
-    """_dqdt_norm2 of the difference quotients (new - old) / dt of the
-    interiors new = (p, q) and old, formed in one pool array."""
-    d, sums = pool.take(new[0].shape), []
-    for a, b in zip(new, old):
-        _quotient(a, b, dt, d)
-        d *= d
-        sums.append(float(d.sum()))
-    pool.give(d)
-    return 2.0 * w * (sums[0] + sums[1])
-
-
 def _smallness_cap(eta1: float) -> float:
     """The recorded smallness flag reads max h^2 <= eta1 (1 + 1e-3)^2."""
     return eta1 * (1.0 + SMALLNESS_REL_TOL) ** 2 if math.isfinite(eta1) else math.inf
@@ -664,9 +656,7 @@ def run(field0: Field2D, params: LdGParams, T: float, dt: float,
     params.validate(strict=True)
     _check_step_args(dt, scheme, record_every)
     small_cap = _smallness_cap(derived_constants(params).eta1)
-    grid = field0.grid
-    if len(field0.p) != grid.nx + 2:
-        raise ValueError("run takes one field, not a lock-step stack")
+    _one_field(field0, "run")
     fld = field0.copy()
     rows, stop, peak_h2 = _march(fld, params, max(1, int(round(T / dt))), dt, scheme,
                                  record_every, small_cap)
@@ -683,7 +673,7 @@ def _march(fld: Field2D, params: LdGParams, nsteps: int, dt: float, scheme: str,
     # ||Q||_L2^2 <= 2 max h^2 Lx Ly, as the trapezoid weights sum to the
     # area; below this max h^2 (less a rounding margin) no trapezoid is needed
     quiet_h2 = BLOWUP_L2_THRESHOLD ** 2 / (2.0 * grid.Lx * grid.Ly * (1.0 + 1e-6))
-    pool = _Pool(fld.p.size, aligned=True)
+    pool = _Pool(fld.p.size)
     interior = fld.p[1:-1, 1:-1], fld.q[1:-1, 1:-1]
     finite0 = _finite(fld.p, fld.q)  # each later field is tested before it is kept
     rows = []
@@ -732,7 +722,9 @@ def _march(fld: Field2D, params: LdGParams, nsteps: int, dt: float, scheme: str,
                 stop = Stop(STOP_NONFINITE, n * dt, n)
                 break
             peak_h2 = max(peak_h2, mh2)
-            acc_dissipation += dt * _step_dqdt_norm2(new, old, dt, w, pool)
+            for a, b in zip(new, old):  # old is spent: it takes (new - old) / dt
+                _quotient(a, b, dt, b)
+            acc_dissipation += dt * _dqdt_norm2(*old, w, pool)
             for f, a in zip(interior, new):
                 np.copyto(f, a)
             pool.give(*new, *old)
@@ -764,7 +756,9 @@ class ContinuousDependenceResult:
 
 
 def field_distance(f1: Field2D, f2: Field2D) -> float:
-    """||Q1 - Q2||_L2 over the rectangle."""
+    """||Q1 - Q2||_L2 over the rectangle, of two fields, not stacks."""
+    _one_field(f1, "field_distance")
+    _one_field(f2, "field_distance")
     t2 = f1.p - f2.p
     t2 *= t2
     dq = f1.q - f2.q

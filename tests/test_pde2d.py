@@ -184,7 +184,8 @@ class TestSlabStencils:
             assert got.shape == (nx, ny) and np.array_equal(got, ref)
         e = discrete_energy(fld, params)
         assert e == strided_energy(fld, params)
-        assert discrete_energy(fld, params, h2=p * p + q * q) == e
+        shared = pde2d._Shared(fld, params.L4, p * p + q * q)  # as run passes it
+        assert discrete_energy(fld, params, shared=shared) == e
         assert field_distance(fld, other) == trapezoid_l2(grid, p - r, q - s)
 
 
@@ -621,6 +622,20 @@ class TestLockStep:
         with pytest.raises(ValueError, match="stack"):
             run(stack, coercive_params(), 1e-2, 1e-3)
 
+    # the monitors read one field: the energy of a stack of two copies of
+    # one field read 2.0292 where the field reads 1.0176
+    def test_discrete_energy_rejects_a_stack(self):
+        fld = smooth_random_field(Grid2D.from_extent(8, 8, 1.0, 1.0), 0.3, seed=1)
+        with pytest.raises(ValueError, match="stack"):
+            discrete_energy(Field2D.stack([fld, fld]), coercive_params(L4=1.0))
+
+    def test_field_distance_rejects_a_stack(self):
+        fld = smooth_random_field(Grid2D.from_extent(8, 8, 1.0, 1.0), 0.3, seed=1)
+        stack = Field2D.stack([fld, fld])
+        for pair in ((stack, stack), (fld, stack), (stack, fld)):
+            with pytest.raises(ValueError, match="stack"):
+                field_distance(*pair)
+
 
 class TestContinuousDependence:
     def setup_method(self):
@@ -767,25 +782,54 @@ class TestShared:
 
 
 class TestPool:
-    """The run's scratch arrays: the last given back is reused first, an
-    aligned pool's arrays start on 64-byte lines, and the pool holds no
-    more arrays than are out at once."""
+    """The scratch arrays: the last given back is reused first, every array
+    a pool hands out starts on a 64-byte line, and the pool holds no more
+    arrays than are out at once."""
 
-    @pytest.mark.parametrize("aligned", [False, True])
-    def test_reuse_alignment_and_count(self, aligned):
-        pool = pde2d._Pool(20, aligned)
+    def test_reuse_alignment_and_count(self):
+        pool = pde2d._Pool(20)
         a, b = pool.take((3, 4)), pool.take((17,))
         assert a.shape == (3, 4) and b.shape == (17,) and a.base is not b.base
-        if aligned:
-            assert a.ctypes.data % 64 == b.ctypes.data % 64 == 0
         pool.give(a, b)
         # the last given back first; the same shape is the same view
         assert pool.take((17,)) is b
         c = pool.take((4, 5))
         assert c.base is a.base and c.ctypes.data == a.ctypes.data
         pool.give(b, c)
-        held = {id(x.base) for x in (pool.take((2,)), pool.take((20,)))}
-        assert held == {id(a.base), id(b.base)}
+        d, e = pool.take((2,)), pool.take((20,))
+        assert {id(d.base), id(e.base)} == {id(a.base), id(b.base)}
+        for x in (a, b, c, d, e):
+            assert x.ctypes.data % 64 == 0
+
+    def test_a_bare_call_takes_aligned_arrays(self, monkeypatch):
+        # rhs_pq called alone builds its own pool, on the same policy
+        handed = []
+        take = pde2d._Pool.take
+
+        def recorded(self, shape):
+            handed.append(take(self, shape))
+            return handed[-1]
+
+        monkeypatch.setattr(pde2d._Pool, "take", recorded)
+        fld = smooth_random_field(Grid2D(nx=7, ny=5, hx=0.2, hy=0.3), 0.3, seed=4)
+        rhs_pq(fld, coercive_params(L4=0.7))
+        assert len(handed) > 2 and all(x.ctypes.data % 64 == 0 for x in handed)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_step_builds_one_pool(self, monkeypatch, scheme):
+        built = []
+
+        class Counted(pde2d._Pool):
+            __slots__ = ()
+
+            def __init__(self, size):
+                built.append(size)
+                super().__init__(size)
+
+        monkeypatch.setattr(pde2d, "_Pool", Counted)
+        fld = smooth_random_field(Grid2D(nx=7, ny=5, hx=0.2, hy=0.3), 0.3, seed=4)
+        step(Field2D.stack([fld, fld]), 1e-3, coercive_params(L4=0.7), scheme)
+        assert built == [2 * 9 * 7]
 
 
 class TestL2Layout:

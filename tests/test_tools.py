@@ -141,14 +141,29 @@ class TestRectstep:
     def test_every_case_is_timed(self, monkeypatch):
         monkeypatch.setattr(rectstep, "REPEATS", 1)
         monkeypatch.setattr(rectstep, "STEPS", 2)
+        from qflow import pde2d
+
+        stacks, step = [], pde2d.step
+
+        def recorded(field, *args, **kwargs):
+            stacks.append(field.p.shape)
+            return step(field, *args, **kwargs)
+
+        monkeypatch.setattr(pde2d, "step", recorded)
         rows = list(rectstep.measure([8]))
         assert [row[:3] for row in rows] == [("smallness", "imex", 8),
-                                             ("energy-decay", "explicit-euler", 8)]
+                                             ("energy-decay", "explicit-euler", 8),
+                                             ("continuous-dependence", "imex", 32)]
         assert all(us > 0.0 for *_, us in rows)
+        # the last row steps continuous-dependence's 3 fields as one stack
+        # on its 32^2 grid: once untimed, once timed
+        assert stacks == [(3 * 34, 34)] * 4
 
     def test_report_lists_every_case(self, monkeypatch, capsys):
         def canned(sizes):
-            return ((name, "imex", n, 100.0 + n) for name in rectstep.EXPERIMENTS for n in sizes)
+            yield from ((name, "imex", n, 100.0 + n) for name in rectstep.EXPERIMENTS
+                        for n in sizes)
+            yield "continuous-dependence", "imex", 32, 321.0
 
         monkeypatch.setattr(rectstep, "measure", canned)
         assert rectstep.main() == 0
@@ -156,5 +171,7 @@ class TestRectstep:
         assert lines[0].split() == ["experiment", "scheme", "grid", "us/step"]
         assert [line.split()[::2] for line in lines[1:]] == [
             ["smallness", "64^2"], ["smallness", "128^2"],
-            ["energy-decay", "64^2"], ["energy-decay", "128^2"]]
-        assert lines[-1].split() == ["energy-decay", "imex", "128^2", "228.0"]
+            ["energy-decay", "64^2"], ["energy-decay", "128^2"],
+            ["continuous-dependence", "32^2"]]
+        assert lines[-2].split() == ["energy-decay", "imex", "128^2", "228.0"]
+        assert lines[-1].split() == ["continuous-dependence", "imex", "32^2", "321.0"]
