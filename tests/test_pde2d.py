@@ -786,16 +786,25 @@ class TestPool:
     a pool hands out starts on a 64-byte line, and the pool holds no more
     arrays than are out at once."""
 
-    def test_reuse_alignment_and_count(self):
+    @pytest.mark.parametrize("one_at_a_time", [False, True])
+    def test_reuse_alignment_and_count(self, one_at_a_time):
+        # give(x, y) keeps the order of give(x) then give(y)
+        def give(*arrays):
+            if one_at_a_time:
+                for x in arrays:
+                    pool.give(x)
+            else:
+                pool.give(*arrays)
+
         pool = pde2d._Pool(20)
         a, b = pool.take((3, 4)), pool.take((17,))
         assert a.shape == (3, 4) and b.shape == (17,) and a.base is not b.base
-        pool.give(a, b)
+        give(a, b)
         # the last given back first; the same shape is the same view
         assert pool.take((17,)) is b
         c = pool.take((4, 5))
         assert c.base is a.base and c.ctypes.data == a.ctypes.data
-        pool.give(b, c)
+        give(b, c)
         d, e = pool.take((2,)), pool.take((20,))
         assert {id(d.base), id(e.base)} == {id(a.base), id(b.base)}
         for x in (a, b, c, d, e):
