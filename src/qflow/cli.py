@@ -664,11 +664,8 @@ def _exp_continuous_dependence(cfg):
 def _exp_hedgehog_consistency(cfg):
     params = cfg.params()
     R0, R1 = cfg.R0, cfg.R1
-    rng = np.random.default_rng(cfg.seed)
     h1 = cfg.h_s
-    rr = rng.uniform(R0 + 6.0 * h1, R1 - 6.0 * h1, size=cfg.n_samples)
-    ang = rng.uniform(0.0, 2.0 * np.pi, size=cfg.n_samples)
-    pts = np.stack([rr * np.cos(ang), rr * np.sin(ang)], axis=1)
+    pts = radial.hedgehog_sample_points(cfg.n_samples, cfg.seed, (R0, R1), h1)
     profiles = {
         "constant": (lambda r: np.full_like(np.asarray(r, dtype=float), 0.7),
                      lambda r: 0.0 * np.asarray(r), lambda r: 0.0 * np.asarray(r)),

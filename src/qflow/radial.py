@@ -877,6 +877,31 @@ def dominates_comparison(trace: RadialTrace, params: LdGParams,
     return bool(np.all(rec[finite] >= comp[finite] - slack[finite]))
 
 
+# R2 multipliers round(2^64 / g^i), i = 1, 2, for the plastic number g,
+# the real root of g^3 = g + 1
+_R2 = (0xC13FA9A902A6328F, 0x91E10DA5C79E7B1D)
+
+
+def hedgehog_sample_points(n_samples: int, seed: int, r_bounds, h_s: float) -> np.ndarray:
+    """The (n_samples, 2) sample points of the hedgehog check for a seed >= 0.
+
+    Point j takes k = seed n_samples + j of the R2 low-discrepancy sequence
+    (Roberts 2018), u_i = frac(k / g^i), in exact integer arithmetic as
+    (k A_i mod 2^64) / 2^64.  Its radius is lo + (hi - lo) u_1 in the band
+    [lo, hi] = [R0 + 6 h_s, R1 - 6 h_s] of the annulus r_bounds = (R0, R1),
+    its angle 2 pi u_2.
+    """
+    R0, R1 = r_bounds
+    lo, hi = R0 + 6.0 * h_s, R1 - 6.0 * h_s
+    pts = np.empty((n_samples, 2))
+    for j in range(n_samples):
+        k = seed * n_samples + j
+        u1, u2 = ((k * a) % 2**64 / 2**64 for a in _R2)
+        r, ang = lo + (hi - lo) * u1, 2.0 * math.pi * u2
+        pts[j] = r * math.cos(ang), r * math.sin(ang)
+    return pts
+
+
 def hedgehog_consistency_check(theta, params: LdGParams, sample_points,
                                h_s: float, r_bounds) -> float:
     """Max componentwise mismatch between the 2D stencil RHS and the radial one.

@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from qflow.radial import (
     criterion_value,
     dominates_comparison,
     hedgehog_consistency_check,
+    hedgehog_sample_points,
     run_radial,
     solve_banded,
     theta_rhs,
@@ -246,6 +248,13 @@ class TestStepperRhs:
     @given(L4=st.floats(0.05, 3.0), sign=st.sampled_from([-1.0, 1.0]), a=st.floats(-1e3, 1e3),
            c=st.floats(1e-8, 10.0), L1=st.floats(0.1, 2.0), amp=st.floats(-5.0, 5.0),
            theta_b=st.floats(0.01, 2.0), R0=st.floats(0.2, 5.0), nr=st.integers(3, 40))
+    # pinned boundary cases: the zero boundary value of every shipped sine
+    # bump under a negative amplitude, the fewest nodes, a deep quench, and
+    # both signs of L4
+    @example(L4=1.0, sign=-1.0, a=0.0, c=1e-6, L1=0.5, amp=-5.0, theta_b=0.0, R0=0.3, nr=40)
+    @example(L4=0.7, sign=1.0, a=0.3, c=1.0, L1=1.0, amp=2.0, theta_b=0.5, R0=3.0, nr=3)
+    @example(L4=1.0, sign=-1.0, a=-1e3, c=1e-8, L1=0.5, amp=-5.0, theta_b=0.0, R0=3.0, nr=20)
+    @example(L4=3.0, sign=1.0, a=-1e3, c=10.0, L1=2.0, amp=-1.0, theta_b=2.0, R0=5.0, nr=3)
     def test_sweep(self, L4, sign, a, c, L1, amp, theta_b, R0, nr):
         profile = RadialProfile.sine_bump(R0, R0 + 1.0, nr, amp)
         profile.theta[[0, -1]] = theta_b  # a nonzero boundary value
@@ -1191,6 +1200,51 @@ class TestPoincareStep:
             lhs = np.trapezoid(dtm * dtm * tm, r)
             rhs = const * np.trapezoid(tm**3, r)
             assert lhs >= rhs - 1e-6 * max(abs(rhs), 1.0)
+
+
+class TestHedgehogSamplePoints:
+    BAND = (3.0, 4.0)
+    H_S = 4e-3
+
+    def test_multipliers_round_two_to_the_64_over_powers_of_the_plastic_number(self):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            g = Decimal(1)
+            for _ in range(100):  # Newton on g^3 = g + 1
+                g -= (g**3 - g - 1) / (3 * g * g - 1)
+            assert abs(g**3 - g - 1) < Decimal(10) ** -55
+            assert radial._R2 == tuple(int((Decimal(2**64) / g**i).to_integral_value())
+                                       for i in (1, 2))
+
+    @pytest.mark.parametrize("seed", [*range(64), 2**64 + 12345])
+    def test_points_cover_the_band(self, seed):
+        pts = hedgehog_sample_points(20, seed, self.BAND, self.H_S)
+        assert pts.shape == (20, 2)
+        lo, hi = 3.0 + 6 * self.H_S, 4.0 - 6 * self.H_S
+        # hypot of (r cos, r sin) can be an ulp or two off r
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        assert np.all((r >= lo * (1 - 1e-15)) & (r <= hi * (1 + 1e-15)))
+        ang = np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
+        assert np.all((ang >= 0.0) & (ang <= 2 * math.pi))
+        # well spread: every quarter of the band and every quadrant holds a point
+        assert set(np.minimum((r - lo) / (hi - lo) * 4, 3).astype(int)) == {0, 1, 2, 3}
+        assert set(np.minimum(ang / (math.pi / 2), 3).astype(int)) == {0, 1, 2, 3}
+
+    def test_a_seed_selects_its_points(self):
+        def points(seed):
+            return hedgehog_sample_points(20, seed, self.BAND, self.H_S).tobytes()
+
+        assert points(0) == points(0) and points(2**70 + 3) == points(2**70 + 3)
+        assert points(0) != points(1)
+        # exact integer arithmetic: the points depend on seed * n_samples
+        # mod 2^64, so at n_samples = 20 seeds 2^62 apart coincide
+        assert points(2**64 + 12345) == points(12345) == points(2**62 + 12345)
+        assert points(12345) != points(2**61 + 12345)
+        # point j of seed s is point s n + j of one sequence
+        both = hedgehog_sample_points(6, 0, self.BAND, self.H_S)
+        assert hedgehog_sample_points(3, 1, self.BAND, self.H_S).tobytes() == both[3:].tobytes()
+        # the first point of the sequence sits on the band's inner edge
+        assert both[0].tolist() == [3.0 + 6 * self.H_S, 0.0]
 
 
 class TestHedgehogConsistency:

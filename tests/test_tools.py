@@ -82,8 +82,8 @@ class TestFaults:
         config = TOOLS.parent / "configs" / "coercivity-report.cfg"
         rows = list(faults.measure([("coercivity-report", config)], 3, 5, tmp_path))
         assert [row[:2] for row in rows] == [(i, "coercivity-report") for i in range(3)]
-        for _, _, minflt, wall, rss in rows:
-            assert minflt >= 0 and wall > 0.0 and rss > 0.0
+        for _, _, minflt, wall, grow, rss in rows:
+            assert minflt >= 0 and wall > 0.0 and 0.0 <= grow < rss
         summary = json.loads((tmp_path / "coercivity-report" / "summary.json").read_text())
         assert summary["passed"] and summary["config"]["seed"] == 5
         # round 0 is warm-up
@@ -91,14 +91,20 @@ class TestFaults:
         assert faults.medians(rows[:1]) == {}
 
     def test_report_lists_every_run_and_the_warm_medians(self, monkeypatch, capsys):
-        canned = [(0, "trotter-convergence", 30000, 0.6, 42.0), (0, "physicality", 5, 0.2, 42.0),
-                  (1, "trotter-convergence", 700, 0.4, 42.5), (1, "physicality", 0, 0.2, 42.5),
-                  (2, "trotter-convergence", 900, 0.5, 42.5), (2, "physicality", 2, 0.3, 42.5)]
+        canned = [(0, "trotter-convergence", 30000, 0.6, 3.25, 42.0),
+                  (0, "physicality", 5, 0.2, 0.0, 42.0),
+                  (1, "trotter-convergence", 700, 0.4, 0.5, 42.5),
+                  (1, "physicality", 0, 0.2, 0.0, 42.5),
+                  (2, "trotter-convergence", 900, 0.5, 0.0, 42.5),
+                  (2, "physicality", 2, 0.3, 0.0, 42.5)]
         monkeypatch.setattr(faults, "measure", lambda *args: iter(canned))
         assert faults.main(["--workload", "split", "--rounds", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 + len(canned) + 4
-        assert lines[1].split() == ["0", "trotter-convergence", "30000", "0.600", "42.00"]
+        assert lines[0].split() == ["round", "experiment", "minflt", "wall_s", "grow_mb",
+                                    "maxrss_mb"]
+        assert lines[1].split() == ["0", "trotter-convergence", "30000", "0.600", "3.25", "42.00"]
+        assert lines[3].split() == ["1", "trotter-convergence", "700", "0.400", "0.50", "42.50"]
         assert lines[-2].split() == ["trotter-convergence", "800", "0.450"]
         assert lines[-1].split() == ["physicality", "1", "0.250"]
 

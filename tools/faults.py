@@ -8,11 +8,13 @@ this process, for ``--rounds`` rounds, through ``qflow.cli.parse_config`` and
 temporary directory that is removed at the end.  The seed is set in every
 config, as ``qflow run --seed`` sets it.  For each run it prints the round,
 the experiment, the minor page faults (``ru_minflt``) and the wall time
-around ``run_experiment``, and the process's peak resident set
-(``ru_maxrss``) after it; then the median faults and wall time per
-experiment over the rounds after the first, which is warm-up.  A run that
-returns its heap to the system and grows it again takes faults on every
-step; a run that reuses its memory takes few after the first round.
+around ``run_experiment``, how far the run raised the process's peak
+resident set (``ru_maxrss`` after minus before, so the run that sets the
+peak reads nonzero), and that peak after it; then the median faults and
+wall time per experiment over the rounds after the first, which is
+warm-up.  A run that returns its heap to the system and grows it again
+takes faults on every step; a run that reuses its memory takes few after
+the first round.
 
 Standard library plus qflow, imported from this checkout's ``src/``.  The
 BLAS and OpenMP pools are pinned to one thread before numpy loads.
@@ -40,8 +42,9 @@ def _workloads():
 
 
 def measure(experiments, rounds: int, seed: int, workdir: Path):
-    """Yield (round, label, minor faults, wall s, peak RSS MB) for each run
-    of each (label, config path) in experiments, in order, round by round."""
+    """Yield (round, label, minor faults, wall s, peak RSS growth MB, peak
+    RSS MB) for each run of each (label, config path) in experiments, in
+    order, round by round."""
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
     from qflow import cli
@@ -50,19 +53,20 @@ def measure(experiments, rounds: int, seed: int, workdir: Path):
         for label, path in experiments:
             cfg = cli.parse_config(Path(path).read_text(encoding="utf-8"))
             cfg.values["seed"] = seed
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            before = resource.getrusage(resource.RUSAGE_SELF)
             t0 = time.perf_counter()
             cli.run_experiment(cfg, str(workdir / label))
             wall = time.perf_counter() - t0
             usage = resource.getrusage(resource.RUSAGE_SELF)
             # ru_maxrss is in KB on Linux
-            yield rnd, label, usage.ru_minflt - before, wall, usage.ru_maxrss / 1024.0
+            yield (rnd, label, usage.ru_minflt - before.ru_minflt, wall,
+                   (usage.ru_maxrss - before.ru_maxrss) / 1024.0, usage.ru_maxrss / 1024.0)
 
 
 def medians(rows) -> dict:
     """Median (faults, wall s) per label over every round after the first."""
     warm = {}
-    for rnd, label, faults, wall, _ in rows:
+    for rnd, label, faults, wall, *_ in rows:
         if rnd > 0:
             warm.setdefault(label, []).append((faults, wall))
     return {label: (statistics.median(f for f, _ in runs), statistics.median(w for _, w in runs))
@@ -78,11 +82,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     experiments = [(label, ROOT / path) for label, path, _ in workloads[args.workload]]
     rows = []
-    print(f"{'round':>5}  {'experiment':<26}{'minflt':>9}{'wall_s':>9}{'maxrss_mb':>11}")
+    print(f"{'round':>5}  {'experiment':<26}{'minflt':>9}{'wall_s':>9}{'grow_mb':>9}"
+          f"{'maxrss_mb':>11}")
     with tempfile.TemporaryDirectory() as tmp:
         for row in measure(experiments, args.rounds, args.seed, Path(tmp)):
-            rnd, label, faults, wall, rss = row
-            print(f"{rnd:>5}  {label:<26}{faults:>9}{wall:>9.3f}{rss:>11.2f}", flush=True)
+            rnd, label, faults, wall, grow, rss = row
+            print(f"{rnd:>5}  {label:<26}{faults:>9}{wall:>9.3f}{grow:>9.2f}{rss:>11.2f}",
+                  flush=True)
             rows.append(row)
     if args.rounds > 1:
         print(f"\nmedians over rounds 1-{args.rounds - 1}")
