@@ -17,6 +17,7 @@ diffusion).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -92,9 +93,8 @@ class RadialProfile:
         Both endpoints are set to exactly 0.0: sin(pi) is 1.2e-16, not 0,
         and a negative amplitude would leave -0.0 at R0.
         """
-        prof = cls.from_function(
-            R0, R1, nr, lambda r: amplitude * np.sin(np.pi * (r - R0) / (R1 - R0))
-        )
+        prof = cls.from_function(R0, R1, nr,
+                                 lambda r: amplitude * np.sin(np.pi * (r - R0) / (R1 - R0)))
         prof.theta[[0, -1]] = 0.0
         return prof
 
@@ -170,9 +170,7 @@ def theta_rhs(profile: RadialProfile, params: LdGParams) -> np.ndarray:
 
 def _signed_part(theta: np.ndarray, L4: float) -> np.ndarray:
     # theta_minus for L4 < 0, theta_plus for L4 > 0
-    if L4 < 0.0:
-        return np.maximum(-theta, 0.0)
-    return np.maximum(theta, 0.0)
+    return np.maximum(-theta if L4 < 0.0 else theta, 0.0)
 
 
 def criterion_value(R0: float, R1: float) -> float:
@@ -237,11 +235,9 @@ def blowup_certificate(profile: RadialProfile, params: LdGParams) -> BlowupCerti
             reason = f"comparison ODE settles at its equilibrium y* = {y_end!r}"
         else:
             reason = "comparison ODE decreases for all t"
-    return BlowupCertificate(
-        M0=M0, F0=F0, y0=y0, criterion_value=crit, criterion_ok=crit > 1.0,
-        predicted_blowup_time=predicted, conclusive=predicted is not None,
-        reason=reason,
-    )
+    return BlowupCertificate(M0=M0, F0=F0, y0=y0, criterion_value=crit, criterion_ok=crit > 1.0,
+                             predicted_blowup_time=predicted,
+                             conclusive=predicted is not None, reason=reason)
 
 
 def _cubic_roots(p: float, q: float):
@@ -393,57 +389,60 @@ class RadialTrace:
     stop: Stop
 
 
-# LAPACK gtsv from scipy, bound by the first solve so that importing qflow
-# loads no scipy module.  The solve loads scipy's _flapack extension from its
-# file, so the scipy.linalg package (~300 modules) never runs.
+# LAPACK dgtsv from the OpenBLAS that numpy's wheel bundles in numpy.libs/ and
+# has mapped, bound by the first solve: no second BLAS, no scipy module.  It
+# is the ILP64 build; its 64-bit integers go by reference, as 1-element arrays.
 _dgtsv = None
 
 
-def _load_dgtsv():
+def _load_dgtsv(libs=np.__path__[0] + ".libs"):
     global _dgtsv
-    import importlib.machinery
-    import importlib.util
-    import os
-    import sys
+    import glob
 
-    import scipy
-
-    stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
-    path = next((stem + s for s in importlib.machinery.EXTENSION_SUFFIXES
-                 if os.path.isfile(stem + s)), None)
-    if path is None:
-        raise ImportError(f"scipy's LAPACK extension {stem}<suffix> not found", path=stem)
-    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-    # the extension files itself in sys.modules: unless scipy.linalg has
-    # loaded it, take it out, so that a later import of scipy.linalg
-    # loads it as its own submodule
-    loaded = spec.name in sys.modules
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    if not loaded:
-        sys.modules.pop(spec.name, None)
-    _dgtsv = flapack.dgtsv
-    return _dgtsv
+    pattern, symbol = libs + "/libscipy_openblas64_*", "scipy_dgtsv_64_"
+    try:
+        gtsv = getattr(ctypes.CDLL(sorted(glob.glob(pattern))[0]), symbol)
+    except (IndexError, OSError, AttributeError):
+        raise ImportError(f"no {symbol} in numpy's OpenBLAS {pattern}", path=pattern) from None
+    gtsv.restype = None
+    _dgtsv = gtsv
+    return gtsv
 
 
-def solve_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _gtsv_args(ab: np.ndarray, b: np.ndarray) -> tuple:
+    # dgtsv's lengths and info, and pointers to b and to ab's rows, s bytes apart
+    p, s, ptr, INT = ab.ctypes.data, ab.strides[0], ctypes.c_void_p, ctypes.c_int64 * 1
+    return (INT(b.size), INT(1), ptr(p + 2 * s), ptr(p + s), ptr(p + 8), ptr(b.ctypes.data),
+            INT(max(b.size, 1)), INT())
+
+
+def solve_banded(ab: np.ndarray, b: np.ndarray, args=None, checked=None) -> np.ndarray:
     """Solve a tridiagonal system held in scipy's (1, 1) band layout.
 
     ab[0, 1:] is the superdiagonal, ab[1] the diagonal and ab[2, :-1] the
-    subdiagonal, as for scipy.linalg.solve_banded((1, 1), ab, b), which
-    calls the same LAPACK gtsv and returns the same bits; this skips its
-    batching and copying layers.  ab and b are overwritten: for float64
-    arrays with contiguous rows, the solution is returned in b's memory.
-    Raises ValueError if ab or b holds an inf or NaN, as scipy's
-    check_finite does, and LinAlgError if the matrix is singular.
+    subdiagonal, as for scipy.linalg.solve_banded((1, 1), ab, b): the same
+    LAPACK gtsv and bits, without its batching and copying layers.  ab and
+    b are overwritten; float64 ones with contiguous rows hold the returned
+    solution in b's memory, other real ones are solved in float64 copies.
+    Raises ValueError if ab or b (or `checked`, one array holding both)
+    holds an inf or NaN, as scipy's check_finite does, and LinAlgError if
+    the matrix is singular.  args is _gtsv_args(ab, b), if built already.
     """
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    gtsv = _dgtsv if _dgtsv is not None else _load_dgtsv()
-    x, info = gtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1, 1)[3:]
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    return x
+    if args is None:
+        if ab.ndim != 2 or ab.shape[0] != 3 or b.shape != ab.shape[1:]:
+            raise ValueError(f"need ab (3, n) and b (n,), not {ab.shape} and {b.shape}")
+        # dgtsv reads and writes through the rows' pointers: copy what they cannot serve
+        ab, b = (x if x.dtype == np.float64 and x.strides[-1] == 8 and x.flags.behaved
+                 else x.astype(np.float64, order="C", casting="safe") for x in (ab, b))
+        args = _gtsv_args(ab, b)
+    for x in (ab, b) if checked is None else (checked,):
+        if not np.isfinite(x).all():
+            raise ValueError("array must not contain infs or NaNs")
+    (_dgtsv or _load_dgtsv())(*args)
+    if info := args[-1][0]:
+        raise (LinAlgError("singular matrix") if info > 0
+               else ValueError(f"illegal value in argument {-info} of dgtsv"))
+    return b
 
 
 class _Batch(NamedTuple):
@@ -588,6 +587,7 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
             # whose first nr columns are the rows' interiors.)
             system = np.zeros((4, m * W))
             ab, b = system[:3, :n], system[3, :n]
+            args = _gtsv_args(ab, b)  # gtsv's pointers into this buffer
             b_first, b_last = b[::W], b[nr - 1::W]
             b_in = system[3].reshape(m, W)[:, :nr]
             # One workspace for the step's per-node arrays over the run,
@@ -635,7 +635,9 @@ def _march(profiles, params: LdGParams, T: float, dt: float, y_threshold: float,
         fill()
         row_steps += m  # every row takes this step, one whose solve fails too
         try:
-            solve_banded(ab, b)  # the solution is returned in b's memory
+            # the solution is returned in b's memory; the buffer's entries
+            # outside ab and b are 0, so one pass checks it for inf and NaN
+            solve_banded(ab, b, args, system)
             new_amax = maximum(maximum.reduceat(np.abs(b, scratch), bounds)[::2], edge)
             top = float(np.maximum.reduce(new_amax))
             batched = math.isfinite(top)
@@ -717,8 +719,7 @@ def run_radial(profile0: RadialProfile, params: LdGParams, T: float, dt: float) 
     def monitor_pass():
         stack = RadialProfile(profile0.R0, profile0.R1, profile0.nr, np.array(thetas))
         th = stack.theta
-        tm = np.maximum(-th, 0.0)
-        tp = np.maximum(th, 0.0)
+        tm, tp = np.maximum(-th, 0.0), np.maximum(th, 0.0)
         # boundary values are pinned, so dtheta/dt vanishes at the endpoints
         full = np.zeros_like(th)
         full[:, 1:-1] = theta_rhs(stack, params)
@@ -925,9 +926,7 @@ def hedgehog_consistency_check(theta, params: LdGParams, sample_points,
         if rc == 0.0:
             raise ValueError("sample point at the origin")
         if rc < R0 + 3.0 * h_s or rc > R1 - 3.0 * h_s:
-            raise ValueError(
-                f"sample at r={rc:.6g} is within 3 h_s of the annulus boundary"
-            )
+            raise ValueError(f"sample at r={rc:.6g} is within 3 h_s of the annulus boundary")
     # the radial RHS at every sample in one evaluation; r^2 is the libm
     # pow of each radius, which can round differently from r * r
     r = np.array(radii)

@@ -762,6 +762,45 @@ class TestHedgehogSeeds:
         assert report.summary["config"]["seed"] == seed
 
 
+@pytest.fixture(scope="module")
+def radial_runs_fresh(tmp_path_factory):
+    """What a fresh process holds after running blowup, hedgehog-consistency
+    and the threshold search cut to T = 0.01 through run_experiment; then
+    it imports scipy.linalg and solves three systems with both solvers."""
+    texts = {"blowup": _edited("blowup", {}),
+             "hedgehog-consistency": _edited("hedgehog-consistency", {}),
+             "blowup-threshold-search": _edited("blowup-threshold-search",
+                                                {"T = 0.5": "T = 0.01"})}
+    code = """if True:
+        import json, sys
+        from qflow import cli, radial
+        for name, text in json.loads(sys.argv[1]).items():
+            report = cli.run_experiment(cli.parse_config(text), sys.argv[2] + "/" + name)
+            assert report.passed, name
+        with open("/proc/self/maps") as maps:
+            mapped = sorted({line.split()[-1] for line in maps
+                             if "scipy.libs" in line or "/scipy/" in line})
+        out = {"numpy.random": "numpy.random" in sys.modules,
+               "scipy modules": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+               "scipy maps": mapped, "same bits": []}
+        import numpy as np
+        import scipy.linalg
+        for n in (3, 50, 300):
+            k = np.arange(3.0 * n).reshape(3, n)
+            ab, b = np.sin(k) * 10.0 ** (k % 7), np.cos(k[0])
+            ref = scipy.linalg.solve_banded((1, 1), ab.copy(), b.copy())
+            x = radial.solve_banded(ab.copy(), b.copy())
+            out["same bits"].append(x.tobytes() == ref.tobytes())
+        print(json.dumps(out))
+    """
+    src = str(pathlib.Path(radial.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(texts),
+                          str(tmp_path_factory.mktemp("radial-runs"))],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 class TestMainEntry:
     def _write(self, tmp_path, text):
         path = tmp_path / "cfg.txt"
@@ -978,33 +1017,28 @@ class TestMainEntry:
             assert len((out.getvalue() + err.getvalue()).splitlines()) == 1
 
     def test_import_loads_no_scipy(self):
-        # only the radial solve needs scipy, and it loads it on first use
+        # no qflow path calls scipy: it is the tests' oracle alone
         code = "import sys, qflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         src = str(pathlib.Path(splitting.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
 
-    def test_radial_runs_load_no_numpy_random(self, tmp_path):
+    def test_radial_runs_load_no_numpy_random(self, radial_runs_fresh):
         # numpy.random brings in hashlib and OpenSSL's libcrypto, the largest
         # step of the radial workload's peak RSS; no radial experiment needs it
-        texts = {"blowup": _edited("blowup", {}),
-                 "hedgehog-consistency": _edited("hedgehog-consistency", {}),
-                 "blowup-threshold-search": _edited("blowup-threshold-search",
-                                                    {"T = 0.5": "T = 0.01"})}
-        code = """if True:
-            import json, sys
-            from qflow import cli
-            for name, text in json.loads(sys.argv[1]).items():
-                report = cli.run_experiment(cli.parse_config(text), sys.argv[2] + "/" + name)
-                assert report.passed, name
-            print("numpy.random" in sys.modules)
-        """
-        src = str(pathlib.Path(radial.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code, json.dumps(texts), str(tmp_path)],
-                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert radial_runs_fresh["numpy.random"] is False
+
+    def test_radial_runs_map_no_scipy(self, radial_runs_fresh):
+        # blowup and the search solve a tridiagonal system on every step, with
+        # dgtsv from the OpenBLAS that numpy has mapped: no scipy module is
+        # imported and no scipy library is mapped
+        assert radial_runs_fresh["scipy modules"] == []
+        assert radial_runs_fresh["scipy maps"] == []
+
+    def test_scipy_linalg_after_a_run_keeps_the_bits(self, radial_runs_fresh):
+        # scipy.linalg, imported after the runs, solves with its own dgtsv
+        assert radial_runs_fresh["same bits"] == [True] * 3
 
     def test_console_script_installed(self):
         out = subprocess.run(

@@ -238,6 +238,35 @@ class TestTotalEnergy:
         # analytic value: zeta int |grad p|^2 = 2 * pi^2/2 = pi^2
         assert fine == pytest.approx(np.pi**2, rel=1e-4)
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.5, 2.0), st.floats(-0.25, 0.25).filter(bool),
+           st.floats(-0.25, 0.25).filter(bool),
+           st.sampled_from([-1.0, 1.0]), st.floats(0.1, 2.0), st.floats(-1.0, 1.0),
+           st.floats(0.1, 2.0), st.floats(0.05, 0.5))
+    def test_closed_form_equals_einstein_form(self, L1, L2, L3, sign, L4_abs, a, c, amp):
+        # total_energy's (p, q) density against elastic_density + bulk_density
+        # at every node, with L2, L3 and L4 all nonzero, on one quadrature
+        params = LdGParams(a=a, b=0.0, c=c, L1=L1, L2=L2, L3=L3, L4=sign * L4_abs)
+        Lx, Ly = 1.0, 0.8
+        grid = Grid2D.from_extent(12, 9, Lx, Ly)
+        x, y = grid.nodes()
+        sx, sy = np.sin(np.pi * x / Lx), np.sin(np.pi * y / Ly)
+        s2x, s2y = np.sin(2.0 * np.pi * x / Lx), np.sin(2.0 * np.pi * y / Ly)
+        p = amp * (sx[:, None] * sy + 0.4 * s2x[:, None] * sy)
+        q = amp * 0.7 * sx[:, None] * s2y
+        p1, p2 = np.gradient(p, grid.hx, grid.hy, edge_order=2)
+        q1, q2 = np.gradient(q, grid.hx, grid.hy, edge_order=2)
+        dens = np.empty_like(p)
+        for i, j in np.ndindex(p.shape):
+            Q = QTensor2(p[i, j], q[i, j])
+            gradQ = [[[p1[i, j], q1[i, j]], [q1[i, j], -p1[i, j]]],
+                     [[p2[i, j], q2[i, j]], [q2[i, j], -p2[i, j]]]]
+            dens[i, j] = elastic_density(Q, gradQ, params) + bulk_density(Q, params)
+        ref = float(trapezoid(trapezoid(dens, grid.hy), grid.hx))
+        scale = float(trapezoid(trapezoid(np.abs(dens), grid.hy), grid.hx))
+        # measured: at most 1.6e-16 relative
+        assert abs(total_energy(Field2D(grid, p, q), params) - ref) <= 1e-14 * scale
+
 
 class TestTrapezoid:
     """trapezoid halves its sums with s *= 0.5.  x * 0.5 and x / 2.0 round

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import pathlib
@@ -600,8 +601,8 @@ class TestRunRadialFlag:
             h = _first_step_size(prof, p, 1e-3)
             solve = radial.solve_banded
 
-            def nan_solution(ab, b):
-                x = solve(ab, b)
+            def nan_solution(ab, b, *bound):
+                x = solve(ab, b, *bound)
                 x[0] = np.nan
                 return x
 
@@ -656,11 +657,30 @@ def tridiagonal_systems(draw):
 
 
 CORNER_SYSTEM = (np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]]), np.ones(3))
+# gtsv swaps rows at every elimination step: the subdiagonal's 2 outweighs
+# the diagonal as each step leaves it (1, then 0.5, -0.75, ...)
+PIVOT_SYSTEM = (np.array([np.ones(40), np.ones(40), np.full(40, 2.0)]),
+                np.cos(np.arange(40.0)))
+
+# (ab, b) -> the same system in a layout that raw pointers cannot take as it
+# is, or, for "wide band", one that they can: the stepper's per-row fallback
+# passes a block of its system buffer, whose rows are a buffer row apart
+LAYOUTS = {
+    "Fortran ab": lambda ab, b: (np.asfortranarray(ab), b.copy()),
+    "wide band": lambda ab, b: (np.hstack([ab, np.ones((3, 5))])[:, :b.size], b.copy()),
+    "read-only ab": lambda ab, b: (np.frombuffer(ab.tobytes()).reshape(ab.shape), b.copy()),
+    "strided b": lambda ab, b: (ab.copy(), np.repeat(b, 2)[::2]),
+    "reversed b": lambda ab, b: (ab.copy(), b[::-1].copy()[::-1]),
+    "float32 b": lambda ab, b: (ab.copy(), b.astype(np.float32)),
+    "int b": lambda ab, b: (ab.copy(), np.round(b).astype(np.int64)),
+}
 
 
 class TestSolveBanded:
     @PROPERTY
     @given(tridiagonal_systems())
+    @example(PIVOT_SYSTEM)
+    @example(CORNER_SYSTEM)  # n = 3
     def test_bit_identical_to_scipy(self, system):
         ab, b = system
         ref = scipy.linalg.solve_banded((1, 1), ab.copy(), b.copy())
@@ -708,51 +728,54 @@ class TestSolveBanded:
         assert np.shares_memory(x, b)
         assert np.allclose(x, [1.0, 1.0, 1.0])
 
-    def test_solve_runs_no_scipy_linalg(self):
-        # a fresh process: a radial run binds gtsv from scipy's _flapack
-        # file without running the scipy.linalg package; imported after,
-        # that package's solve_banded gives the same bits
-        code = """if True:
-            import sys
-            import numpy as np
-            from qflow import radial
-            from qflow.energy import LdGParams
-            p = LdGParams(a=-6000.0, b=0.0, c=1e-8, L1=0.5, L2=0.0, L3=0.0, L4=-1.0)
-            trace = radial.run_radial(radial.RadialProfile.sine_bump(3.0, 4.0, 20, -50.0),
-                                      p, 1e-4, 1e-5)
-            assert trace.stop.steps > 0 and radial._dgtsv is not None
-            assert not [m for m in sys.modules if m.startswith("scipy.linalg")]
-            import scipy.linalg
-            assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
-            rng = np.random.default_rng(0)
-            for n in (3, 50, 300):
-                ab = rng.standard_normal((3, n)) * 10.0 ** rng.integers(0, 7, (3, n))
-                b = rng.standard_normal(n)
-                ref = scipy.linalg.solve_banded((1, 1), ab.copy(), b.copy())
-                assert radial.solve_banded(ab.copy(), b.copy()).tobytes() == ref.tobytes()
-            print("ok")
-        """
-        src = str(pathlib.Path(radial.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src})
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "ok"
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @settings(PROPERTY, max_examples=30)
+    @given(tridiagonal_systems())
+    def test_layouts_keep_scipy_bits(self, layout, system):
+        ab, b = LAYOUTS[layout](*system)
+        ref = scipy.linalg.solve_banded((1, 1), ab.copy(), b.copy())
+        before = ab.copy()
+        x = solve_banded(ab, b)
+        assert x.dtype == np.float64 and x.tobytes() == ref.tobytes()
+        # an ab that raw pointers cannot take is solved in a copy and left as it was
+        if layout in ("Fortran ab", "read-only ab"):
+            assert ab.tobytes() == before.tobytes()
+        # a float64 b with contiguous entries holds the solution; ab's copy leaves it there
+        assert np.shares_memory(x, b) == (layout in ("Fortran ab", "wide band", "read-only ab"))
 
-    def test_bind_keeps_scipy_linalg_registration(self, monkeypatch):
-        # scipy.linalg is loaded here: binding again leaves its _flapack
-        # submodule in sys.modules
-        monkeypatch.setattr(radial, "_dgtsv", None)
-        solve_banded(np.array([[0.0, 1.0], [4.0, 4.0], [1.0, 0.0]]), np.ones(2))
-        assert sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack
-        assert radial._dgtsv is scipy.linalg.lapack.dgtsv
+    def test_wide_band_leaves_the_buffer_around_it(self):
+        # the per-row fallback of the stepper solves a block of its system buffer
+        ab, b = CORNER_SYSTEM
+        wide = np.full((4, 9), 7.0)
+        wide[:3, 3:6], wide[3, 3:6] = ab, b
+        ref = scipy.linalg.solve_banded((1, 1), ab.copy(), b.copy())
+        assert solve_banded(wide[:3, 3:6], wide[3, 3:6]).tobytes() == ref.tobytes()
+        assert (wide[:, :3] == 7.0).all() and (wide[:, 6:] == 7.0).all()
 
-    def test_missing_extension_names_its_path(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-        monkeypatch.setattr(radial, "_dgtsv", None)
-        stem = str(tmp_path / "linalg" / "_flapack")
-        with pytest.raises(ImportError, match=re.escape(stem)) as info:
-            solve_banded(np.ones((3, 3)), np.ones(3))
-        assert info.value.path == stem
+    @pytest.mark.parametrize("ab, b, error", [
+        (np.ones((3, 4)), np.ones(4, dtype=complex), TypeError),
+        (np.ones((3, 4), dtype=complex), np.ones(4), TypeError),
+        (np.ones((3, 4)), np.ones(5), ValueError),
+        (np.ones((4, 4)), np.ones(4), ValueError),
+        (np.ones((3, 4)), np.ones((4, 1)), ValueError),
+    ], ids=["complex b", "complex ab", "short ab", "four bands", "b a column"])
+    def test_rejected_inputs(self, ab, b, error):
+        with pytest.raises(error):
+            solve_banded(ab, b)
+
+    def test_illegal_argument_raises(self):
+        # dgtsv's info < 0: here a negative order, which LAPACK rejects
+        ab, b = (x.copy() for x in CORNER_SYSTEM)
+        args = ((ctypes.c_int64 * 1)(-1),) + radial._gtsv_args(ab, b)[1:]
+        with pytest.raises(ValueError, match="argument 1 of dgtsv") as info:
+            solve_banded(ab, b, args)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    def test_missing_library_names_its_path(self, tmp_path):
+        pattern = str(tmp_path) + "/libscipy_openblas64_*"
+        with pytest.raises(ImportError, match="scipy_dgtsv_64_") as info:
+            radial._load_dgtsv(str(tmp_path))
+        assert info.value.path == pattern and pattern in str(info.value)
 
 
 @st.composite
@@ -978,8 +1001,8 @@ class TestLockStep:
         # is redone row by row
         solve, calls = radial.solve_banded, [0]
 
-        def faulty(ab, b):
-            x = solve(ab, b)
+        def faulty(ab, b, *bound):
+            x = solve(ab, b, *bound)
             if b.size > nr:
                 calls[0] += 1
                 if calls[0] % 3 == 0:
@@ -1004,10 +1027,10 @@ class TestLockStep:
         # rows march on
         solve, nr = radial.solve_banded, 10
 
-        def singular(ab, b):
+        def singular(ab, b, *bound):
             if b.size > nr or np.abs(b).max() < 1e-2:
                 raise np.linalg.LinAlgError("singular matrix")
-            return solve(ab, b)
+            return solve(ab, b, *bound)
 
         profiles = [RadialProfile.sine_bump(0.3, 1.3, nr, a) for a in (-2.0, 5e-3, -0.3)]
         expected = [radial._march([prof], params(c=1e-6), 0.05, 1e-3, 1e6) for prof in profiles]
